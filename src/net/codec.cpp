@@ -13,9 +13,15 @@ namespace {
 // strings length-prefixed.
 class Writer {
 public:
+    Writer() = default;
+    /// Pre-size for a message of exactly `bytes` bytes.
+    explicit Writer(std::size_t bytes) { out_.reserve(bytes); }
+
     void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
     void u64(std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+        char bytes[8];
+        for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+        out_.append(bytes, sizeof bytes);
     }
     void f64(double v) { u64(Fnv1a::canonical_bits(v)); }
     void str(std::string_view s) {
@@ -199,7 +205,7 @@ WireRequest decode_request(std::string_view payload) {
 }
 
 std::string encode_response(const WireResponse& response) {
-    Writer w;
+    Writer w(8 + 1 + 1 + 8 + 8 + response.schedule_bytes.size());
     w.u64(response.id);
     w.u8(static_cast<std::uint8_t>(response.outcome));
     std::uint8_t flags = 0;
@@ -253,7 +259,7 @@ WireError decode_error(std::string_view payload) {
 }
 
 std::string encode_schedule(const Schedule& schedule) {
-    Writer w;
+    Writer w(3 * 8 + schedule.num_placements() * 4 * 8);
     w.u64(schedule.num_tasks());
     w.u64(schedule.num_procs());
     w.u64(schedule.num_placements());

@@ -7,21 +7,28 @@ namespace tsched::net {
 
 namespace {
 
-// Reflected CRC-32 lookup table, generated once at static-init time.
-std::array<std::uint32_t, 256> make_crc_table() noexcept {
-    std::array<std::uint32_t, 256> table{};
+// Slice-by-8 CRC-32 tables, generated once at static-init time.  tables[0]
+// is the classic reflected bytewise table; tables[k][i] is the CRC of byte i
+// followed by k zero bytes, so one step folds eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() noexcept {
+    CrcTables tables{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int bit = 0; bit < 8; ++bit)
             c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        tables[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < tables.size(); ++k)
+        for (std::uint32_t i = 0; i < 256; ++i)
+            tables[k][i] = (tables[k - 1][i] >> 8) ^ tables[0][tables[k - 1][i] & 0xffu];
+    return tables;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() noexcept {
-    static const std::array<std::uint32_t, 256> table = make_crc_table();
-    return table;
+const CrcTables& crc_tables() noexcept {
+    static const CrcTables tables = make_crc_tables();
+    return tables;
 }
 
 void put_u32le(std::string& out, std::uint32_t v) {
@@ -67,10 +74,19 @@ const char* frame_error_name(FrameError error) noexcept {
 }
 
 std::uint32_t crc32(std::string_view data) noexcept {
-    const auto& table = crc_table();
+    const CrcTables& t = crc_tables();
+    const char* p = data.data();
+    std::size_t n = data.size();
     std::uint32_t crc = 0xFFFFFFFFu;
-    for (const char ch : data)
-        crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (crc >> 8);
+    for (; n >= 8; n -= 8, p += 8) {
+        const std::uint32_t lo = crc ^ get_u32le(p);
+        const std::uint32_t hi = get_u32le(p + 4);
+        crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
+              t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+              t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; --n, ++p)
+        crc = t[0][(crc ^ static_cast<unsigned char>(*p)) & 0xffu] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFu;
 }
 
@@ -103,35 +119,34 @@ void FrameDecoder::feed(std::string_view bytes) {
     buffer_.append(bytes.data(), bytes.size());
 }
 
+FrameError FrameDecoder::check_header(const char* header) const noexcept {
+    if (get_u32le(header) != kFrameMagic) return FrameError::kBadMagic;
+    if (static_cast<std::uint8_t>(header[4]) != kProtocolVersion) return FrameError::kBadVersion;
+    if (!frame_type_known(static_cast<std::uint8_t>(header[5]))) return FrameError::kBadType;
+    if (header[6] != 0 || header[7] != 0) return FrameError::kBadReserved;
+    // Validate the declared length against the cap *before* waiting for (or
+    // allocating) any payload bytes: a hostile length field must cost O(1).
+    if (get_u32le(header + 8) > max_payload_) return FrameError::kOversized;
+    return FrameError::kNone;
+}
+
+bool FrameDecoder::ready() const noexcept {
+    if (failed() || buffered() < kFrameHeaderBytes) return false;
+    const char* header = buffer_.data() + consumed_;
+    return check_header(header) != FrameError::kNone ||
+           buffered() >= kFrameHeaderBytes + get_u32le(header + 8);
+}
+
 std::optional<Frame> FrameDecoder::next() {
     if (failed()) return std::nullopt;
     if (buffer_.size() - consumed_ < kFrameHeaderBytes) return std::nullopt;
     const char* header = buffer_.data() + consumed_;
-
-    if (get_u32le(header) != kFrameMagic) {
-        error_ = FrameError::kBadMagic;
-        return std::nullopt;
-    }
-    if (static_cast<std::uint8_t>(header[4]) != kProtocolVersion) {
-        error_ = FrameError::kBadVersion;
+    if (const FrameError error = check_header(header); error != FrameError::kNone) {
+        error_ = error;
         return std::nullopt;
     }
     const auto raw_type = static_cast<std::uint8_t>(header[5]);
-    if (!frame_type_known(raw_type)) {
-        error_ = FrameError::kBadType;
-        return std::nullopt;
-    }
-    if (header[6] != 0 || header[7] != 0) {
-        error_ = FrameError::kBadReserved;
-        return std::nullopt;
-    }
     const std::uint32_t declared = get_u32le(header + 8);
-    // Validate the declared length against the cap *before* waiting for (or
-    // allocating) any payload bytes: a hostile length field must cost O(1).
-    if (declared > max_payload_) {
-        error_ = FrameError::kOversized;
-        return std::nullopt;
-    }
     if (buffer_.size() - consumed_ < kFrameHeaderBytes + declared) return std::nullopt;
 
     const std::string_view payload(buffer_.data() + consumed_ + kFrameHeaderBytes, declared);

@@ -69,7 +69,9 @@ enum class FrameError : std::uint8_t {
 
 [[nodiscard]] const char* frame_error_name(FrameError error) noexcept;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`,
+/// computed slice-by-8 (eight bytes per step through eight derived tables;
+/// the value is the bytewise algorithm's, bit for bit).
 [[nodiscard]] std::uint32_t crc32(std::string_view data) noexcept;
 
 struct Frame {
@@ -96,6 +98,12 @@ public:
     /// bytes are needed or the decoder has failed (check error()).
     [[nodiscard]] std::optional<Frame> next();
 
+    /// True when next() can make progress without more input: a complete
+    /// frame is buffered, or the buffered header is already malformed (next()
+    /// would latch the error).  The server's event loop polls without
+    /// sleeping while any session has such a frame left over.
+    [[nodiscard]] bool ready() const noexcept;
+
     /// Sticky: the first malformed header or CRC mismatch latches here and
     /// the decoder ignores everything after it (a corrupt stream has no
     /// trustworthy resynchronization point).
@@ -106,6 +114,9 @@ public:
     [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size() - consumed_; }
 
 private:
+    /// Header validation shared by next() and ready(); kNone when valid.
+    [[nodiscard]] FrameError check_header(const char* header) const noexcept;
+
     std::size_t max_payload_;
     std::string buffer_;
     std::size_t consumed_ = 0;  ///< prefix of buffer_ already handed out

@@ -14,7 +14,6 @@
 
 #include "net/codec.hpp"
 #include "net/frame.hpp"
-#include "serve/request_trace.hpp"
 #include "util/stopwatch.hpp"
 
 namespace tsched::net {
@@ -161,6 +160,7 @@ void ServeServer::loop() {
         if (accepting) fds.push_back({listener_.fd.get(), POLLIN, 0});
         const std::size_t session_base = fds.size();
         bool any_pending = false;
+        bool any_buffered = false;
         for (auto& session : sessions_) {
             short events = 0;
             const bool paused = backpressured(*session);
@@ -169,14 +169,18 @@ void ServeServer::loop() {
             session->was_paused = paused;
             if (!draining && !paused &&
                 (session->state == Session::State::kHandshake ||
-                 session->state == Session::State::kOpen))
+                 session->state == Session::State::kOpen)) {
                 events |= POLLIN;
+                // Frames left over by max_requests_per_tick: no new bytes
+                // may ever arrive for them, so the loop must not sleep.
+                if (session->decoder.ready()) any_buffered = true;
+            }
             if (!session->outbox.empty()) events |= POLLOUT;
             if (!session->pending.empty()) any_pending = true;
             fds.push_back({session->fd.get(), events, 0});
         }
 
-        const int timeout_ms = any_pending ? 1 : (draining ? 5 : 200);
+        const int timeout_ms = any_buffered ? 0 : any_pending ? 1 : (draining ? 5 : 200);
         const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
         if (rc < 0 && errno != EINTR && errno != EAGAIN) break;  // unrecoverable
 
@@ -347,12 +351,10 @@ void ServeServer::handle_frame(Session& session, FrameType type, const std::stri
                 return;
             }
             try {
-                serve::ScheduleRequest request = serve::materialize(wire.trace);
-                request.deadline_ms = wire.deadline_ms;
-                request.options = wire.options;
                 Session::PendingReply reply;
                 reply.id = wire.id;
-                reply.future = engine_.submit(std::move(request));
+                reply.future = engine_.submit_descriptor(wire.trace, std::move(wire.options),
+                                                         wire.deadline_ms);
                 session.pending.push_back(std::move(reply));
                 requests_.fetch_add(1, std::memory_order_relaxed);
             } catch (const std::exception& e) {

@@ -10,13 +10,19 @@
 // codec messages (net/codec.hpp).  The loop reads a bounded amount per
 // session per tick and decodes at most `max_requests_per_tick` request
 // frames per session per tick — per-client fair dispatch into the engine, so
-// one firehose connection cannot starve its neighbours.  Each decoded
-// request is materialized and submitted to the borrowed engine exactly like
-// in-process trace replay; the returned future is parked on the session and
-// pumped into the outbox when ready.  Responses are correlated by the
-// client-chosen request id and may complete out of order (cache hits resolve
-// immediately); ordering across requests is explicitly NOT a protocol
-// guarantee.
+// one firehose connection cannot starve its neighbours.  While any session
+// still holds a complete frame left over by that budget, the loop polls with
+// timeout 0 rather than sleeping: no new bytes may ever arrive to wake it.
+// Each decoded request goes to ServeEngine::submit_descriptor(), which
+// answers exactly what materialize() + submit() would; a repeated
+// descriptor whose answer is cached is served from the engine's descriptor
+// index (a process-local hash of the descriptor and options) without
+// building the DAG or hashing the problem, and the key never reaches the
+// wire, so kCodecVersion and kFingerprintVersion are unchanged.  The
+// returned future is parked on the session and pumped into the outbox when
+// ready.  Responses are correlated by the client-chosen request id and may
+// complete out of order (cache hits resolve immediately); ordering across
+// requests is explicitly NOT a protocol guarantee.
 //
 // Backpressure (the bounded-queue discipline of DESIGN §16, applied per
 // connection): when a session's outstanding work — parked futures plus

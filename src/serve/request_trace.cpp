@@ -1,10 +1,12 @@
 #include "serve/request_trace.hpp"
 
+#include <bit>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
+#include "util/fingerprint.hpp"
 #include "util/rng.hpp"
 
 namespace tsched::serve {
@@ -20,6 +22,20 @@ void write_double(std::ostream& os, double x) {
 }
 
 }  // namespace
+
+std::uint64_t descriptor_key(const TraceRequest& request, std::string_view options) {
+    Fnv1a h;
+    h.str(request.algo);
+    h.u64(static_cast<std::uint64_t>(request.shape));
+    h.u64(request.size);
+    h.u64(request.procs);
+    h.u64(static_cast<std::uint64_t>(request.net));
+    h.u64(std::bit_cast<std::uint64_t>(request.ccr));
+    h.u64(std::bit_cast<std::uint64_t>(request.beta));
+    h.u64(request.seed);
+    h.str(options);
+    return h.value();
+}
 
 workload::InstanceParams trace_instance_params(const TraceRequest& request) {
     workload::InstanceParams params;

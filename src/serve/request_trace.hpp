@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/request.hpp"
@@ -41,6 +42,15 @@ struct TraceRequest {
 
     friend bool operator==(const TraceRequest&, const TraceRequest&) = default;
 };
+
+/// Process-local key of a descriptor plus its option string: FNV-1a over
+/// the *exact* bit patterns of every descriptor field (so +0.0 and -0.0
+/// key apart, unlike the canonicalizing problem fingerprint) and the
+/// length-prefixed options.  Like the fingerprint it excludes the wire
+/// request id and deadline_ms.  ServeEngine keys its descriptor index with
+/// it (serve_engine.hpp); it is never sent on the wire or persisted, so no
+/// version constant covers it.
+[[nodiscard]] std::uint64_t descriptor_key(const TraceRequest& request, std::string_view options);
 
 /// The InstanceParams a trace request expands to (shared by materialize and
 /// by callers that want the raw instance).

@@ -1,6 +1,5 @@
 #include "serve/schedule_cache.hpp"
 
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -8,95 +7,25 @@
 
 namespace tsched::serve {
 
-namespace {
-
-/// Largest power of two <= n (n >= 1).
-std::size_t floor_pow2(std::size_t n) {
-    std::size_t p = 1;
-    while (p * 2 <= n) p *= 2;
-    return p;
-}
-
-/// Finalizing mix (SplitMix64's) so nearby fingerprints spread across
-/// shards even though FNV-1a's low bits are weakly mixed.
-std::uint64_t spread(std::uint64_t x) noexcept {
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
-
-ScheduleCache::ScheduleCache(std::size_t capacity, std::size_t shards) : capacity_(capacity) {
-    if (capacity == 0) throw std::invalid_argument("ScheduleCache: capacity must be > 0");
-    if (shards == 0) throw std::invalid_argument("ScheduleCache: shards must be > 0");
-    std::size_t count = floor_pow2(shards);
-    // Never allocate more shards than entries: each shard needs budget >= 1.
-    while (count > 1 && count > capacity) count /= 2;
-    shards_.reserve(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        auto shard = std::make_unique<Shard>();
-        // Split the budget evenly; earlier shards absorb the remainder.
-        shard->capacity = capacity / count + (s < capacity % count ? 1 : 0);
-        shards_.push_back(std::move(shard));
-    }
-}
-
-ScheduleCache::Shard& ScheduleCache::shard_for(std::uint64_t key) noexcept {
-    return *shards_[spread(key) & (shards_.size() - 1)];
-}
-
-std::shared_ptr<const Schedule> ScheduleCache::Shard::find_and_touch_locked(std::uint64_t key) {
-    const auto it = index.find(key);
-    if (it == index.end()) return nullptr;
-    lru.splice(lru.begin(), lru, it->second);
-    return it->second->second;
-}
-
-bool ScheduleCache::Shard::insert_locked(std::uint64_t key,
-                                         std::shared_ptr<const Schedule> value) {
-    if (const auto it = index.find(key); it != index.end()) {
-        it->second->second = std::move(value);
-        lru.splice(lru.begin(), lru, it->second);
-        return false;
-    }
-    lru.emplace_front(key, std::move(value));
-    index.emplace(key, lru.begin());
-    if (lru.size() > capacity) {
-        index.erase(lru.back().first);
-        lru.pop_back();
-        return true;
-    }
-    return false;
-}
+ScheduleCache::ScheduleCache(std::size_t capacity, std::size_t shards)
+    : lru_(capacity, shards) {}
 
 std::shared_ptr<const Schedule> ScheduleCache::get(std::uint64_t key) {
-    Shard& shard = shard_for(key);
-    LockGuard lock(shard.mutex);
-    auto value = shard.find_and_touch_locked(key);
-    if (!value) {
-        ++shard.misses;
+    auto value = lru_.find(key, /*counted=*/true);
+    if (value) {
+        TSCHED_COUNT("serve/cache_hits");
+    } else {
         TSCHED_COUNT("serve/cache_misses");
-        return nullptr;
     }
-    ++shard.hits;
-    TSCHED_COUNT("serve/cache_hits");
     return value;
 }
 
 std::shared_ptr<const Schedule> ScheduleCache::peek(std::uint64_t key) {
-    Shard& shard = shard_for(key);
-    LockGuard lock(shard.mutex);
-    return shard.find_and_touch_locked(key);
+    return lru_.find(key, /*counted=*/false);
 }
 
 void ScheduleCache::put(std::uint64_t key, std::shared_ptr<const Schedule> value) {
-    Shard& shard = shard_for(key);
-    LockGuard lock(shard.mutex);
-    if (shard.insert_locked(key, std::move(value))) {
-        ++shard.evictions;
-        TSCHED_COUNT("serve/cache_evictions");
-    }
+    if (lru_.insert(key, std::move(value))) TSCHED_COUNT("serve/cache_evictions");
 }
 
 void ScheduleCache::metrics_into(obs::MetricsSnapshot& out) const {
@@ -107,32 +36,14 @@ void ScheduleCache::metrics_into(obs::MetricsSnapshot& out) const {
     out.gauges.push_back({"serve/cache/hit_rate", {}, total.hit_rate()});
     out.gauges.push_back({"serve/cache/size", {}, static_cast<double>(total.size)});
     out.gauges.push_back(
-        {"serve/cache/capacity", {}, static_cast<double>(capacity_)});
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        Shard& shard = *shards_[s];
-        std::size_t occupancy = 0;
-        {
-            LockGuard lock(shard.mutex);
-            occupancy = shard.lru.size();
-        }
+        {"serve/cache/capacity", {}, static_cast<double>(lru_.capacity())});
+    for (std::size_t s = 0; s < lru_.num_shards(); ++s) {
         obs::Labels labels{{"shard", std::to_string(s)}};
         out.gauges.push_back({"serve/cache/shard_occupancy", labels,
-                              static_cast<double>(occupancy)});
+                              static_cast<double>(lru_.occupancy(s))});
         out.gauges.push_back({"serve/cache/shard_capacity", std::move(labels),
-                              static_cast<double>(shard.capacity)});
+                              static_cast<double>(lru_.shard_capacity(s))});
     }
-}
-
-CacheStats ScheduleCache::stats() const {
-    CacheStats total;
-    for (const auto& shard : shards_) {
-        LockGuard lock(shard->mutex);
-        total.hits += shard->hits;
-        total.misses += shard->misses;
-        total.evictions += shard->evictions;
-        total.size += shard->lru.size();
-    }
-    return total;
 }
 
 }  // namespace tsched::serve

@@ -1,27 +1,16 @@
 // Content-addressed schedule cache: LRU with sharded locks.
 //
 // Maps request fingerprints (serve/request.hpp) to immutable, shared
-// Schedule results.  The key space is split across kShards independent
-// shards — each with its own mutex, hash map, and LRU list — so concurrent
-// lookups from the serving thread pool contend only when they land on the
-// same shard.  Capacity is divided evenly across shards (each shard evicts
-// its own least-recently-used entry when it overflows), which bounds total
-// residency at `capacity` while keeping eviction O(1) and lock-local.
+// Schedule results.  Storage, sharding, eviction and the lock discipline are
+// ShardedLru's (serve/sharded_lru.hpp): capacity is split evenly across a
+// power-of-two number of shards, each with its own mutex, map and LRU list,
+// so total residency is bounded by `capacity` and eviction is O(1) and
+// lock-local.
 //
 // Values are shared_ptr<const Schedule>: a hit hands back the *same object*
 // the cold computation produced, so a cached answer is bit-identical to the
 // cold one by construction (the determinism tests also pin this through the
 // TSS serializer).
-//
-// Lock discipline (clang thread-safety checked, DESIGN §13): every mutable
-// shard member — map, LRU list, *and* the hit/miss/eviction counters — is
-// GUARDED_BY the shard mutex; the counters are plain integers, not atomics,
-// because every touch already happens under the lock.  stats() therefore
-// reads each shard's counters and size under one lock hold, giving a
-// per-shard-consistent snapshot (the pre-annotation code read the counters
-// outside the lock and could observe a hit whose LRU update was not yet
-// visible).  Shards are never locked nested; cross-shard totals are sums of
-// sequential per-shard snapshots.
 //
 // peek() is *counter-neutral*, not lock-free: it takes the shard mutex like
 // every other operation (there is no unsynchronized fast path), but records
@@ -36,28 +25,13 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "sched/schedule.hpp"
-#include "util/thread_annotations.hpp"
+#include "serve/sharded_lru.hpp"
 
 namespace tsched::serve {
-
-struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t size = 0;
-
-    [[nodiscard]] double hit_rate() const noexcept {
-        const std::uint64_t total = hits + misses;
-        return total > 0 ? static_cast<double>(hits) / static_cast<double>(total) : 0.0;
-    }
-};
 
 class ScheduleCache {
 public:
@@ -80,13 +54,13 @@ public:
     /// when the shard is over budget.
     void put(std::uint64_t key, std::shared_ptr<const Schedule> value);
 
-    [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-    [[nodiscard]] std::size_t num_shards() const noexcept { return shards_.size(); }
+    [[nodiscard]] std::size_t capacity() const noexcept { return lru_.capacity(); }
+    [[nodiscard]] std::size_t num_shards() const noexcept { return lru_.num_shards(); }
 
     /// Point-in-time totals across shards.  Each shard's contribution is
     /// internally consistent (read under that shard's lock); the cross-shard
     /// sum is only as coherent as sequential per-shard sampling can be.
-    [[nodiscard]] CacheStats stats() const;
+    [[nodiscard]] CacheStats stats() const { return lru_.stats(); }
 
     /// Append this cache's obs fragment to `out` (DESIGN §14): the
     /// hits/misses/evictions counters, a cache-operation hit-rate gauge, and
@@ -96,38 +70,7 @@ public:
     void metrics_into(obs::MetricsSnapshot& out) const;
 
 private:
-    struct Shard {
-        Mutex mutex;
-        /// Most-recently-used at the front.
-        std::list<std::pair<std::uint64_t, std::shared_ptr<const Schedule>>> lru
-            TSCHED_GUARDED_BY(mutex);
-        std::unordered_map<std::uint64_t,
-                           std::list<std::pair<std::uint64_t,
-                                               std::shared_ptr<const Schedule>>>::iterator>
-            index TSCHED_GUARDED_BY(mutex);
-        /// Entry budget; set once at construction, immutable afterwards.
-        std::size_t capacity = 1;
-        std::uint64_t hits TSCHED_GUARDED_BY(mutex) = 0;
-        std::uint64_t misses TSCHED_GUARDED_BY(mutex) = 0;
-        std::uint64_t evictions TSCHED_GUARDED_BY(mutex) = 0;
-
-        /// Find `key`, move it to the MRU position, and return its value;
-        /// nullptr when absent.  Counter updates stay with the callers so
-        /// get() and peek() share one lookup path.
-        [[nodiscard]] std::shared_ptr<const Schedule> find_and_touch_locked(std::uint64_t key)
-            TSCHED_REQUIRES(mutex);
-
-        /// Insert or overwrite `key`, evicting the LRU entry if the shard
-        /// went over budget; returns true when an eviction happened.
-        [[nodiscard]] bool insert_locked(std::uint64_t key,
-                                         std::shared_ptr<const Schedule> value)
-            TSCHED_REQUIRES(mutex);
-    };
-
-    [[nodiscard]] Shard& shard_for(std::uint64_t key) noexcept;
-
-    std::size_t capacity_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    ShardedLru<Schedule> lru_;
 };
 
 }  // namespace tsched::serve

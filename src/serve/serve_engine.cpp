@@ -1,6 +1,7 @@
 #include "serve/serve_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <functional>
 #include <optional>
@@ -9,6 +10,7 @@
 
 #include "core/registry.hpp"
 #include "obs/obs.hpp"
+#include "serve/request_trace.hpp"
 #include "trace/trace.hpp"
 
 #ifdef TSCHED_DEBUG_CHECKS
@@ -18,11 +20,6 @@
 namespace tsched::serve {
 
 namespace {
-
-ServeResult make_hit(std::shared_ptr<const Schedule> schedule, std::uint64_t fp,
-                     const Stopwatch& submitted) {
-    return ServeResult{std::move(schedule), fp, true, false, submitted.elapsed_ms()};
-}
 
 void debug_check_hit([[maybe_unused]] const Schedule& hit,
                      [[maybe_unused]] const Problem& problem) {
@@ -39,10 +36,24 @@ void debug_check_hit([[maybe_unused]] const Schedule& hit,
 
 }  // namespace
 
+bool ServeEngine::DescriptorEntry::matches(const TraceRequest& other,
+                                           std::string_view other_options) const noexcept {
+    // Doubles compare by bit pattern, like descriptor_key hashes them.
+    return descriptor.algo == other.algo && descriptor.shape == other.shape &&
+           descriptor.size == other.size && descriptor.procs == other.procs &&
+           descriptor.net == other.net &&
+           std::bit_cast<std::uint64_t>(descriptor.ccr) ==
+               std::bit_cast<std::uint64_t>(other.ccr) &&
+           std::bit_cast<std::uint64_t>(descriptor.beta) ==
+               std::bit_cast<std::uint64_t>(other.beta) &&
+           descriptor.seed == other.seed && options == other_options;
+}
+
 ServeEngine::ServeEngine(ServeConfig config, ThreadPool& pool)
     : config_(std::move(config)),
       pool_(pool),
       cache_(std::make_unique<ScheduleCache>(config_.cache_capacity, config_.cache_shards)),
+      descriptors_(config_.cache_capacity, config_.cache_shards),
       admission_(AdmissionOptions{config_.max_inflight, config_.max_pending,
                                   config_.shed_policy, config_.enable_dedup}),
       chaos_(config_.chaos),
@@ -71,31 +82,83 @@ const Scheduler& ServeEngine::scheduler_for(const std::string& algo) {
 
 std::future<ServeResult> ServeEngine::submit(ScheduleRequest request) {
     if (!request.problem) throw std::invalid_argument("ServeEngine::submit: null problem");
-    Stopwatch submitted;
+    const Stopwatch submitted;
+    count_request();
+    const std::uint64_t fp = fingerprint_request(request);
+    return submit_fingerprinted(std::move(request), fp, submitted, /*looked_up=*/false);
+}
+
+std::future<ServeResult> ServeEngine::submit_descriptor(const TraceRequest& descriptor,
+                                                        std::string options,
+                                                        double deadline_ms) {
+    const Stopwatch submitted;
+    const std::uint64_t key = descriptor_key(descriptor, options);
+    std::shared_ptr<const DescriptorEntry> entry;
+    if (config_.enable_cache) {
+        entry = descriptors_.find(key, /*counted=*/false);
+        if (entry && !entry->matches(descriptor, options)) entry = nullptr;  // key collision
+    }
+    if (entry) {
+        if (auto hit = lookup(entry->fp)) {
+            count_request();
+#ifdef TSCHED_DEBUG_CHECKS
+            debug_check_hit(*hit, *materialize(descriptor).problem);
+#endif
+            return ready_hit(std::move(hit), entry->fp, submitted);
+        }
+    }
+
+    // Unknown descriptor, or its answer was evicted: the full path.  A
+    // throwing materialize() leaves the request uncounted, exactly as when
+    // a caller's own materialize() throws before submit().
+    ScheduleRequest request = materialize(descriptor);
+    request.options = std::move(options);
+    request.deadline_ms = deadline_ms;
+    const std::uint64_t fp = fingerprint_request(request);
+    if (config_.enable_cache) {
+        descriptors_.insert(key, std::make_shared<const DescriptorEntry>(
+                                     DescriptorEntry{descriptor, request.options, fp}));
+    }
+    count_request();
+    return submit_fingerprinted(std::move(request), fp, submitted,
+                                /*looked_up=*/entry != nullptr);
+}
+
+void ServeEngine::count_request() {
     requests_.fetch_add(1, std::memory_order_relaxed);
     TSCHED_COUNT("serve/requests");
-    const std::uint64_t fp = fingerprint_request(request);
+}
 
-    if (config_.enable_cache) {
+std::shared_ptr<const Schedule> ServeEngine::lookup(std::uint64_t fp) {
 #if TSCHED_OBS_ON
-        const Stopwatch lookup;
-        auto hit = cache_->get(fp);
-        lat_cache_lookup_ms_.record(lookup.elapsed_ms());
+    const Stopwatch timer;
+    auto hit = cache_->get(fp);
+    lat_cache_lookup_ms_.record(timer.elapsed_ms());
+    return hit;
 #else
-        auto hit = cache_->get(fp);
+    return cache_->get(fp);
 #endif
-        if (hit) {
+}
+
+std::future<ServeResult> ServeEngine::ready_hit(std::shared_ptr<const Schedule> hit,
+                                                std::uint64_t fp, const Stopwatch& submitted) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    ok_.fetch_add(1, std::memory_order_relaxed);
+    TSCHED_COUNT("serve/served_from_cache");
+    std::promise<ServeResult> ready;
+    ServeResult result{std::move(hit), fp, true, false, submitted.elapsed_ms()};
+    TSCHED_OBS_RECORD_INTO(lat_total_ms_, result.latency_ms);
+    ready.set_value(std::move(result));
+    return ready.get_future();
+}
+
+std::future<ServeResult> ServeEngine::submit_fingerprinted(ScheduleRequest request,
+                                                           std::uint64_t fp,
+                                                           Stopwatch submitted, bool looked_up) {
+    if (config_.enable_cache && !looked_up) {
+        if (auto hit = lookup(fp)) {
             debug_check_hit(*hit, *request.problem);
-            cache_hits_.fetch_add(1, std::memory_order_relaxed);
-            ok_.fetch_add(1, std::memory_order_relaxed);
-            TSCHED_COUNT("serve/served_from_cache");
-            std::promise<ServeResult> ready;
-            ServeResult result = make_hit(std::move(hit), fp, submitted);
-#if TSCHED_OBS_ON
-            lat_total_ms_.record(result.latency_ms);
-#endif
-            ready.set_value(std::move(result));
-            return ready.get_future();
+            return ready_hit(std::move(hit), fp, submitted);
         }
     }
 
@@ -425,12 +488,10 @@ void ServeEngine::own_task_begin() {
 }
 
 void ServeEngine::own_task_end() {
-    {
-        LockGuard lock(own_mutex_);
-        --own_tasks_;
-        if (own_tasks_ != 0) return;
-    }
-    own_cv_.notify_all();
+    // Notify under the lock: once the count reads 0 the destructor may
+    // return and destroy own_cv_, so no touch of it may follow the unlock.
+    LockGuard lock(own_mutex_);
+    if (--own_tasks_ == 0) own_cv_.notify_all();
 }
 
 void ServeEngine::wait_own_tasks() {

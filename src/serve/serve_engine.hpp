@@ -19,6 +19,25 @@
 //      every waiter parked on the entry (owner included — waiters[0] *is*
 //      the owner), and promotes the next viable pending request.
 //
+// Descriptor entry point (submit_descriptor — the wire server's path): a
+// request given as a workload descriptor (serve/request_trace.hpp) is first
+// looked up in a bounded *descriptor index* keyed by descriptor_key(), a
+// hash of the descriptor's exact field bits plus the option string.  The
+// index maps the key to {descriptor, options, fingerprint}.  A hit compares
+// the stored descriptor in full (a key collision can never serve another
+// problem's answer) and then makes the request's one counted cache lookup
+// by the stored fingerprint, so a repeat costs a ~60-byte hash and two map
+// lookups — no DAG/cost-matrix materialization and no O(n·P + E) problem
+// fingerprint.  An index miss, or a fingerprint evicted from the cache,
+// materializes, fingerprints, records the index entry and continues into
+// the same core as submit() (same admission path, same hit accounting,
+// still one counted cache operation per request).  The index reuses the
+// cache's ShardedLru with the cache's capacity and shard count and is
+// consulted only when the cache is on.  The key is process-local: it never
+// reaches the wire or the fingerprint, so neither kFingerprintVersion nor
+// net::kCodecVersion covers it.  Under TSCHED_DEBUG_CHECKS an index hit
+// still materializes and re-validates the cached schedule.
+//
 // Overload discipline (DESIGN §16): max_inflight bounds concurrent
 // computations, max_pending bounds the backlog, and the shed policy picks
 // who pays when both are full.  deadline_ms is enforced at dequeue (expired
@@ -59,6 +78,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -67,7 +87,9 @@
 #include "serve/admission.hpp"
 #include "serve/chaos.hpp"
 #include "serve/request.hpp"
+#include "serve/request_trace.hpp"
 #include "serve/schedule_cache.hpp"
+#include "serve/sharded_lru.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
@@ -155,6 +177,16 @@ public:
     /// parked waiter with that error.
     [[nodiscard]] std::future<ServeResult> submit(ScheduleRequest request);
 
+    /// Serve the request `descriptor` materializes to, with `options` and
+    /// `deadline_ms` as in ScheduleRequest.  Answers exactly what
+    /// submit(materialize(descriptor) + options + deadline) would, and
+    /// counts the same stats; a repeated descriptor whose answer is still
+    /// cached skips materialization and fingerprinting (file header).
+    /// Materialization errors throw before the request is counted.
+    [[nodiscard]] std::future<ServeResult> submit_descriptor(const TraceRequest& descriptor,
+                                                             std::string options = {},
+                                                             double deadline_ms = 0.0);
+
     /// Submit a whole batch, then block for all of it; results come back in
     /// request order.  `wait_budget_ms > 0` bounds the *total* wait: futures
     /// not ready when the budget runs out yield synthetic kTimedOut results
@@ -188,6 +220,33 @@ public:
     [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
 private:
+    /// A descriptor-index value: what the descriptor materialized to.
+    struct DescriptorEntry {
+        TraceRequest descriptor;
+        std::string options;
+        std::uint64_t fp = 0;
+
+        /// Full comparison (doubles by bit pattern, like descriptor_key).
+        [[nodiscard]] bool matches(const TraceRequest& other,
+                                   std::string_view other_options) const noexcept;
+    };
+
+    /// Shared core of both entry points: the counted cache lookup (unless
+    /// the caller already made it — `looked_up`), hit resolution, then
+    /// admission.  The caller has counted the request.
+    [[nodiscard]] std::future<ServeResult> submit_fingerprinted(ScheduleRequest request,
+                                                                std::uint64_t fp,
+                                                                Stopwatch submitted,
+                                                                bool looked_up);
+
+    void count_request();
+    /// The request's one counted cache operation (timed under TSCHED_OBS).
+    [[nodiscard]] std::shared_ptr<const Schedule> lookup(std::uint64_t fp);
+    /// An already-resolved future for a cache hit, with the hit accounting.
+    [[nodiscard]] std::future<ServeResult> ready_hit(std::shared_ptr<const Schedule> hit,
+                                                     std::uint64_t fp,
+                                                     const Stopwatch& submitted);
+
     /// Resolve (and memoize) a scheduler instance by registry name.
     [[nodiscard]] const Scheduler& scheduler_for(const std::string& algo)
         TSCHED_EXCLUDES(schedulers_mutex_);
@@ -232,6 +291,9 @@ private:
     ServeConfig config_;
     ThreadPool& pool_;
     std::unique_ptr<ScheduleCache> cache_;
+    /// Descriptor key -> DescriptorEntry; internally synchronized (each
+    /// shard's map and LRU list are GUARDED_BY the shard mutex).
+    ShardedLru<DescriptorEntry> descriptors_;
     AdmissionController admission_;
     std::shared_ptr<ChaosHook> chaos_;  ///< copy of config_.chaos (hot-path load)
 

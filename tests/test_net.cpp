@@ -21,6 +21,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -35,6 +36,7 @@
 #include "serve/chaos.hpp"
 #include "serve/request.hpp"
 #include "serve/request_trace.hpp"
+#include "serve/serve_engine.hpp"
 #include "workload/instance.hpp"
 #include "util/fingerprint.hpp"
 #include "util/thread_pool.hpp"
@@ -193,6 +195,60 @@ TEST(NetFrame, GoldenHeaderBytes) {
 TEST(NetFrame, Crc32KnownVectors) {
     EXPECT_EQ(net::crc32(""), 0x00000000u);
     EXPECT_EQ(net::crc32("123456789"), 0xCBF43926u);  // the canonical check value
+}
+
+/// Bit-at-a-time reflected CRC-32: the definition the table-driven
+/// implementation must reproduce exactly.
+std::uint32_t crc32_bitwise(std::string_view data) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (const char ch : data) {
+        crc ^= static_cast<unsigned char>(ch);
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(NetFrame, Crc32MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+    std::string buffer(257 + 8, '\0');
+    std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+    for (char& c : buffer) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        c = static_cast<char>(x >> 24);
+    }
+    int mismatches = 0;
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t length = 0; length <= 257; ++length) {
+            const std::string_view slice(buffer.data() + offset, length);
+            if (net::crc32(slice) != crc32_bitwise(slice)) {
+                ADD_FAILURE() << "offset " << offset << " length " << length;
+                if (++mismatches > 8) return;
+            }
+        }
+    }
+}
+
+TEST(NetFrame, ReadyMeansNextProgressesWithoutMoreBytes) {
+    const std::string bytes = net::encode_frame(FrameType::kRequest, "payload");
+    FrameDecoder decoder;
+    EXPECT_FALSE(decoder.ready());
+    decoder.feed(std::string_view(bytes).substr(0, net::kFrameHeaderBytes + 3));
+    EXPECT_FALSE(decoder.ready());  // header plus a partial payload
+    decoder.feed(std::string_view(bytes).substr(net::kFrameHeaderBytes + 3));
+    EXPECT_TRUE(decoder.ready());
+    ASSERT_TRUE(decoder.next().has_value());
+    EXPECT_FALSE(decoder.ready());
+
+    std::string corrupt = bytes.substr(0, net::kFrameHeaderBytes);
+    corrupt[0] = static_cast<char>(corrupt[0] ^ 1);
+    FrameDecoder bad;
+    bad.feed(corrupt);
+    EXPECT_TRUE(bad.ready());  // a malformed header fails without more input
+    EXPECT_FALSE(bad.next().has_value());
+    EXPECT_TRUE(bad.failed());
+    EXPECT_FALSE(bad.ready());
 }
 
 TEST(NetFrame, OneByteAtATime) {
@@ -544,6 +600,75 @@ TEST(NetServer, MultiClientReplayAccountingIdentity) {
     const auto stats = server.stats();
     EXPECT_EQ(stats.requests, report.requests);
     EXPECT_EQ(stats.responses, report.requests);
+}
+
+// The descriptor path: a repeat is answered from the descriptor index, and
+// must carry exactly what materialize() + submit() in-process produces.
+TEST(NetServer, RepeatedDescriptorAnswersLikeColdAndInProcess) {
+    ThreadPool pool(2);
+    net::ServeServer server(loopback_config(), pool);
+    server.start();
+    net::ClientConfig client_config;
+    client_config.port = server.port();
+    net::ServeClient client(client_config);
+
+    const serve::TraceRequest descriptor = small_request(11);
+    const auto cold = client.call(descriptor, 0.0, "opt=1");
+    const auto warm = client.call(descriptor, 0.0, "opt=1");
+    ASSERT_TRUE(cold.ok());
+    ASSERT_TRUE(warm.ok());
+    EXPECT_FALSE(cold.response->cache_hit);
+    EXPECT_TRUE(warm.response->cache_hit);
+    EXPECT_EQ(warm.response->schedule_bytes, cold.response->schedule_bytes);
+
+    serve::ScheduleRequest request = serve::materialize(descriptor);
+    request.options = "opt=1";
+    EXPECT_EQ(warm.response->fingerprint, serve::fingerprint_request(request));
+    serve::ServeEngine engine(serve::ServeConfig{}, pool);
+    const auto local_cold = engine.serve(request);
+    const auto local_hit = engine.serve(request);
+    ASSERT_TRUE(local_hit.cache_hit);
+    EXPECT_EQ(net::encode_response(*cold.response),
+              net::encode_response(net::make_response(cold.id, local_cold)));
+    EXPECT_EQ(net::encode_response(*warm.response),
+              net::encode_response(net::make_response(warm.id, local_hit)));
+    server.stop();
+}
+
+// Frames left in a session's decoder by max_requests_per_tick must be served
+// without waiting for new bytes: with one request per tick, 64 pipelined
+// cache hits written at once used to cost one idle poll timeout each.
+TEST(NetServer, LeftoverFramesAreServedWithoutWaitingForNewBytes) {
+    net::ServerConfig config = loopback_config();
+    config.max_requests_per_tick = 1;
+    ThreadPool pool(2);
+    net::ServeServer server(config, pool);
+    server.start();
+    net::ClientConfig client_config;
+    client_config.port = server.port();
+    net::ServeClient client(client_config);
+    ASSERT_TRUE(client.call(small_request(5)).ok());  // every request below hits
+
+    std::string burst;
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        net::WireRequest wire;
+        wire.id = 1000 + i;
+        wire.trace = small_request(5);
+        burst += net::encode_frame(FrameType::kRequest, net::encode_request(wire));
+    }
+    const auto start = std::chrono::steady_clock::now();
+    client.send_raw(burst);
+    std::set<std::uint64_t> answered;
+    for (int i = 0; i < 64; ++i) {
+        const auto reply = client.recv();
+        ASSERT_TRUE(reply.ok());
+        EXPECT_TRUE(reply.response->cache_hit);
+        answered.insert(reply.id);
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(answered.size(), 64u);
+    EXPECT_LT(elapsed, std::chrono::seconds(2));
+    server.stop();
 }
 
 // Response payloads are pure functions of content: same trace, different

@@ -1000,5 +1000,218 @@ TEST(ServeEngine, SubmitAfterPoolShutdownThrowsAndRollsBackInflight) {
     EXPECT_THROW((void)engine.submit(make_request()), std::runtime_error);
 }
 
+
+// ---------------------------------------------------------------------------
+// Descriptor entry point (ServeEngine::submit_descriptor): a repeated
+// descriptor is answered through the descriptor index without being
+// materialized, and must be indistinguishable from materialize() + submit().
+
+serve::TraceRequest small_descriptor(std::uint64_t seed = 7) {
+    serve::TraceRequest descriptor;
+    descriptor.algo = "heft";
+    descriptor.size = 24;
+    descriptor.procs = 4;
+    descriptor.seed = seed;
+    return descriptor;
+}
+
+serve::ScheduleRequest materialized(const serve::TraceRequest& descriptor,
+                                    std::string options = {}, double deadline_ms = 0.0) {
+    serve::ScheduleRequest request = serve::materialize(descriptor);
+    request.options = std::move(options);
+    request.deadline_ms = deadline_ms;
+    return request;
+}
+
+/// `base` changed in exactly one of its eight fields or in the options,
+/// including ccr +0.0 vs -0.0 (equal values, different bits).
+std::vector<std::pair<serve::TraceRequest, std::string>> one_field_variants(
+    const serve::TraceRequest& base) {
+    std::vector<std::pair<serve::TraceRequest, std::string>> out;
+    const auto add = [&](auto&& change) {
+        serve::TraceRequest variant = base;
+        change(variant);
+        out.emplace_back(variant, "");
+    };
+    add([](serve::TraceRequest& d) { d.algo = "ils"; });
+    add([](serve::TraceRequest& d) { d.shape = workload::Shape::kGnp; });
+    add([](serve::TraceRequest& d) { d.size += 1; });
+    add([](serve::TraceRequest& d) { d.procs += 1; });
+    add([](serve::TraceRequest& d) { d.net = workload::Net::kRing; });
+    add([](serve::TraceRequest& d) { d.ccr = 2.0; });
+    add([](serve::TraceRequest& d) { d.beta = 0.75; });
+    add([](serve::TraceRequest& d) { d.seed += 1; });
+    out.emplace_back(base, "opt=1");
+    add([](serve::TraceRequest& d) { d.ccr = 0.0; });
+    add([](serve::TraceRequest& d) { d.ccr = -0.0; });
+    return out;
+}
+
+bool same_stats(const serve::EngineStats& a, const serve::EngineStats& b) {
+    return a.requests == b.requests && a.computed == b.computed && a.coalesced == b.coalesced &&
+           a.cache_hits == b.cache_hits && a.ok == b.ok && a.shed == b.shed &&
+           a.degraded == b.degraded && a.timed_out == b.timed_out &&
+           a.draining == b.draining && a.failed == b.failed &&
+           a.admission.queued == b.admission.queued &&
+           a.admission.promoted == b.admission.promoted &&
+           a.admission.inflight_peak == b.admission.inflight_peak &&
+           a.admission.pending_peak == b.admission.pending_peak &&
+           a.cache.hits == b.cache.hits && a.cache.misses == b.cache.misses &&
+           a.cache.evictions == b.cache.evictions && a.cache.size == b.cache.size;
+}
+
+TEST(DescriptorKey, EveryFieldAndTheOptionsSplitTheKey) {
+    const serve::TraceRequest base = small_descriptor();
+    const std::uint64_t key = serve::descriptor_key(base, "");
+    EXPECT_EQ(key, serve::descriptor_key(small_descriptor(), ""));
+    std::set<std::uint64_t> keys{key};
+    for (const auto& [variant, options] : one_field_variants(base))
+        EXPECT_TRUE(keys.insert(serve::descriptor_key(variant, options)).second)
+            << "variant shares a key: " << serve::to_tsr({variant}) << " options '" << options
+            << "'";
+}
+
+TEST(ServeEngineDescriptor, RepeatAnswersLikeColdAndLikeMaterializeSubmit) {
+    ThreadPool pool(2);
+    serve::ServeEngine engine(serve::ServeConfig{}, pool);
+    const serve::TraceRequest descriptor = small_descriptor();
+    const auto cold = engine.submit_descriptor(descriptor, "opt=1").get();
+    const auto warm = engine.submit_descriptor(descriptor, "opt=1").get();
+    EXPECT_FALSE(cold.cache_hit);
+    EXPECT_TRUE(warm.cache_hit);
+    ASSERT_NE(warm.schedule, nullptr);
+    EXPECT_EQ(warm.schedule.get(), cold.schedule.get());
+    EXPECT_EQ(warm.fingerprint, serve::fingerprint_request(materialized(descriptor, "opt=1")));
+
+    serve::ServeEngine reference(serve::ServeConfig{}, pool);
+    const auto local = reference.serve(materialized(descriptor, "opt=1"));
+    EXPECT_EQ(local.fingerprint, warm.fingerprint);
+    EXPECT_EQ(to_tss(*local.schedule), to_tss(*warm.schedule));
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.requests, 2u);
+    EXPECT_EQ(stats.computed, 1u);
+    EXPECT_EQ(stats.cache_hits, 1u);
+    EXPECT_EQ(stats.cache.hits + stats.cache.misses, stats.requests);
+}
+
+TEST(ServeEngineDescriptor, OneFieldVariantsNeverShareAnAnswer) {
+    ThreadPool pool(2);
+    serve::ServeEngine engine(serve::ServeConfig{}, pool);
+    serve::ServeEngine reference(serve::ServeConfig{}, pool);
+    const serve::TraceRequest base = small_descriptor();
+    (void)engine.submit_descriptor(base).get();
+    // Twice over: first through the index-miss path, then as index hits.
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const auto& [variant, options] : one_field_variants(base)) {
+            const auto served = engine.submit_descriptor(variant, options).get();
+            const auto expected = reference.serve(materialized(variant, options));
+            ASSERT_NE(served.schedule, nullptr);
+            EXPECT_EQ(served.fingerprint, expected.fingerprint)
+                << serve::to_tsr({variant}) << " options '" << options << "'";
+            EXPECT_EQ(to_tss(*served.schedule), to_tss(*expected.schedule));
+            if (pass == 1) {
+                EXPECT_TRUE(served.cache_hit);
+            }
+        }
+    }
+}
+
+TEST(ServeEngineDescriptor, EvictedAnswersFallBackToTheFullPath) {
+    serve::ServeConfig config;
+    config.cache_capacity = 2;
+    config.cache_shards = 1;
+    ThreadPool pool(2);
+    serve::ServeEngine engine(config, pool);
+    serve::ServeEngine reference(serve::ServeConfig{}, pool);
+    // In-process submits fill the cache without touching the descriptor
+    // index, so seed 1's index entry outlives its cached answer.
+    (void)engine.submit_descriptor(small_descriptor(1)).get();
+    (void)engine.serve(materialized(small_descriptor(2)));
+    (void)engine.serve(materialized(small_descriptor(3)));
+    const auto again = engine.submit_descriptor(small_descriptor(1)).get();
+    EXPECT_FALSE(again.cache_hit);
+    EXPECT_EQ(again.fingerprint, serve::fingerprint_request(materialized(small_descriptor(1))));
+
+    // A cycling stream over more descriptors than the cache holds.
+    for (const std::uint64_t seed : {1u, 2u, 1u, 4u, 5u, 1u, 4u, 4u, 2u, 5u, 1u}) {
+        const auto served = engine.submit_descriptor(small_descriptor(seed)).get();
+        const auto expected = reference.serve(materialized(small_descriptor(seed)));
+        ASSERT_NE(served.schedule, nullptr);
+        EXPECT_EQ(served.fingerprint, expected.fingerprint);
+        EXPECT_EQ(to_tss(*served.schedule), to_tss(*expected.schedule));
+    }
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.requests, 15u);
+    EXPECT_EQ(outcome_total(stats), stats.requests);
+    EXPECT_EQ(stats.cache.hits + stats.cache.misses, stats.requests);
+    EXPECT_EQ(stats.cache_hits + stats.computed, stats.requests);
+    EXPECT_GT(stats.cache.evictions, 0u);
+    EXPECT_LE(stats.cache.size, 2u);
+}
+
+TEST(ServeEngineDescriptor, SameStreamSameStatsAsSubmit) {
+    // Sequential (each answer awaited) so no two requests race: every
+    // counter, deadline and drain outcome is then a pure function of the
+    // stream and must agree between the two entry points.
+    struct Item {
+        std::uint64_t seed;
+        std::string options;
+        double deadline_ms;
+    };
+    const std::vector<Item> before_drain = {
+        {1, "", 0.0},   {2, "", 0.0},    {1, "", 0.0},   {3, "", 1e-9}, {3, "", 0.0},
+        {3, "", 1e-9},  {1, "x", 0.0},   {4, "", 0.0},   {5, "", 0.0},  {6, "", 0.0},
+        {1, "", 0.0},   {2, "", 50e3},   {6, "", 1e-9},  {7, "", 1e-9}, {1, "x", 0.0}};
+    const std::vector<Item> after_drain = {{6, "", 0.0}, {8, "", 0.0}, {1, "x", 0.0}};
+
+    serve::ServeConfig config;
+    config.cache_capacity = 4;
+    config.cache_shards = 1;
+    ThreadPool pool(2);
+    serve::ServeEngine via_submit(config, pool);
+    serve::ServeEngine via_descriptor(config, pool);
+    const auto run = [&](const std::vector<Item>& items) {
+        for (const Item& item : items) {
+            const serve::TraceRequest descriptor = small_descriptor(item.seed);
+            const auto a =
+                via_submit.submit(materialized(descriptor, item.options, item.deadline_ms))
+                    .get();
+            const auto b =
+                via_descriptor.submit_descriptor(descriptor, item.options, item.deadline_ms)
+                    .get();
+            EXPECT_EQ(a.outcome, b.outcome) << "seed " << item.seed;
+            EXPECT_EQ(a.fingerprint, b.fingerprint);
+            EXPECT_EQ(a.cache_hit, b.cache_hit);
+            ASSERT_EQ(a.schedule == nullptr, b.schedule == nullptr);
+            if (a.schedule) {
+                EXPECT_EQ(to_tss(*a.schedule), to_tss(*b.schedule));
+            }
+        }
+    };
+    run(before_drain);
+    EXPECT_TRUE(via_submit.drain(0.0).clean);
+    EXPECT_TRUE(via_descriptor.drain(0.0).clean);
+    run(after_drain);
+
+    const auto a = via_submit.stats();
+    const auto b = via_descriptor.stats();
+    EXPECT_TRUE(same_stats(a, b));
+    EXPECT_EQ(b.requests, before_drain.size() + after_drain.size());
+    EXPECT_GT(b.timed_out, 0u);
+    EXPECT_GT(b.draining, 0u);
+    EXPECT_GT(b.cache.evictions, 0u);
+    EXPECT_EQ(outcome_total(b), b.requests);
+}
+
+TEST(ServeEngineDescriptor, MaterializeErrorsThrowBeforeCounting) {
+    ThreadPool pool(2);
+    serve::ServeEngine engine(serve::ServeConfig{}, pool);
+    serve::TraceRequest bad = small_descriptor();
+    bad.net = workload::Net::kHypercube;
+    bad.procs = 3;  // a hypercube needs a power-of-two processor count
+    EXPECT_THROW((void)engine.submit_descriptor(bad), std::invalid_argument);
+    EXPECT_EQ(engine.stats().requests, 0u);
+}
+
 }  // namespace
 }  // namespace tsched
