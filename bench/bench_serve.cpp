@@ -33,7 +33,9 @@
 //                           computation;
 //                        4. a 50%-repeat stream serves >= 2x the QPS of
 //                           --cache=off at steady state (2 epochs; the ideal
-//                           ratio there is 4x, so the gate has 2x headroom);
+//                           ratio there is 4x, so the gate has 2x headroom),
+//                           judged on the median ratio of 5 interleaved
+//                           off/on replay pairs;
 //                        5. LatencyHistogram percentiles of the replayed
 //                           stream sit within kMaxRelativeError of the exact
 //                           nearest-rank percentiles of the same latencies
@@ -249,7 +251,7 @@ serve::ChaosOptions storm_options(std::uint64_t seed) {
 // ---------------------------------------------------------------------------
 // E21: network serving (src/net front-end; in-process server, real sockets).
 
-net::ServerConfig net_server_config(const ServeBenchConfig& config) {
+net::ServerConfig net_server_config() {
     net::ServerConfig server;
     server.port = 0;  // ephemeral: the bench never collides with itself
     server.max_conns = 64;
@@ -272,7 +274,7 @@ net::NetReplayOptions net_replay_options(const ServeBenchConfig& config, std::ui
 net::NetReplayReport measure_net(const ServeBenchConfig& config,
                                  const std::vector<serve::TraceRequest>& trace,
                                  std::size_t conns, ThreadPool& pool) {
-    net::ServeServer server(net_server_config(config), pool);
+    net::ServeServer server(net_server_config(), pool);
     server.start();
     const auto report = replay_net(trace, net_replay_options(config, server.port(), conns));
     server.stop();
@@ -399,7 +401,7 @@ int run_net_check(const ServeBenchConfig& config) {
     // failed) and drain the engine cleanly.
     {
         ThreadPool pool(config.threads);
-        net::ServeServer server(net_server_config(config), pool);
+        net::ServeServer server(net_server_config(), pool);
         server.start();
         auto options = net_replay_options(config, server.port(), 4);
         options.epochs = config.epochs * 4;  // enough traffic to straddle the stop
@@ -572,16 +574,39 @@ int run_check(const ServeBenchConfig& config) {
         // Warm-up replay so first-touch effects (allocator, pool) hit
         // neither measured run.
         (void)serve::replay_trace(trace, off, pool);
-        const auto report_off = serve::replay_trace(trace, off, pool);
-        const auto report_on = serve::replay_trace(trace, on, pool);
-        const double ratio = report_off.qps > 0.0 ? report_on.qps / report_off.qps : 0.0;
+        // One replay lasts a few milliseconds, shorter than an OS time
+        // slice, so on a loaded machine (a parallel ctest) one preemption
+        // can swing a single pair's ratio several-fold either way.  The gate
+        // reads the pair with the median ratio out of kPairs interleaved
+        // (off, on) pairs: noise in a minority of pairs cannot move it,
+        // while a true ratio under 2x still fails every time.
+        constexpr std::size_t kPairs = 5;
+        struct Pair {
+            serve::ReplayReport off;
+            serve::ReplayReport on;
+            double ratio = 0.0;
+        };
+        std::vector<Pair> pairs;
+        for (std::size_t i = 0; i < kPairs; ++i) {
+            Pair pair;
+            pair.off = serve::replay_trace(trace, off, pool);
+            pair.on = serve::replay_trace(trace, on, pool);
+            pair.ratio = pair.off.qps > 0.0 ? pair.on.qps / pair.off.qps : 0.0;
+            pairs.push_back(std::move(pair));
+        }
+        std::sort(pairs.begin(), pairs.end(),
+                  [](const Pair& a, const Pair& b) { return a.ratio < b.ratio; });
+        const Pair& median = pairs[kPairs / 2];
+        const double ratio = median.ratio;
         std::cout.precision(1);
         std::cout << std::fixed;
         std::cout << "check: 50%-repeat stream, " << on.epochs << " epochs: cache-on "
-                  << report_on.qps << " qps (hit rate "
-                  << report_on.stats.hit_rate() * 100 << "%), cache-off "
-                  << report_off.qps << " qps -> " << ratio << "x\n";
-        if (report_on.stats.hit_rate() < 0.70)
+                  << median.on.qps << " qps (hit rate "
+                  << median.on.stats.hit_rate() * 100 << "%), cache-off "
+                  << median.off.qps << " qps -> " << ratio << "x (median of " << kPairs
+                  << " pairs; min " << pairs.front().ratio << "x, max " << pairs.back().ratio
+                  << "x)\n";
+        if (median.on.stats.hit_rate() < 0.70)
             return fail("steady-state hit rate below 70% on a 50%-repeat stream");
         if (ratio < 2.0) return fail("cache-on QPS is below 2x cache-off");
     }

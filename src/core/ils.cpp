@@ -11,10 +11,7 @@
 #include "sched/ranks.hpp"
 #include "trace/decision.hpp"
 #include "trace/trace.hpp"
-
-#if TSCHED_OBS_ON
 #include "util/stopwatch.hpp"
-#endif
 
 namespace tsched {
 
@@ -174,7 +171,6 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
     // EFT evaluations are tallied locally and flushed once after the loop —
     // one relaxed atomic add per (task, proc) eval was measurable at big n.
     std::size_t eft_evals = 0;
-#if TSCHED_OBS_ON
     // Selection (per-proc eval + candidate choice) and placement (winner
     // re-speculation + commit) accumulate across the run into one histogram
     // sample each — the boundary-timestamp pattern HEFT uses, two clock
@@ -183,7 +179,6 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
     double placement_ms = 0.0;
     const Stopwatch loop_watch;
     double boundary_ms = 0.0;
-#endif
     for (const TaskId v : order) {
         // Per-processor first-level evaluation.  For ILS-D the duplication
         // pass speculates on the one builder and is rolled back after the
@@ -265,20 +260,16 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
         // reproduces the speculated state exactly), then place at the start
         // already computed during evaluation — data_ready and the insertion
         // scan are not recomputed.
-#if TSCHED_OBS_ON
         const double select_end_ms = loop_watch.elapsed_ms();
         selection_ms += select_end_ms - boundary_ms;
-#endif
         const auto best_p = static_cast<ProcId>(best_pi);
         if (config_.duplication) {
             duplicate_parents(builder, v, best_p, config_.max_dups_per_task,
                               builder.data_ready(v, best_p));
         }
         const Placement pl = builder.place_at(v, best_p, start_of[best_pi]);
-#if TSCHED_OBS_ON
         boundary_ms = loop_watch.elapsed_ms();
         placement_ms += boundary_ms - select_end_ms;
-#endif
         if (sink != nullptr) {
             rec.task = v;
             rec.rank = rank[static_cast<std::size_t>(v)];
@@ -292,11 +283,8 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
         }
     }
     TSCHED_COUNT_ADD("eft_evaluations", eft_evals);
-    static_cast<void>(eft_evals);  // traced builds only
-#if TSCHED_OBS_ON
     TSCHED_OBS_RECORD("sched/phase/selection_ms", selection_ms);
     TSCHED_OBS_RECORD("sched/phase/placement_ms", placement_ms);
-#endif
     return std::move(builder).take();
 }
 

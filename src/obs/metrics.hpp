@@ -8,8 +8,7 @@
 // totals (tail latency, not just mean), point-in-time snapshots with
 // delta-since-last support, labels, and wire formats (Prometheus text and
 // JSON, obs/export.hpp) that external collectors scrape while the system
-// runs.  The two gates are independent: -DTSCHED_TRACE=OFF and
-// -DTSCHED_OBS=OFF each compile their own macro layer to no-ops.
+// runs.
 //
 // LatencyHistogram is log-bucketed (HDR-style): every power of two is split
 // into 64 linear sub-buckets, so record() is a couple of bit operations on

@@ -1,39 +1,19 @@
-// obs macro front-end: metric recording that compiles to nothing when the
-// metrics subsystem is off.
+// obs macro front-end: metric recording into the process-wide registry.
 //
 //   TSCHED_OBS_RECORD("sched/phase/rank_ms", ms);   // histogram record
 //   TSCHED_OBS_PHASE("sched/phase/rank_ms");        // RAII: records the
 //                                                   // enclosing scope's ms
 //   TSCHED_OBS_GAUGE_SET("pool/queue_depth", n);    // gauge = n
 //
-// Gate: the CMake option TSCHED_OBS (default ON) defines TSCHED_OBS_ENABLED
-// project-wide, mirroring the TSCHED_TRACE pattern (trace/trace.hpp).  With
-// the option OFF every macro expands to a no-op that does not even evaluate
-// its value argument, so instrumented hot paths carry zero cost — no clock
-// reads, no atomic adds, no registry references.  A single translation unit
-// can force the no-op expansion with TSCHED_OBS_FORCE_OFF before including
-// this header (tests/test_obs_off.cpp does exactly that).
-//
 // All name-based macros record into the process-wide obs::registry().
 // Components with their own MetricsRegistry (ServeEngine) cache instrument
-// references as members and guard the recording sites with TSCHED_OBS_ON
-// directly.
+// references as members and call record() on them directly.
 //
-// When enabled, a record costs the registry lookup once per call site (a
-// function-local static), then one bucket computation and relaxed atomic
-// add per hit.
+// A record costs the registry lookup once per call site (a function-local
+// static), then one bucket computation and relaxed atomic add per hit.
 #pragma once
 
 #include "obs/metrics.hpp"
-
-#if defined(TSCHED_OBS_ENABLED) && !defined(TSCHED_OBS_FORCE_OFF)
-#define TSCHED_OBS_ON 1
-#else
-#define TSCHED_OBS_ON 0
-#endif
-
-#if TSCHED_OBS_ON
-
 #include "util/stopwatch.hpp"
 
 namespace tsched::obs {
@@ -86,18 +66,3 @@ private:
         TSCHED_OBS_CONCAT(tsched_obs_gauge_, __LINE__)                         \
             .add(static_cast<double>(delta));                                  \
     } while (0)
-
-/// Record into an already-held LatencyHistogram reference (component-local
-/// registries: ServeEngine's cached members) — no global-registry lookup.
-#define TSCHED_OBS_RECORD_INTO(hist, value_ms) \
-    (hist).record(static_cast<double>(value_ms))
-
-#else  // metrics disabled: all macros are no-ops
-
-#define TSCHED_OBS_RECORD(name, value_ms) static_cast<void>(0)
-#define TSCHED_OBS_PHASE(name) static_cast<void>(0)
-#define TSCHED_OBS_GAUGE_SET(name, value) static_cast<void>(0)
-#define TSCHED_OBS_GAUGE_ADD(name, delta) static_cast<void>(0)
-#define TSCHED_OBS_RECORD_INTO(hist, value_ms) static_cast<void>(0)
-
-#endif

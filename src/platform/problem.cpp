@@ -4,8 +4,55 @@
 #include <stdexcept>
 
 #include "graph/algorithms.hpp"
+#include "util/fingerprint.hpp"
 
 namespace tsched {
+
+namespace {
+
+// The canonical encoding is the serving layer's cache-key contract
+// (serve/request.hpp): changing any absorb order or field changes every
+// fingerprint and needs a kFingerprintVersion bump there.
+
+void absorb_dag(Fnv1a& h, const Dag& dag) {
+    h.u64(dag.num_tasks());
+    h.u64(dag.num_edges());
+    for (TaskId v = 0; v < static_cast<TaskId>(dag.num_tasks()); ++v) {
+        h.f64(dag.work(v));
+        const auto succs = dag.successors(v);
+        h.u64(succs.size());
+        for (const AdjEdge& e : succs) {
+            h.i64(e.task);
+            h.f64(e.data);
+        }
+    }
+}
+
+void absorb_costs(Fnv1a& h, const CostMatrix& costs) {
+    h.u64(costs.num_tasks());
+    h.u64(costs.num_procs());
+    for (TaskId v = 0; v < static_cast<TaskId>(costs.num_tasks()); ++v)
+        for (ProcId p = 0; p < static_cast<ProcId>(costs.num_procs()); ++p) h.f64(costs(v, p));
+}
+
+void absorb_machine(Fnv1a& h, const Machine& machine) {
+    const auto procs = static_cast<ProcId>(machine.num_procs());
+    h.u64(machine.num_procs());
+    for (const double s : machine.speeds()) h.f64(s);
+    // Behavioral link-model canonicalization: two sample volumes pin the
+    // affine comm-time function per ordered pair (see serve/request.hpp).
+    const LinkModel& links = machine.links();
+    for (ProcId p = 0; p < procs; ++p) {
+        for (ProcId q = 0; q < procs; ++q) {
+            if (p == q) continue;
+            h.f64(links.comm_time(0.0, p, q));
+            h.f64(links.comm_time(1.0, p, q));
+        }
+    }
+    h.f64(links.mean_comm_time(1.0, machine.num_procs()));
+}
+
+}  // namespace
 
 Problem::Problem(std::shared_ptr<const Dag> dag, std::shared_ptr<const Machine> machine,
                  std::shared_ptr<const CostMatrix> costs)
@@ -104,6 +151,17 @@ std::vector<TaskId> Problem::mean_critical_path() const {
         path.push_back(v);
     }
     return path;
+}
+
+std::uint64_t Problem::content_fingerprint() const {
+    if (const std::uint64_t memo = fingerprint_memo_.value.load(std::memory_order_relaxed))
+        return memo;
+    Fnv1a h;
+    absorb_dag(h, *dag_);
+    absorb_costs(h, *costs_);
+    absorb_machine(h, *machine_);
+    fingerprint_memo_.value.store(h.value(), std::memory_order_relaxed);
+    return h.value();
 }
 
 }  // namespace tsched

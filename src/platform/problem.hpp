@@ -7,6 +7,8 @@
 // copy into parallel experiment workers.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -63,11 +65,34 @@ public:
     /// communication costs (used by CPOP and for diagnostics).
     [[nodiscard]] std::vector<TaskId> mean_critical_path() const;
 
+    /// 64-bit FNV-1a fingerprint of the content — graph, cost matrix and
+    /// machine, canonicalized by the rules in serve/request.hpp (task names
+    /// excluded, link model hashed by behaviour).  Computed on the first call
+    /// and memoized: the components are immutable once the Problem is built,
+    /// so a caller that submits one Problem repeatedly hashes it once.
+    /// Thread-safe; copies carry the memo.
+    [[nodiscard]] std::uint64_t content_fingerprint() const;
+
 private:
+    // Relaxed atomic so concurrent first calls are race-free (both store the
+    // same value); 0 means "not computed yet" — a true fingerprint of 0 is
+    // simply recomputed on every call.
+    struct FingerprintMemo {
+        std::atomic<std::uint64_t> value{0};
+        FingerprintMemo() = default;
+        FingerprintMemo(const FingerprintMemo& other) noexcept
+            : value(other.value.load(std::memory_order_relaxed)) {}
+        FingerprintMemo& operator=(const FingerprintMemo& other) noexcept {
+            value.store(other.value.load(std::memory_order_relaxed), std::memory_order_relaxed);
+            return *this;
+        }
+    };
+
     std::shared_ptr<const Dag> dag_;
     std::shared_ptr<const Machine> machine_;
     std::shared_ptr<const CostMatrix> costs_;
     mutable double cached_cp_lower_bound_ = -1.0;
+    mutable FingerprintMemo fingerprint_memo_;
 };
 
 }  // namespace tsched

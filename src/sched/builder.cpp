@@ -33,11 +33,7 @@ ScheduleBuilder::ScheduleBuilder(const Problem& problem)
       primary_finish_(problem.num_tasks(), 0.0),
       primary_proc_(problem.num_tasks(), kInvalidProc),
       extra_placements_(problem.num_tasks(), 0) {
-    // The timeline mode is sampled once per builder so a schedule never
-    // mixes the linear and bucketed paths mid-run.
-    const BusyTimeline::Mode mode = BusyTimeline::default_mode();
-    busy_.reserve(procs_);
-    for (std::size_t p = 0; p < procs_; ++p) busy_.emplace_back(mode);
+    busy_.resize(procs_);
 
     // Uniform-links fast path (single-proc machines stay on the generic
     // path: every transfer is local there anyway).

@@ -8,10 +8,7 @@
 #include "sched/builder.hpp"
 #include "sched/ranks.hpp"
 #include "trace/trace.hpp"
-
-#if TSCHED_OBS_ON
 #include "util/stopwatch.hpp"
-#endif
 
 namespace tsched {
 
@@ -88,7 +85,6 @@ Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
         order = order_by_decreasing(sl);
     }
     ScheduleBuilder builder(problem);
-#if TSCHED_OBS_ON
     // Selection (per-proc speculative trials) and placement (winner replay
     // + commit) accumulate across the run into one histogram sample each —
     // the boundary-timestamp pattern HEFT uses, two clock reads per task.
@@ -96,7 +92,6 @@ Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
     double placement_ms = 0.0;
     const Stopwatch loop_watch;
     double boundary_ms = 0.0;
-#endif
     for (const TaskId v : order) {
         ProcId best_proc = 0;
         double best_finish = std::numeric_limits<double>::infinity();
@@ -116,21 +111,15 @@ Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
             }
             builder.rollback(mark);
         }
-#if TSCHED_OBS_ON
         const double select_end_ms = loop_watch.elapsed_ms();
         selection_ms += select_end_ms - boundary_ms;
-#endif
         duplicate(builder, v, best_proc);
         builder.place(v, best_proc, /*insertion=*/true);
-#if TSCHED_OBS_ON
         boundary_ms = loop_watch.elapsed_ms();
         placement_ms += boundary_ms - select_end_ms;
-#endif
     }
-#if TSCHED_OBS_ON
     TSCHED_OBS_RECORD("sched/phase/selection_ms", selection_ms);
     TSCHED_OBS_RECORD("sched/phase/placement_ms", placement_ms);
-#endif
     return std::move(builder).take();
 }
 }  // namespace

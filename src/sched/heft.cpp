@@ -4,10 +4,7 @@
 #include "sched/builder.hpp"
 #include "trace/decision.hpp"
 #include "trace/trace.hpp"
-
-#if TSCHED_OBS_ON
 #include "util/stopwatch.hpp"
-#endif
 
 namespace tsched {
 
@@ -35,7 +32,6 @@ Schedule HeftScheduler::run(const Problem& problem, trace::TraceSink* sink) cons
         TSCHED_OBS_PHASE("sched/phase/priority_ms");
         order = order_by_decreasing(ranks);
     }
-#if TSCHED_OBS_ON
     // Selection (EFT scans) and placement (builder commits) interleave per
     // task, so accumulate each across the run and record one histogram
     // sample per schedule() call — the distribution is over runs, matching
@@ -46,7 +42,6 @@ Schedule HeftScheduler::run(const Problem& problem, trace::TraceSink* sink) cons
     double placement_ms = 0.0;
     const Stopwatch loop_watch;
     double boundary_ms = 0.0;
-#endif
     for (const TaskId v : order) {
         trace::DecisionRecord rec;
         ProcId best_proc = 0;
@@ -67,15 +62,11 @@ Schedule HeftScheduler::run(const Problem& problem, trace::TraceSink* sink) cons
                 best_proc = static_cast<ProcId>(p);
             }
         }
-#if TSCHED_OBS_ON
         const double select_end_ms = loop_watch.elapsed_ms();
         selection_ms += select_end_ms - boundary_ms;
-#endif
         const Placement pl = builder.place(v, best_proc, insertion_);
-#if TSCHED_OBS_ON
         boundary_ms = loop_watch.elapsed_ms();
         placement_ms += boundary_ms - select_end_ms;
-#endif
         if (sink != nullptr) {
             rec.task = v;
             rec.rank = ranks[static_cast<std::size_t>(v)];
@@ -86,10 +77,8 @@ Schedule HeftScheduler::run(const Problem& problem, trace::TraceSink* sink) cons
             sink->record(std::move(rec));
         }
     }
-#if TSCHED_OBS_ON
     TSCHED_OBS_RECORD("sched/phase/selection_ms", selection_ms);
     TSCHED_OBS_RECORD("sched/phase/placement_ms", placement_ms);
-#endif
     return std::move(builder).take();
 }
 

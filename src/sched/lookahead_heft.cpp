@@ -8,10 +8,7 @@
 #include "sched/ranks.hpp"
 #include "trace/decision.hpp"
 #include "trace/trace.hpp"
-
-#if TSCHED_OBS_ON
 #include "util/stopwatch.hpp"
-#endif
 
 namespace tsched {
 
@@ -45,7 +42,6 @@ Schedule LookaheadHeftScheduler::run(const Problem& problem, trace::TraceSink* s
     // placement (max is commutative, so folding it in afterwards gives the
     // same value data_ready_partial would).
     std::vector<double> base_ready;
-#if TSCHED_OBS_ON
     // Selection (lookahead trials) and placement (the final commit)
     // accumulate across the run into one histogram sample each, the same
     // boundary-timestamp pattern as HEFT: two clock reads per task.
@@ -53,7 +49,6 @@ Schedule LookaheadHeftScheduler::run(const Problem& problem, trace::TraceSink* s
     double placement_ms = 0.0;
     const Stopwatch loop_watch;
     double boundary_ms = 0.0;
-#endif
     for (const TaskId v : order) {
         const auto succs = csr.succ_tasks(v);
         const auto succ_data = csr.succ_data(v);
@@ -105,15 +100,11 @@ Schedule LookaheadHeftScheduler::run(const Problem& problem, trace::TraceSink* s
                 best_proc = p;
             }
         }
-#if TSCHED_OBS_ON
         const double select_end_ms = loop_watch.elapsed_ms();
         selection_ms += select_end_ms - boundary_ms;
-#endif
         const Placement pl = builder.place(v, best_proc, true);
-#if TSCHED_OBS_ON
         boundary_ms = loop_watch.elapsed_ms();
         placement_ms += boundary_ms - select_end_ms;
-#endif
         if (sink != nullptr) {
             rec.task = v;
             rec.rank = ranks[static_cast<std::size_t>(v)];
@@ -124,10 +115,8 @@ Schedule LookaheadHeftScheduler::run(const Problem& problem, trace::TraceSink* s
             sink->record(std::move(rec));
         }
     }
-#if TSCHED_OBS_ON
     TSCHED_OBS_RECORD("sched/phase/selection_ms", selection_ms);
     TSCHED_OBS_RECORD("sched/phase/placement_ms", placement_ms);
-#endif
     return std::move(builder).take();
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -22,14 +20,7 @@ double screen_slack(double max_finish, double max_gap) {
 
 }  // namespace
 
-BusyTimeline::Mode BusyTimeline::default_mode() {
-    const char* env = std::getenv("TSCHED_LINEAR_TIMELINE");
-    if (env != nullptr && std::strcmp(env, "0") != 0) return Mode::kLinear;
-    return Mode::kBucketed;
-}
-
-BusyTimeline::BusyTimeline(Mode mode, std::size_t block_capacity)
-    : mode_(mode), block_capacity_(block_capacity) {
+BusyTimeline::BusyTimeline(std::size_t block_capacity) : block_capacity_(block_capacity) {
     if (block_capacity_ == 0) {
         throw std::invalid_argument("BusyTimeline: block capacity must be positive");
     }
@@ -39,15 +30,13 @@ BusyTimeline::BusyTimeline(Mode mode, std::size_t block_capacity)
 // queried object); moves transfer them so exactly one owner flushes.
 
 BusyTimeline::BusyTimeline(const BusyTimeline& other)
-    : mode_(other.mode_),
-      block_capacity_(other.block_capacity_),
+    : block_capacity_(other.block_capacity_),
       blocks_(other.blocks_),
       size_(other.size_) {}
 
 BusyTimeline& BusyTimeline::operator=(const BusyTimeline& other) {
     if (this != &other) {
         flush_tallies();
-        mode_ = other.mode_;
         block_capacity_ = other.block_capacity_;
         blocks_ = other.blocks_;
         size_ = other.size_;
@@ -56,8 +45,7 @@ BusyTimeline& BusyTimeline::operator=(const BusyTimeline& other) {
 }
 
 BusyTimeline::BusyTimeline(BusyTimeline&& other) noexcept
-    : mode_(other.mode_),
-      block_capacity_(other.block_capacity_),
+    : block_capacity_(other.block_capacity_),
       blocks_(std::move(other.blocks_)),
       size_(other.size_),
       probes_pending_(other.probes_pending_),
@@ -72,7 +60,6 @@ BusyTimeline::BusyTimeline(BusyTimeline&& other) noexcept
 BusyTimeline& BusyTimeline::operator=(BusyTimeline&& other) noexcept {
     if (this != &other) {
         flush_tallies();
-        mode_ = other.mode_;
         block_capacity_ = other.block_capacity_;
         blocks_ = std::move(other.blocks_);
         size_ = other.size_;
@@ -107,31 +94,10 @@ double BusyTimeline::last_finish() const noexcept {
 }
 
 double BusyTimeline::earliest_start(double ready, double duration) const {
-    if (mode_ == Mode::kLinear) {
-        // The pre-index algorithm, verbatim: binary-search past intervals
-        // whose finish is at or before `ready` (they can never host the
-        // task), then scan the gaps for the first fit.
-        static const std::vector<BusyInterval> kEmpty;
-        const std::vector<BusyInterval>& timeline = blocks_.empty() ? kEmpty : blocks_.front().iv;
-        auto it = std::lower_bound(
-            timeline.begin(), timeline.end(), ready,
-            [](const BusyInterval& iv, double t) { return iv.finish <= t; });
-        double gap_start = it == timeline.begin() ? 0.0 : std::prev(it)->finish;
-        for (; it != timeline.end(); ++it) {
-            ++probes_pending_;
-            const double candidate = std::max(gap_start, ready);
-            if (candidate + duration <= it->start) return candidate;
-            gap_start = it->finish;
-        }
-        ++probes_pending_;
-        return std::max(gap_start, ready);
-    }
-
-    // Bucketed: reproduce the linear scan's starting cut at block
-    // granularity.  On a feasible timeline each block's max_finish is its
-    // last interval's finish and block max_finishes are non-decreasing, so
-    // the first block with max_finish > ready holds the linear lower_bound
-    // position.
+    // Reproduce the linear scan's starting cut at block granularity.  On a
+    // feasible timeline each block's max_finish is its last interval's
+    // finish and block max_finishes are non-decreasing, so the first block
+    // with max_finish > ready holds the linear lower_bound position.
     // List-scheduling queries cluster at the timeline tail, so resolve the
     // two dominant cases with direct last-block checks before paying for the
     // block binary search (each branch reproduces exactly what the
@@ -236,7 +202,6 @@ void BusyTimeline::insert(BusyInterval iv) {
     const auto p = static_cast<std::size_t>(pos - dst.begin());
     dst.insert(pos, iv);
     ++size_;
-    if (mode_ == Mode::kLinear) return;  // one unbounded block, no summaries
     if (dst.size() > 2 * block_capacity_) {
         split_block(bi);
         return;
@@ -290,7 +255,7 @@ bool BusyTimeline::erase(BusyInterval iv) {
                 --size_;
                 if (ivs.empty()) {
                     blocks_.erase(blk);
-                } else if (mode_ != Mode::kLinear) {
+                } else {
                     // Incremental summary maintenance; rollback erases are as
                     // hot as inserts, and the unconditional O(block) rescan
                     // this replaces dominated the duplication schedulers'

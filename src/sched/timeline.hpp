@@ -28,12 +28,9 @@
 // finishes).  insert/erase make no such assumption — speculative duplication
 // commits may overlap — matching the old flat-vector semantics exactly:
 // insert lands before any equal-start run, erase scans the run for the exact
-// (start, finish) pair.
-//
-// Mode::kLinear preserves the pre-index behaviour (one unbounded block, the
-// verbatim linear scan) and is selected for one release via the
-// TSCHED_LINEAR_TIMELINE environment variable; the large-n determinism
-// battery diffs the two modes byte-for-byte.
+// (start, finish) pair.  tests/test_big_n.cpp checks queries against a
+// brute-force scan and whole schedules against digests recorded from the
+// linear implementation.
 #pragma once
 
 #include <cstddef>
@@ -49,24 +46,13 @@ struct BusyInterval {
 
 class BusyTimeline {
 public:
-    enum class Mode {
-        kLinear,    ///< flat vector + full linear gap scan (pre-index behaviour)
-        kBucketed,  ///< blocked storage + gap-summary screen
-    };
-
     /// Blocks split when they exceed twice this capacity; ~64 keeps a block
     /// within a couple of cache lines of summaries per thousand intervals
     /// while the in-block scan stays short.  Tests use tiny capacities to
     /// force deep block structure on small inputs.
     static constexpr std::size_t kDefaultBlockCapacity = 64;
 
-    /// Mode selected by the environment: TSCHED_LINEAR_TIMELINE set to
-    /// anything but "0" forces Mode::kLinear (escape hatch kept for one
-    /// release); otherwise Mode::kBucketed.
-    [[nodiscard]] static Mode default_mode();
-
-    explicit BusyTimeline(Mode mode = Mode::kBucketed,
-                          std::size_t block_capacity = kDefaultBlockCapacity);
+    explicit BusyTimeline(std::size_t block_capacity = kDefaultBlockCapacity);
 
     // Query tallies (probes, skipped blocks/intervals) accumulate in plain
     // per-object fields and reach the global trace counters once, at
@@ -83,7 +69,6 @@ public:
 
     [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
     /// Finish of the last interval in start order (0 when empty): the
     /// processor-available time used by append (non-insertion) placement.
@@ -102,7 +87,7 @@ public:
     /// All intervals in flat order (tests and diagnostics).
     [[nodiscard]] std::vector<BusyInterval> flatten() const;
 
-    /// Number of storage blocks (1 linear block counts; tests assert splits).
+    /// Number of storage blocks (tests assert splits).
     [[nodiscard]] std::size_t num_blocks() const noexcept { return blocks_.size(); }
 
 private:
@@ -118,7 +103,6 @@ private:
     void split_block(std::size_t bi);
     void flush_tallies() noexcept;
 
-    Mode mode_;
     std::size_t block_capacity_;
     std::vector<Block> blocks_;  // non-empty blocks in flat order
     std::size_t size_ = 0;

@@ -29,9 +29,9 @@ ReplayReport replay_trace(const std::vector<TraceRequest>& trace, const ReplayOp
     std::vector<double> latencies;
     latencies.reserve(prepared.size() * options.epochs);
     // The histogram view of the same latencies: what a collector scraping
-    // the live exports would base its percentiles on.  Filled here (library
-    // call, not a TSCHED_OBS macro) so the histogram-vs-exact validation in
-    // bench_serve --check runs in every build configuration.
+    // the live exports would base its percentiles on.  Filled here, apart
+    // from the engine's own instruments, so the histogram-vs-exact
+    // validation in bench_serve --check sees exactly these latencies.
     obs::LatencyHistogram latency_hist;
 
     // The reporter borrows the engine; declared after it so it stops (and

@@ -82,7 +82,9 @@ struct ServeResult {
     ServeOutcome outcome = ServeOutcome::kOk;
 };
 
-/// Canonical fingerprint of the graph + cost matrix + machine (rules above).
+/// Canonical fingerprint of the graph + cost matrix + machine (rules above):
+/// Problem::content_fingerprint(), which hashes each Problem object once and
+/// memoizes the result, so resubmitting one Problem costs no rehash.
 [[nodiscard]] std::uint64_t fingerprint_problem(const Problem& problem);
 
 /// Canonical fingerprint of a full request: version tag, problem, algo,

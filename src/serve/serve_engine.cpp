@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/registry.hpp"
-#include "obs/obs.hpp"
 #include "serve/request_trace.hpp"
 #include "trace/trace.hpp"
 
@@ -130,14 +129,10 @@ void ServeEngine::count_request() {
 }
 
 std::shared_ptr<const Schedule> ServeEngine::lookup(std::uint64_t fp) {
-#if TSCHED_OBS_ON
     const Stopwatch timer;
     auto hit = cache_->get(fp);
     lat_cache_lookup_ms_.record(timer.elapsed_ms());
     return hit;
-#else
-    return cache_->get(fp);
-#endif
 }
 
 std::future<ServeResult> ServeEngine::ready_hit(std::shared_ptr<const Schedule> hit,
@@ -147,7 +142,7 @@ std::future<ServeResult> ServeEngine::ready_hit(std::shared_ptr<const Schedule> 
     TSCHED_COUNT("serve/served_from_cache");
     std::promise<ServeResult> ready;
     ServeResult result{std::move(hit), fp, true, false, submitted.elapsed_ms()};
-    TSCHED_OBS_RECORD_INTO(lat_total_ms_, result.latency_ms);
+    lat_total_ms_.record(result.latency_ms);
     ready.set_value(std::move(result));
     return ready.get_future();
 }
@@ -190,7 +185,7 @@ std::future<ServeResult> ServeEngine::submit_fingerprinted(ScheduleRequest reque
             break;
         case AdmitAction::kQueued:
             TSCHED_COUNT("serve/queued");
-            TSCHED_OBS_RECORD_INTO(queue_depth_, static_cast<double>(decision.pending_depth));
+            queue_depth_.record(static_cast<double>(decision.pending_depth));
             break;
         case AdmitAction::kCacheHit:
             debug_check_hit(*decision.hit, *decision.request->problem);
@@ -285,20 +280,16 @@ void ServeEngine::run_computation(Ticket ticket, ScheduleRequest request, std::u
     // Submit-to-compute-start: time the owning request spent queued behind
     // the pool (plus the fingerprint/lookup prologue, which is noise next to
     // a scheduler run).
-    TSCHED_OBS_RECORD_INTO(lat_queue_wait_ms_, submitted.elapsed_ms());
+    lat_queue_wait_ms_.record(submitted.elapsed_ms());
     std::shared_ptr<const Schedule> result;
     std::exception_ptr error;
     try {
         const Scheduler& scheduler = scheduler_for(request.algo);
         TSCHED_SPAN("serve/compute");
         if (chaos_) chaos_->on_compute(fp);
-#if TSCHED_OBS_ON
         const Stopwatch compute;
         result = std::make_shared<const Schedule>(scheduler.schedule(*request.problem));
         lat_compute_ms_.record(compute.elapsed_ms());
-#else
-        result = std::make_shared<const Schedule>(scheduler.schedule(*request.problem));
-#endif
         computed_.fetch_add(1, std::memory_order_relaxed);
         TSCHED_COUNT("serve/computed");
     } catch (...) {
@@ -356,7 +347,7 @@ void ServeEngine::degrade_inline(ScheduleRequest request, std::uint64_t fp, Wait
     degraded_.fetch_add(1, std::memory_order_relaxed);
     TSCHED_COUNT("serve/degraded");
     const double latency_ms = owner.submitted.elapsed_ms();
-    TSCHED_OBS_RECORD_INTO(lat_total_ms_, latency_ms);
+    lat_total_ms_.record(latency_ms);
     owner.promise.set_value(ServeResult{std::move(result), degraded_fp, false, false, latency_ms,
                                         ServeOutcome::kDegraded});
 }
@@ -366,8 +357,7 @@ void ServeEngine::resolve_ready(Waiter& waiter, const std::shared_ptr<const Sche
     const double latency_ms = waiter.submitted.elapsed_ms();
     ServeOutcome outcome = ServeOutcome::kOk;
     if (waiter.deadline_ms > 0.0) {
-        TSCHED_OBS_RECORD_INTO(lat_deadline_slack_ms_,
-                               std::max(0.0, waiter.deadline_ms - latency_ms));
+        lat_deadline_slack_ms_.record(std::max(0.0, waiter.deadline_ms - latency_ms));
         if (latency_ms > waiter.deadline_ms) outcome = ServeOutcome::kTimedOut;
     }
     if (outcome == ServeOutcome::kOk) {
@@ -378,7 +368,7 @@ void ServeEngine::resolve_ready(Waiter& waiter, const std::shared_ptr<const Sche
         timed_out_.fetch_add(1, std::memory_order_relaxed);
         TSCHED_COUNT("serve/timed_out");
     }
-    TSCHED_OBS_RECORD_INTO(lat_total_ms_, latency_ms);
+    lat_total_ms_.record(latency_ms);
     waiter.promise.set_value(
         ServeResult{schedule, waiter.fp, cache_hit, waiter.coalesced, latency_ms, outcome});
 }

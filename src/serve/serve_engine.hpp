@@ -211,10 +211,10 @@ public:
 
     /// Full obs document for this engine (DESIGN §14): the per-request
     /// latency histograms (serve/latency/{total,queue_wait,cache_lookup,
-    /// compute,deadline_slack}_ms and serve/queue_depth — recorded only in
-    /// TSCHED_OBS builds), the engine's request and outcome counters, the
-    /// admission gauges (inflight, pending depth), the cache fragment and
-    /// the borrowed pool's fragment, merged and sorted.  Each engine owns
+    /// compute,deadline_slack}_ms and serve/queue_depth), the engine's
+    /// request and outcome counters, the admission gauges (inflight,
+    /// pending depth), the cache fragment and the borrowed pool's fragment,
+    /// merged and sorted.  Each engine owns
     /// its own MetricsRegistry, so two engines in one process never mix
     /// streams and teardown cannot leave dangling instrument references.
     [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
@@ -240,7 +240,7 @@ private:
                                                                 bool looked_up);
 
     void count_request();
-    /// The request's one counted cache operation (timed under TSCHED_OBS).
+    /// The request's one counted cache operation, timed into cache_lookup_ms.
     [[nodiscard]] std::shared_ptr<const Schedule> lookup(std::uint64_t fp);
     /// An already-resolved future for a cache hit, with the hit accounting.
     [[nodiscard]] std::future<ServeResult> ready_hit(std::shared_ptr<const Schedule> hit,

@@ -3,10 +3,16 @@
 // The simulator takes only the *decisions* of a schedule — which placements
 // exist and in what order each processor runs them — and re-derives all
 // start/finish times from scratch by propagating completion events through
-// the placement-constraint graph.  For a valid schedule under the static
-// cost model, the re-derived makespan must equal Schedule::makespan()
-// exactly; this gives the test suite an independent cross-check of every
-// scheduler's bookkeeping.
+// the placement-constraint graph.  Each input is read from the
+// earliest-finishing completed copy of its producer.  For a valid schedule
+// under the static cost model:
+//   * without duplicates, the re-derived makespan equals
+//     Schedule::makespan() exactly;
+//   * with duplicates, it is at most Schedule::makespan(): the
+//     earliest-finishing copy (possibly one placed after the consumer was
+//     planned) can let the replay start a placement earlier than planned.
+// This gives the test suite an independent cross-check of every
+// scheduler's bookkeeping (tests/test_sim.cpp, SimContract.*).
 //
 // The same engine runs the robustness experiments: execution and
 // communication times are perturbed multiplicatively and the *realised*

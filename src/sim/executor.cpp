@@ -9,11 +9,8 @@
 
 #include "obs/obs.hpp"
 #include "trace/trace.hpp"
-#include "util/thread_annotations.hpp"
-
-#if TSCHED_OBS_ON
 #include "util/stopwatch.hpp"
-#endif
+#include "util/thread_annotations.hpp"
 
 namespace tsched::sim {
 
@@ -98,13 +95,9 @@ private:
         TSCHED_EXCLUDES(mutex_) {
         for (std::size_t attempt = 1;; ++attempt) {
             try {
-#if TSCHED_OBS_ON
                 const Stopwatch attempt_watch;
                 body_(pl.task, static_cast<ProcId>(p));
                 TSCHED_OBS_RECORD("executor/attempt_ms", attempt_watch.elapsed_ms());
-#else
-                body_(pl.task, static_cast<ProcId>(p));
-#endif
                 return nullptr;
             } catch (...) {
                 if (attempt >= options_.max_attempts) return std::current_exception();

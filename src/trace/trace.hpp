@@ -1,33 +1,17 @@
-// tsched_trace macro front-end: spans and counters that compile to nothing
-// when tracing is off.
+// tsched_trace macro front-end: named spans and counters.
 //
 //   TSCHED_SPAN("rank/upward");          // RAII: times the enclosing scope
 //   TSCHED_COUNT("eft_evaluations");     // counter += 1
 //   TSCHED_COUNT_ADD("oct_cells", n);    // counter += n
 //
-// Gate: the CMake option TSCHED_TRACE (default ON) defines
-// TSCHED_TRACE_ENABLED project-wide.  With the option OFF — the
-// configuration benchmark builds use — every macro expands to a no-op and
-// instrumented hot paths carry zero cost.  A single translation unit can
-// also force the no-op expansion by defining TSCHED_TRACE_FORCE_OFF before
-// including this header (the OFF-mode unit test does exactly that).
-//
-// When enabled, a counter hit costs one relaxed atomic add: the registry
-// lookup happens once per call site via a function-local static.  Span
-// timers additionally read the steady clock twice per scope.
+// Every build is instrumented.  A counter hit costs one relaxed atomic add:
+// the registry lookup happens once per call site via a function-local
+// static.  Span timers additionally read the steady clock twice per scope.
 #pragma once
 
-#include "trace/counters.hpp"
-
-#if defined(TSCHED_TRACE_ENABLED) && !defined(TSCHED_TRACE_FORCE_OFF)
-#define TSCHED_TRACE_ON 1
-#else
-#define TSCHED_TRACE_ON 0
-#endif
-
-#if TSCHED_TRACE_ON
-
 #include <chrono>
+
+#include "trace/counters.hpp"
 
 namespace tsched::trace {
 
@@ -69,12 +53,5 @@ private:
         TSCHED_TRACE_CONCAT(tsched_counter_, __LINE__)                         \
             .add(static_cast<std::uint64_t>(delta));                           \
     } while (0)
-
-#else  // tracing disabled: all macros are no-ops
-
-#define TSCHED_SPAN(name) static_cast<void>(0)
-#define TSCHED_COUNT_ADD(name, delta) static_cast<void>(0)
-
-#endif
 
 #define TSCHED_COUNT(name) TSCHED_COUNT_ADD(name, 1)

@@ -23,9 +23,8 @@
 //     the annotated function body where the analysis can see the lock.
 //
 // Force-off escape hatch: defining TSCHED_THREAD_ANNOTATIONS_FORCE_OFF makes
-// the macros expand to nothing even under clang (mirroring the
-// TSCHED_TRACE_FORCE_OFF pattern); tests/test_annotations.cpp uses it to
-// prove annotated code compiles unchanged without the analysis.
+// the macros expand to nothing even under clang; tests/test_annotations.cpp
+// uses it to prove annotated code compiles unchanged without the analysis.
 #pragma once
 
 #include <condition_variable>

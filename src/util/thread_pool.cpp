@@ -4,7 +4,6 @@
 #include <atomic>
 #include <exception>
 
-#include "obs/obs.hpp"
 #include "util/stopwatch.hpp"
 
 namespace tsched {
@@ -52,15 +51,11 @@ void ThreadPool::worker_loop() {
             queue_.pop_front();
             ++active_;
         }
-#if TSCHED_OBS_ON
         {
             Stopwatch watch;
             task();
             task_run_ms_.record(watch.elapsed_ms());
         }
-#else
-        task();
-#endif
         tasks_run_.fetch_add(1, std::memory_order_relaxed);
         {
             LockGuard lock(mutex_);

@@ -29,9 +29,7 @@ namespace tsched {
 
 /// Point-in-time pool telemetry (obs layer, DESIGN §14).  queue_depth and
 /// active are instantaneous; tasks_run and the task-run histogram are
-/// cumulative.  The histogram only fills when the build has TSCHED_OBS on —
-/// the queue/occupancy fields are maintained unconditionally (they are the
-/// pool's own bookkeeping, not extra instrumentation).
+/// cumulative.
 struct PoolMetrics {
     std::size_t workers = 0;
     std::size_t queue_depth = 0;
@@ -97,8 +95,7 @@ private:
     std::deque<std::function<void()>> queue_ TSCHED_GUARDED_BY(mutex_);
     std::size_t active_ TSCHED_GUARDED_BY(mutex_) = 0;
     bool stopping_ TSCHED_GUARDED_BY(mutex_) = false;
-    // Cumulative telemetry; always members (ODR safety under mixed
-    // TSCHED_OBS settings), the histogram fills only when obs is on.
+    // Cumulative telemetry.
     std::atomic<std::uint64_t> tasks_run_{0};
     obs::LatencyHistogram task_run_ms_;
 };

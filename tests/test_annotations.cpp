@@ -1,9 +1,9 @@
 // Tests for util/thread_annotations.hpp: the macro surface must expand away
 // cleanly off-clang (this file is also compiled as test_annotations_off with
-// TSCHED_THREAD_ANNOTATIONS_FORCE_OFF=1, mirroring the TSCHED_TRACE=OFF
-// pattern), and the annotated Mutex/LockGuard/UniqueLock/CondVar wrappers
-// must behave exactly like the std primitives they wrap — the whole point
-// of the annotation layer is that it changes nothing at runtime.
+// TSCHED_THREAD_ANNOTATIONS_FORCE_OFF=1), and the annotated Mutex/LockGuard/
+// UniqueLock/CondVar wrappers must behave exactly like the std primitives
+// they wrap — the whole point of the annotation layer is that it changes
+// nothing at runtime.
 #include <gtest/gtest.h>
 
 #include <cstdint>

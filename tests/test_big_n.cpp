@@ -4,21 +4,22 @@
 //  - Timeline.*: property tests that earliest_start equals a brute-force
 //    linear gap scan on randomized busy sets, with tiny block capacities so
 //    even small inputs exercise splits, block skips, and cross-block runs.
-//  - BigN.*: end-to-end determinism — every scheduler family produces a
-//    byte-identical schedule whether the builder runs the legacy linear
-//    timeline (TSCHED_LINEAR_TIMELINE=1) or the bucketed index, plus a
-//    wall-clock smoke bound on HEFT at n = 10000.
+//  - BigN.*: end-to-end determinism — every scheduler family reproduces,
+//    bit for bit, the schedule the pre-index linear timeline produced
+//    (golden digests), plus a wall-clock smoke bound on HEFT at n = 10000.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "core/registry.hpp"
 #include "sched/timeline.hpp"
+#include "util/fingerprint.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "workload/instance.hpp"
@@ -93,12 +94,8 @@ TEST(Timeline, EarliestStartMatchesBruteForceOnRandomBusySets) {
         const std::size_t count = static_cast<std::size_t>(rng.uniform_int(0, 40));
         const auto busy = random_busy(rng, count);
         // Capacity 4 forces many blocks even on these small sets.
-        BusyTimeline bucketed(BusyTimeline::Mode::kBucketed, 4);
-        BusyTimeline linear(BusyTimeline::Mode::kLinear);
-        for (const BusyInterval& iv : busy) {
-            bucketed.insert(iv);
-            linear.insert(iv);
-        }
+        BusyTimeline bucketed(4);
+        for (const BusyInterval& iv : busy) bucketed.insert(iv);
         for (std::size_t q = 0; q < 32; ++q) {
             const double ready = rng.uniform(-5.0, 110.0);
             // Mix tiny gap-seeking durations with ones that only fit at the end.
@@ -108,7 +105,6 @@ TEST(Timeline, EarliestStartMatchesBruteForceOnRandomBusySets) {
             EXPECT_EQ(bucketed.earliest_start(ready, duration), expected)
                 << "trial " << trial << " count " << count << " ready " << ready
                 << " duration " << duration;
-            EXPECT_EQ(linear.earliest_start(ready, duration), expected);
         }
     }
 }
@@ -116,7 +112,7 @@ TEST(Timeline, EarliestStartMatchesBruteForceOnRandomBusySets) {
 TEST(Timeline, EarliestStartExactFitAndBoundaryGaps) {
     // Gaps of exactly the probe duration, including the gap spanning a block
     // boundary, must be found — the screen may not reject an exact fit.
-    BusyTimeline t(BusyTimeline::Mode::kBucketed, 2);
+    BusyTimeline t(2);
     const std::vector<BusyInterval> busy = {
         {0.0, 1.0}, {3.0, 4.0}, {4.0, 6.0}, {9.0, 10.0}, {10.0, 12.0}, {15.0, 20.0}};
     for (const BusyInterval& iv : busy) t.insert(iv);
@@ -134,7 +130,7 @@ TEST(Timeline, InsertEraseFlattenMatchReferenceUnderRandomOps) {
     // exactly like duplication trials on the builder.  The timeline must
     // track a reference flat vector through every insert/erase.
     Rng rng(7);
-    BusyTimeline t(BusyTimeline::Mode::kBucketed, 4);
+    BusyTimeline t(4);
     std::vector<BusyInterval> ref;
     for (std::size_t op = 0; op < 400; ++op) {
         if (ref.empty() || rng.uniform() < 0.6) {
@@ -167,7 +163,7 @@ TEST(Timeline, EqualStartRunsSpanBlocks) {
     // 24 intervals sharing one start with capacity 2: the equal-start run is
     // guaranteed to cross several block boundaries, and erase must find the
     // exact (start, finish) pair wherever it landed.
-    BusyTimeline t(BusyTimeline::Mode::kBucketed, 2);
+    BusyTimeline t(2);
     std::vector<BusyInterval> ref;
     for (int i = 0; i < 24; ++i) {
         const BusyInterval iv{5.0, 5.0 + 0.25 * i};
@@ -188,7 +184,7 @@ TEST(Timeline, EqualStartRunsSpanBlocks) {
 }
 
 TEST(Timeline, EraseMissingReturnsFalse) {
-    BusyTimeline t(BusyTimeline::Mode::kBucketed, 4);
+    BusyTimeline t(4);
     EXPECT_FALSE(t.erase({1.0, 2.0}));
     t.insert({1.0, 2.0});
     EXPECT_FALSE(t.erase({1.0, 3.0}));  // same start, different finish
@@ -198,21 +194,7 @@ TEST(Timeline, EraseMissingReturnsFalse) {
 }
 
 TEST(Timeline, ZeroBlockCapacityThrows) {
-    EXPECT_THROW(BusyTimeline(BusyTimeline::Mode::kBucketed, 0), std::invalid_argument);
-}
-
-TEST(Timeline, DefaultModeFollowsEnvironment) {
-    const char* const var = "TSCHED_LINEAR_TIMELINE";
-    const char* old = std::getenv(var);
-    const std::string saved = old != nullptr ? old : "";
-    const bool had = old != nullptr;
-    ::setenv(var, "1", 1);
-    EXPECT_EQ(BusyTimeline::default_mode(), BusyTimeline::Mode::kLinear);
-    ::setenv(var, "0", 1);
-    EXPECT_EQ(BusyTimeline::default_mode(), BusyTimeline::Mode::kBucketed);
-    ::unsetenv(var);
-    EXPECT_EQ(BusyTimeline::default_mode(), BusyTimeline::Mode::kBucketed);
-    if (had) ::setenv(var, saved.c_str(), 1);
+    EXPECT_THROW(BusyTimeline(0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,63 +211,70 @@ Problem big_instance(workload::Shape shape, std::size_t size, std::uint64_t seed
     return workload::make_instance(params, seed);
 }
 
-void expect_identical_schedules(const Schedule& a, const Schedule& b,
-                                const std::string& label) {
-    ASSERT_EQ(a.num_tasks(), b.num_tasks()) << label;
-    ASSERT_EQ(a.num_placements(), b.num_placements()) << label;
-    for (std::size_t v = 0; v < a.num_tasks(); ++v) {
-        const auto pa = a.placements(static_cast<TaskId>(v));
-        const auto pb = b.placements(static_cast<TaskId>(v));
-        ASSERT_EQ(pa.size(), pb.size()) << label << " task " << v;
-        for (std::size_t i = 0; i < pa.size(); ++i) {
-            ASSERT_EQ(pa[i].proc, pb[i].proc) << label << " task " << v;
-            ASSERT_EQ(pa[i].start, pb[i].start) << label << " task " << v;
-            ASSERT_EQ(pa[i].finish, pb[i].finish) << label << " task " << v;
+/// Exact-bits digest of a schedule: every placement's processor, start and
+/// finish bit patterns in task order, then the makespan.
+std::uint64_t schedule_digest(const Schedule& s) {
+    Fnv1a h;
+    h.u64(s.num_tasks());
+    for (std::size_t v = 0; v < s.num_tasks(); ++v) {
+        const auto placements = s.placements(static_cast<TaskId>(v));
+        h.u64(placements.size());
+        for (const Placement& p : placements) {
+            h.i64(p.proc);
+            h.u64(std::bit_cast<std::uint64_t>(p.start));
+            h.u64(std::bit_cast<std::uint64_t>(p.finish));
         }
     }
-    EXPECT_EQ(a.makespan(), b.makespan()) << label;
+    h.u64(std::bit_cast<std::uint64_t>(s.makespan()));
+    return h.value();
 }
 
-/// Run `algo` on `problem` with the bucketed timeline (the default in this
-/// test environment) and again with TSCHED_LINEAR_TIMELINE=1; both schedules
-/// must be byte-identical.  The env var is sampled at builder construction,
-/// so flipping it between runs is race-free in this single-threaded test.
-void check_linear_bucketed_identical(const Problem& problem, const std::string& algo,
-                                     const std::string& label) {
-    const auto scheduler = make_scheduler(algo);
-    ::unsetenv("TSCHED_LINEAR_TIMELINE");
-    const Schedule bucketed = scheduler->schedule(problem);
-    ::setenv("TSCHED_LINEAR_TIMELINE", "1", 1);
-    const Schedule linear = scheduler->schedule(problem);
-    ::unsetenv("TSCHED_LINEAR_TIMELINE");
-    expect_identical_schedules(bucketed, linear, label + "/" + algo);
+/// Golden digests of one scheduler's schedules on the two big instances,
+/// recorded at commit 307956c with the pre-index linear timeline
+/// (TSCHED_LINEAR_TIMELINE=1, an option that commit still had); the bucketed
+/// index produced the same digests there.  A mismatch means the bucketed
+/// query no longer returns exactly the start the linear scan would.
+struct LinearGolden {
+    const char* algo;
+    std::uint64_t layered2k;  ///< big_instance(kLayered, 2000, 2007)
+    std::uint64_t forkjoin;   ///< big_instance(kForkJoin, 500, 2007)
+};
+
+void check_against_linear_goldens(std::initializer_list<LinearGolden> goldens) {
+    const Problem layered = big_instance(workload::Shape::kLayered, 2000, 2007);
+    const Problem forkjoin = big_instance(workload::Shape::kForkJoin, 500, 2007);
+    for (const LinearGolden& golden : goldens) {
+        const auto scheduler = make_scheduler(golden.algo);
+        const Schedule on_layered = scheduler->schedule(layered);
+        const Schedule on_forkjoin = scheduler->schedule(forkjoin);
+        EXPECT_EQ(schedule_digest(on_layered), golden.layered2k)
+            << "layered2k/" << golden.algo << " makespan " << on_layered.makespan();
+        EXPECT_EQ(schedule_digest(on_forkjoin), golden.forkjoin)
+            << "forkjoin/" << golden.algo << " makespan " << on_forkjoin.makespan();
+    }
 }
 
 TEST(BigN, ListSchedulersLinearVsBucketedByteIdentical) {
-    const Problem layered = big_instance(workload::Shape::kLayered, 2000, 2007);
-    const Problem forkjoin = big_instance(workload::Shape::kForkJoin, 500, 2007);
-    for (const char* algo : {"heft", "cpop", "peft", "lheft"}) {
-        check_linear_bucketed_identical(layered, algo, "layered2k");
-        check_linear_bucketed_identical(forkjoin, algo, "forkjoin");
-    }
+    check_against_linear_goldens({
+        {"heft", 0xcd3087d626d51460ULL, 0x74f6064a3cc3fc89ULL},
+        {"cpop", 0x2b0e7a424a861627ULL, 0xdc39d1039b5525fcULL},
+        {"peft", 0x1469e0b7533832d8ULL, 0xd2feba736e6dfb3fULL},
+        {"lheft", 0x87ead63f89b2cbbfULL, 0x2332c328d2226361ULL},
+    });
 }
 
 TEST(BigN, IlsFamilyLinearVsBucketedByteIdentical) {
-    const Problem layered = big_instance(workload::Shape::kLayered, 2000, 2007);
-    const Problem forkjoin = big_instance(workload::Shape::kForkJoin, 500, 2007);
-    for (const char* algo : {"ils", "ils-d"}) {
-        check_linear_bucketed_identical(layered, algo, "layered2k");
-        check_linear_bucketed_identical(forkjoin, algo, "forkjoin");
-    }
+    check_against_linear_goldens({
+        {"ils", 0xcd3087d626d51460ULL, 0xd5353fc5dca82ef8ULL},
+        {"ils-d", 0xf2970a96afdab85eULL, 0xc2979ce7aee829f3ULL},
+    });
 }
 
 TEST(BigN, DuplicationSchedulersLinearVsBucketedByteIdentical) {
-    const Problem layered = big_instance(workload::Shape::kLayered, 2000, 2007);
-    const Problem forkjoin = big_instance(workload::Shape::kForkJoin, 500, 2007);
-    for (const char* algo : {"dsh", "btdh"}) {
-        check_linear_bucketed_identical(layered, algo, "layered2k");
-        check_linear_bucketed_identical(forkjoin, algo, "forkjoin");
-    }
+    check_against_linear_goldens({
+        {"dsh", 0x8f4975e61032034bULL, 0x9a2612df3bbc3808ULL},
+        {"btdh", 0xb5d88c0655975905ULL, 0xc5634ef7c2935acaULL},
+    });
 }
 
 TEST(BigN, Heft10kUnderWallClockBudget) {

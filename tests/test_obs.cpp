@@ -473,11 +473,8 @@ TEST(ObsSnapshot, DeltaDropsIdleEntries) {
 }
 
 // ---------------------------------------------------------------------------
-// Macros — only meaningful when the recording gate is on; in a
-// -DTSCHED_OBS=OFF build (the obs-off CI leg runs this whole suite) the
-// macro contract is covered by test_obs_off instead.
+// Macros
 
-#if TSCHED_OBS_ON
 TEST(ObsMacros, RecordAndPhaseFeedTheGlobalRegistry) {
     const MetricsSnapshot before = registry().snapshot();
     TSCHED_OBS_RECORD("obs_test/record_ms", 2.5);
@@ -514,7 +511,6 @@ TEST(ObsMacros, RecordAndPhaseFeedTheGlobalRegistry) {
     }
     EXPECT_TRUE(saw_gauge);
 }
-#endif  // TSCHED_OBS_ON
 
 // ---------------------------------------------------------------------------
 // Exporters

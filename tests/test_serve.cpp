@@ -186,6 +186,30 @@ TEST(RequestFingerprint, TopologyMattersNotJustTotals) {
     EXPECT_NE(serve::fingerprint_problem(*build(true)), serve::fingerprint_problem(*build(false)));
 }
 
+TEST(RequestFingerprint, MemoizedProblemHashMatchesAFreshOne) {
+    // A second, separately built equal problem has an empty memo, so it
+    // recomputes: the memoized answer must be that same value, for the
+    // original, for repeat calls, and for copies taken before and after.
+    const auto problem = make_problem();
+    const Problem early_copy = *problem;
+    const std::uint64_t first = serve::fingerprint_problem(*problem);
+    EXPECT_EQ(first, serve::fingerprint_problem(*make_problem()));
+    EXPECT_EQ(first, serve::fingerprint_problem(*problem));
+    EXPECT_EQ(first, serve::fingerprint_problem(early_copy));
+    const Problem late_copy = *problem;
+    EXPECT_EQ(first, late_copy.content_fingerprint());
+    EXPECT_NE(first, serve::fingerprint_problem(*make_problem(3.5)));
+
+    // Concurrent first calls on one fresh Problem all agree (and are
+    // race-free under TSan).
+    const auto shared = make_problem();
+    std::vector<std::future<std::uint64_t>> calls;
+    for (int i = 0; i < 4; ++i)
+        calls.push_back(std::async(std::launch::async,
+                                   [&shared] { return serve::fingerprint_problem(*shared); }));
+    for (auto& call : calls) EXPECT_EQ(first, call.get());
+}
+
 // ---------------------------------------------------------------------------
 // ScheduleCache.
 
@@ -406,9 +430,8 @@ TEST(ServeEngine, MetricsSnapshotMergesEngineCacheAndPool) {
     EXPECT_TRUE(saw_hit_rate);
     EXPECT_TRUE(saw_shard_occupancy);
 
-#if TSCHED_OBS_ON
-    // With recording on, the latency split histograms carry the run:
-    // every request lands in total, only the cold one in compute.
+    // The latency split histograms carry the run: every request lands in
+    // total, only the cold one in compute.
     const auto hist_count = [&snap](const std::string& name) -> std::uint64_t {
         for (const auto& h : snap.histograms)
             if (h.name == name) return h.hist.count;
@@ -419,7 +442,6 @@ TEST(ServeEngine, MetricsSnapshotMergesEngineCacheAndPool) {
     EXPECT_EQ(hist_count("serve/latency/compute_ms"), 1u);
     EXPECT_EQ(hist_count("serve/latency/cache_lookup_ms"), 3u);
     EXPECT_GE(hist_count("pool/task_run_ms"), 1u);
-#endif
 
     // The snapshot is in canonical order, ready for the exporters.
     obs::MetricsSnapshot sorted = snap;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/registry.hpp"
 #include "sim/event_sim.hpp"
@@ -36,6 +37,55 @@ TEST_P(SimCrossCheck, RederivedMakespanMatchesSchedule) {
 INSTANTIATE_TEST_SUITE_P(Schedulers, SimCrossCheck,
                          ::testing::Values("ils", "ils-d", "heft", "cpop", "hcpt", "dls", "etf",
                                            "mcp", "minmin", "dsh", "btdh", "random"));
+
+// The simulator's contract (sim/event_sim.hpp): the replay equals the plan
+// for duplicate-free schedules and never exceeds it for duplicated ones.
+Problem contract_problem(std::uint64_t seed, double ccr) {
+    workload::InstanceParams params;
+    params.size = 100;
+    params.num_procs = 8;
+    params.ccr = ccr;
+    params.beta = 0.5;
+    return workload::make_instance(params, seed);
+}
+
+TEST(SimContract, ReplayEqualsPlanWithoutDuplicatesAndNeverExceedsItWith) {
+    std::size_t duplicated = 0;
+    std::size_t duplicate_free = 0;
+    for (const double ccr : {1.0, 5.0}) {
+        for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+            const Problem problem = contract_problem(seed, ccr);
+            for (const char* algo : {"dsh", "btdh", "ils-d", "heft"}) {
+                const Schedule schedule = make_scheduler(algo)->schedule(problem);
+                const double replay = sim::simulate(schedule, problem).makespan;
+                const std::string label = std::string(algo) + " seed " + std::to_string(seed) +
+                                          " ccr " + std::to_string(ccr);
+                if (schedule.num_placements() > schedule.num_tasks()) {
+                    ++duplicated;
+                    EXPECT_LE(replay, schedule.makespan()) << label;
+                } else {
+                    ++duplicate_free;
+                    EXPECT_EQ(replay, schedule.makespan()) << label;
+                }
+            }
+        }
+    }
+    // Both halves of the contract are exercised.
+    EXPECT_GT(duplicated, 0u);
+    EXPECT_GT(duplicate_free, 0u);
+}
+
+TEST(SimContract, DuplicatedScheduleReplaysFasterThanItsPlan) {
+    // ils-d on this instance duplicates parents; reading each input from its
+    // earliest-finishing copy lets the replay beat the planned makespan.
+    const Problem problem = contract_problem(5, 5.0);
+    const Schedule schedule = make_scheduler("ils-d")->schedule(problem);
+    ASSERT_GT(schedule.num_placements(), schedule.num_tasks());
+    const double replay = sim::simulate(schedule, problem).makespan;
+    EXPECT_NEAR(schedule.makespan(), 546.10399939039667, 1e-9);
+    EXPECT_NEAR(replay, 543.40978728654568, 1e-9);
+    EXPECT_LT(replay, schedule.makespan());
+}
 
 TEST(Simulate, BusyTimesMatchCosts) {
     const Problem problem = sample_problem(5);

@@ -66,8 +66,12 @@ assert doc["qps"] > 0 and doc["wall_ms"] > 0, doc
 lat = doc["latency_ms"]
 assert 0 <= lat["p50"] <= lat["p95"] <= lat["p99"], lat
 PYEOF
-grep -q "serve/requests = 48" "$WORK/replay.out" \
-    || echo "serve_smoke: note: no counters (TSCHED_TRACE=OFF build)"
+# --counters prints each name once: the trace registry and the engine's obs
+# document both count serve/requests, but only one line may carry it.
+[ "$(grep -c '^serve/requests = 48$' "$WORK/replay.out")" -eq 1 ] \
+    || fail "--counters did not print 'serve/requests = 48' exactly once"
+DUPES="$(grep ' = ' "$WORK/replay.out" | cut -d' ' -f1 | sort | uniq -d)"
+[ -z "$DUPES" ] || fail "--counters printed these names more than once: $DUPES"
 
 # 4. Cache-off serving computes every request cold.
 "$SERVE" "$WORK/a.tsr" --cache=off --dedup=off --json="$WORK/off.json" \

@@ -116,11 +116,10 @@ for d in decisions:
     assert d["candidates"], d
 PYEOF
 
-# 6. Counters report renders (and is non-empty in a traced build: the ils
-#    run above must at least have evaluated EFTs).
+# 6. Counters report renders and is non-empty: the ils run must at least
+#    have evaluated EFTs.
 "$TRACE" "$WORK/graph.tsg" "$WORK/platform.tsp" --algo=ils --counters \
     > "$WORK/counters.out" 2>&1 || fail "--counters run failed"
-grep -q "eft_evaluations" "$WORK/counters.out" \
-    || echo "trace_smoke: note: no counters (TSCHED_TRACE=OFF build)"
+grep -q "eft_evaluations" "$WORK/counters.out" || fail "--counters printed no eft_evaluations"
 
 echo "trace_smoke: OK"

@@ -49,7 +49,7 @@
 //   --metrics-epoch           flush once per epoch instead of on a timer
 //                             (deterministic line count: one per epoch + final)
 //   --counters        print trace counters *and* the engine/cache/pool obs
-//                     metrics after the replay
+//                     metrics after the replay, each name once
 //   --version/--help  print and exit 0
 //
 // Network replay flags (with --connect; drives a live tsched_served over
@@ -64,6 +64,7 @@
 //
 // Exit status: 0 success, 2 usage or file errors; network replay exits 1
 // if the accounting identity fails or a schedule payload was inconsistent.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -374,12 +375,19 @@ int replay(const Args& args, const std::string& trace_path) {
     }
 
     if (args.has("counters")) {
+        // The engine/cache/pool obs document for the same run follows the
+        // process trace counters, so one flag gives the full picture
+        // (counters alone miss distributions and gauges).  A counter both
+        // carry (serve/requests, serve/computed, ...) prints once, from the
+        // document.  Histograms print as a one-line summary each.
+        const auto in_document = [&report](const std::string& name) {
+            return std::any_of(report.metrics.counters.begin(), report.metrics.counters.end(),
+                               [&name](const obs::CounterSample& c) { return c.name == name; });
+        };
         const auto snapshot = trace::registry().snapshot();
         for (const auto& counter : snapshot.counters)
-            if (counter.value > 0) std::cout << counter.name << " = " << counter.value << '\n';
-        // The engine/cache/pool obs document for the same run, so one flag
-        // gives the full picture (counters alone miss distributions and
-        // gauges).  Histograms print as a one-line summary each.
+            if (counter.value > 0 && !in_document(counter.name))
+                std::cout << counter.name << " = " << counter.value << '\n';
         for (const auto& counter : report.metrics.counters)
             std::cout << counter.name << " = " << counter.value << '\n';
         for (const auto& gauge : report.metrics.gauges) {

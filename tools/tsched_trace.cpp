@@ -32,7 +32,6 @@
 //                     (default), reschedule-suffix, or use-duplicates
 //   --counters[=fmt]  after the run, print every trace counter and span
 //                     recorded in this process: fmt = md (default) or csv
-//                     (empty in a TSCHED_TRACE=OFF build)
 //   --version/--help  print and exit 0
 //
 // Exit status: 0 success, 2 usage or file errors.
