@@ -271,9 +271,9 @@ net::NetReplayOptions net_replay_options(const ServeBenchConfig& config, std::ui
 }
 
 /// One steady-state measurement: fresh server on `pool`, full replay.
-net::NetReplayReport measure_net(const ServeBenchConfig& config,
-                                 const std::vector<serve::TraceRequest>& trace,
-                                 std::size_t conns, ThreadPool& pool) {
+serve::ReplayReport measure_net(const ServeBenchConfig& config,
+                                const std::vector<serve::TraceRequest>& trace,
+                                std::size_t conns, ThreadPool& pool) {
     net::ServeServer server(net_server_config(), pool);
     server.start();
     const auto report = replay_net(trace, net_replay_options(config, server.port(), conns));

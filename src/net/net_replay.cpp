@@ -1,8 +1,6 @@
 #include "net/net_replay.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -10,7 +8,6 @@
 
 #include "net/client.hpp"
 #include "util/fingerprint.hpp"
-#include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 
 namespace tsched::net {
@@ -24,40 +21,22 @@ double ms_since(Clock::time_point start) {
 }
 
 struct WorkerResult {
-    std::vector<double> latencies;
-    obs::HistogramSnapshot hist;
-    std::uint64_t ok = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t degraded = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t draining = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t cache_hits = 0;
+    serve::ReplayTally tally;
     std::size_t sent = 0;
     std::size_t assigned = 0;
-    std::size_t replies = 0;
     /// fingerprint -> fnv1a(fingerprint || payload) for responses that
     /// carried a schedule; merged across workers for the digest.
     std::unordered_map<std::uint64_t, std::uint64_t> payloads;
     bool payload_consistent = true;
 };
 
-void classify(WorkerResult& result, const WireResponse& response) {
-    switch (response.outcome) {
-        case serve::ServeOutcome::kOk: ++result.ok; break;
-        case serve::ServeOutcome::kShed: ++result.shed; break;
-        case serve::ServeOutcome::kDegraded: ++result.degraded; break;
-        case serve::ServeOutcome::kTimedOut: ++result.timed_out; break;
-        case serve::ServeOutcome::kDraining: ++result.draining; break;
-    }
-    if (response.cache_hit) ++result.cache_hits;
-    if (response.has_schedule()) {
-        Fnv1a hasher;
-        hasher.u64(response.fingerprint);
-        hasher.str(response.schedule_bytes);
-        const auto [it, inserted] = result.payloads.emplace(response.fingerprint, hasher.value());
-        if (!inserted && it->second != hasher.value()) result.payload_consistent = false;
-    }
+void audit_payload(WorkerResult& result, const WireResponse& response) {
+    if (!response.has_schedule()) return;
+    Fnv1a hasher;
+    hasher.u64(response.fingerprint);
+    hasher.str(response.schedule_bytes);
+    const auto [it, inserted] = result.payloads.emplace(response.fingerprint, hasher.value());
+    if (!inserted && it->second != hasher.value()) result.payload_consistent = false;
 }
 
 void run_worker(const std::vector<serve::TraceRequest>& trace, const NetReplayOptions& options,
@@ -68,8 +47,8 @@ void run_worker(const std::vector<serve::TraceRequest>& trace, const NetReplayOp
     result.assigned = slice.size() * options.epochs;
     if (result.assigned == 0) return;
 
-    obs::LatencyHistogram hist;
-    result.latencies.reserve(result.assigned);
+    serve::ReplayTally& tally = result.tally;
+    tally.latencies.reserve(result.assigned);
     std::unordered_map<std::uint64_t, Clock::time_point> outstanding;
 
     ClientConfig config;
@@ -79,13 +58,11 @@ void run_worker(const std::vector<serve::TraceRequest>& trace, const NetReplayOp
 
     try {
         ServeClient client(config);
-        std::size_t cursor = 0;
-        while (result.replies + result.failed < result.assigned) {
-            if (cursor < result.assigned && outstanding.size() < options.window) {
-                const serve::TraceRequest& request = trace[slice[cursor % slice.size()]];
+        while (result.sent < result.assigned || !outstanding.empty()) {
+            if (result.sent < result.assigned && outstanding.size() < options.window) {
+                const serve::TraceRequest& request = trace[slice[result.sent % slice.size()]];
                 const std::uint64_t id = client.send(request, options.deadline_ms);
                 outstanding.emplace(id, Clock::now());
-                ++cursor;
                 ++result.sent;
                 continue;
             }
@@ -93,42 +70,42 @@ void run_worker(const std::vector<serve::TraceRequest>& trace, const NetReplayOp
             if (reply.id == 0) {
                 // Session-level error: the server is closing this
                 // connection; everything outstanding is lost.
-                result.failed += outstanding.size();
+                tally.record_lost(outstanding.size());
                 break;
             }
             const auto it = outstanding.find(reply.id);
             if (it == outstanding.end()) continue;  // stale duplicate; ignore
             const double latency = ms_since(it->second);
             outstanding.erase(it);
-            ++result.replies;
-            result.latencies.push_back(latency);
-            hist.record(latency);
-            if (reply.ok())
-                classify(result, *reply.response);
-            else
-                ++result.failed;
+            if (reply.ok()) {
+                tally.record(reply.response->outcome, latency, reply.response->cache_hit);
+                audit_payload(result, *reply.response);
+            } else {
+                tally.record_failure(latency);
+            }
         }
     } catch (const std::exception&) {
         // Connection drop mid-run: outstanding requests are lost.
-        result.failed += outstanding.size();
+        tally.record_lost(outstanding.size());
     }
     // Requests this worker never managed to send still count against the
     // accounting identity — a dead connection must not shrink the universe.
-    result.failed += result.assigned - result.sent;
-    result.hist = hist.snapshot();
+    tally.record_lost(result.assigned - result.sent);
 }
 
 }  // namespace
 
-NetReplayReport replay_net(const std::vector<serve::TraceRequest>& trace,
-                           const NetReplayOptions& options) {
+serve::ReplayReport replay_net(const std::vector<serve::TraceRequest>& trace,
+                               const NetReplayOptions& options) {
     if (options.conns == 0) throw std::invalid_argument("replay_net: conns must be >= 1");
     if (options.window == 0) throw std::invalid_argument("replay_net: window must be >= 1");
     if (options.epochs == 0) throw std::invalid_argument("replay_net: epochs must be >= 1");
 
-    NetReplayReport report;
-    report.conns = options.conns;
-    if (trace.empty()) return report;
+    if (trace.empty()) {
+        serve::ReplayReport report;
+        report.conns = options.conns;
+        return report;
+    }
 
     std::vector<WorkerResult> results(options.conns);
     const Stopwatch wall;
@@ -140,50 +117,31 @@ NetReplayReport replay_net(const std::vector<serve::TraceRequest>& trace,
                 [&trace, &options, i, &results] { run_worker(trace, options, i, results[i]); });
         for (auto& worker : workers) worker.join();
     }
-    report.wall_ms = wall.elapsed_ms();
+    const double wall_ms = wall.elapsed_ms();
 
-    std::vector<double> latencies;
+    serve::ReplayTally tally;
+    std::size_t requests = 0;
+    bool payload_consistent = true;
     std::unordered_map<std::uint64_t, std::uint64_t> payloads;
     for (const WorkerResult& result : results) {
-        report.requests += result.assigned;
-        report.replies += result.replies;
-        report.ok += result.ok;
-        report.shed += result.shed;
-        report.degraded += result.degraded;
-        report.timed_out += result.timed_out;
-        report.draining += result.draining;
-        report.failed += result.failed;
-        report.cache_hits += result.cache_hits;
-        report.payload_consistent = report.payload_consistent && result.payload_consistent;
-        latencies.insert(latencies.end(), result.latencies.begin(), result.latencies.end());
-        report.latency_hist.merge(result.hist);
+        requests += result.assigned;
+        tally.merge(result.tally);
+        payload_consistent = payload_consistent && result.payload_consistent;
         for (const auto& [fingerprint, hash] : result.payloads) {
             const auto [it, inserted] = payloads.emplace(fingerprint, hash);
-            if (!inserted && it->second != hash) report.payload_consistent = false;
+            if (!inserted && it->second != hash) payload_consistent = false;
         }
     }
+
+    serve::ReplayReport report = tally.finish(requests, wall_ms);
+    report.conns = options.conns;
+    report.payload_consistent = payload_consistent;
     // XOR over distinct fingerprints: arrival order and hit counts cancel
     // out, so the digest compares across pool widths and connection counts.
     for (const auto& [fingerprint, hash] : payloads) {
         (void)fingerprint;
         report.schedule_digest ^= hash;
     }
-
-    if (!latencies.empty()) {
-        std::sort(latencies.begin(), latencies.end());
-        report.latency_mean_ms = std::accumulate(latencies.begin(), latencies.end(), 0.0) /
-                                 static_cast<double>(latencies.size());
-        report.latency_p50_ms = quantile_sorted(latencies, 0.50);
-        report.latency_p95_ms = quantile_sorted(latencies, 0.95);
-        report.latency_p99_ms = quantile_sorted(latencies, 0.99);
-        report.latency_p999_ms = quantile_sorted(latencies, 0.999);
-        report.latency_max_ms = latencies.back();
-        report.hist_p50_ms = report.latency_hist.quantile(0.50);
-        report.hist_p95_ms = report.latency_hist.quantile(0.95);
-        report.hist_p99_ms = report.latency_hist.quantile(0.99);
-    }
-    if (report.wall_ms > 0.0)
-        report.qps = static_cast<double>(report.replies) / (report.wall_ms / 1e3);
     return report;
 }
 

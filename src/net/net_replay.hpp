@@ -4,10 +4,11 @@
 // connections: one thread per connection, each owning one ServeClient, each
 // replaying its round-robin slice of the stream with a sliding window of
 // `window` outstanding pipelined requests.  Latency is the client-observed
-// round trip (send -> matching reply), recorded both as an exact vector
-// (order statistics) and through per-thread obs::LatencyHistograms that
-// merge into one aggregate — merge order cannot change the snapshot, so the
-// report is deterministic given the per-request samples.
+// round trip (send -> matching reply).  Each thread keeps one
+// serve::ReplayTally; the tallies merge into the same serve::ReplayReport
+// the in-process replay_trace returns (serve/replay.hpp) — merge order
+// cannot change it, so the report is deterministic given the per-request
+// samples.
 //
 // The wire-level accounting identity extends the engine's (DESIGN §16) with
 // a transport failure class:
@@ -33,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "serve/replay.hpp"
 #include "serve/request_trace.hpp"
 
 namespace tsched::net {
@@ -48,47 +49,12 @@ struct NetReplayOptions {
     std::string client_name = "net_replay";
 };
 
-struct NetReplayReport {
-    std::size_t conns = 0;
-    std::size_t requests = 0;  ///< sent (stream length x epochs)
-    std::size_t replies = 0;   ///< received (== requests unless connections died)
-    double wall_ms = 0.0;
-    double qps = 0.0;
-
-    // Exact order statistics over all per-request round-trip latencies.
-    double latency_mean_ms = 0.0;
-    double latency_p50_ms = 0.0;
-    double latency_p95_ms = 0.0;
-    double latency_p99_ms = 0.0;
-    double latency_p999_ms = 0.0;
-    double latency_max_ms = 0.0;
-    // The merged per-thread histogram view of the same samples.
-    double hist_p50_ms = 0.0;
-    double hist_p95_ms = 0.0;
-    double hist_p99_ms = 0.0;
-    obs::HistogramSnapshot latency_hist;
-
-    // Outcome tally (see accounting identity above).
-    std::uint64_t ok = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t degraded = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t draining = 0;
-    std::uint64_t failed = 0;  ///< typed Error replies + connection drops
-    std::uint64_t cache_hits = 0;
-
-    std::uint64_t schedule_digest = 0;  ///< order-independent payload digest
-    bool payload_consistent = true;     ///< equal fingerprints -> equal bytes
-
-    [[nodiscard]] bool accounting_ok() const noexcept {
-        return ok + shed + degraded + timed_out + draining + failed == requests;
-    }
-};
-
-/// Replay `trace` x epochs against a live server.  Throws std::system_error
-/// if the initial connections cannot be established; per-connection failures
-/// after that surface as `failed` replies, not exceptions.
-[[nodiscard]] NetReplayReport replay_net(const std::vector<serve::TraceRequest>& trace,
-                                         const NetReplayOptions& options);
+/// Replay `trace` x epochs against a live server.  Connection failures are
+/// not exceptions: a connection that cannot be established, or drops
+/// mid-run, counts its unanswered requests as `failed`.  The report's
+/// wire-only fields (conns, schedule_digest, payload_consistent) are
+/// filled; stats and metrics stay empty.
+[[nodiscard]] serve::ReplayReport replay_net(const std::vector<serve::TraceRequest>& trace,
+                                             const NetReplayOptions& options);
 
 }  // namespace tsched::net

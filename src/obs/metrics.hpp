@@ -189,7 +189,8 @@ struct HistogramSample {
 /// Point-in-time view of a set of instruments.  Components contribute
 /// fragments (engine registry, cache gauges, pool stats) that merge into one
 /// exportable document; counters exist only at the snapshot level — live
-/// counting stays with the trace registry and the components' own atomics.
+/// counting stays with the components' own atomics (and, for scheduler
+/// internals, the trace registry).
 struct MetricsSnapshot {
     std::vector<CounterSample> counters;
     std::vector<GaugeSample> gauges;

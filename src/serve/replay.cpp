@@ -1,12 +1,78 @@
 #include "serve/replay.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 
 namespace tsched::serve {
+
+void ReplayTally::record(ServeOutcome outcome, double latency_ms, bool cache_hit) {
+    latencies.push_back(latency_ms);
+    switch (outcome) {
+        case ServeOutcome::kOk: ++ok; break;
+        case ServeOutcome::kShed: ++shed; break;
+        case ServeOutcome::kDegraded: ++degraded; break;
+        case ServeOutcome::kTimedOut: ++timed_out; break;
+        case ServeOutcome::kDraining: ++draining; break;
+    }
+    if (cache_hit) ++cache_hits;
+}
+
+void ReplayTally::record_failure(double latency_ms) {
+    latencies.push_back(latency_ms);
+    ++failed;
+}
+
+void ReplayTally::record_lost(std::uint64_t count) { failed += count; }
+
+void ReplayTally::merge(const ReplayTally& other) {
+    latencies.insert(latencies.end(), other.latencies.begin(), other.latencies.end());
+    ok += other.ok;
+    shed += other.shed;
+    degraded += other.degraded;
+    timed_out += other.timed_out;
+    draining += other.draining;
+    failed += other.failed;
+    cache_hits += other.cache_hits;
+}
+
+ReplayReport ReplayTally::finish(std::size_t requests, double wall_ms) const {
+    ReplayReport report;
+    report.requests = requests;
+    report.replies = latencies.size();
+    report.wall_ms = wall_ms;
+    if (wall_ms > 0.0) report.qps = static_cast<double>(report.replies) / (wall_ms / 1e3);
+    report.ok = ok;
+    report.shed = shed;
+    report.degraded = degraded;
+    report.timed_out = timed_out;
+    report.draining = draining;
+    report.failed = failed;
+    report.cache_hits = cache_hits;
+    if (latencies.empty()) return report;
+
+    // Sorted before summing, so the mean too is independent of merge order.
+    std::vector<double> sorted = latencies;
+    std::sort(sorted.begin(), sorted.end());
+    obs::LatencyHistogram hist;
+    for (const double l : sorted) hist.record(l);
+    report.latency_hist = hist.snapshot();
+    report.latency_mean_ms = std::accumulate(sorted.begin(), sorted.end(), 0.0) /
+                             static_cast<double>(sorted.size());
+    report.latency_p50_ms = quantile_sorted(sorted, 0.50);
+    report.latency_p95_ms = quantile_sorted(sorted, 0.95);
+    report.latency_p99_ms = quantile_sorted(sorted, 0.99);
+    report.latency_p999_ms = quantile_sorted(sorted, 0.999);
+    report.latency_max_ms = sorted.back();
+    report.hist_p50_ms = report.latency_hist.quantile(0.50);
+    report.hist_p95_ms = report.latency_hist.quantile(0.95);
+    report.hist_p99_ms = report.latency_hist.quantile(0.99);
+    report.hist_p999_ms = report.latency_hist.quantile(0.999);
+    return report;
+}
 
 ReplayReport replay_trace(const std::vector<TraceRequest>& trace, const ReplayOptions& options,
                           ThreadPool& pool) {
@@ -21,18 +87,8 @@ ReplayReport replay_trace(const std::vector<TraceRequest>& trace, const ReplayOp
     }
 
     ServeEngine engine(options.config, pool);
-    std::uint64_t report_ok = 0;
-    std::uint64_t report_shed = 0;
-    std::uint64_t report_degraded = 0;
-    std::uint64_t report_timed_out = 0;
-    std::uint64_t report_draining = 0;
-    std::vector<double> latencies;
-    latencies.reserve(prepared.size() * options.epochs);
-    // The histogram view of the same latencies: what a collector scraping
-    // the live exports would base its percentiles on.  Filled here, apart
-    // from the engine's own instruments, so the histogram-vs-exact
-    // validation in bench_serve --check sees exactly these latencies.
-    obs::LatencyHistogram latency_hist;
+    ReplayTally tally;
+    tally.latencies.reserve(prepared.size() * options.epochs);
 
     // The reporter borrows the engine; declared after it so it stops (and
     // takes its final flush) before the engine can be torn down.
@@ -48,49 +104,15 @@ ReplayReport replay_trace(const std::vector<TraceRequest>& trace, const ReplayOp
             std::vector<ScheduleRequest> batch(prepared.begin() + static_cast<std::ptrdiff_t>(begin),
                                                prepared.begin() + static_cast<std::ptrdiff_t>(end));
             for (const ServeResult& result :
-                 engine.run_batch(std::move(batch), options.wait_budget_ms)) {
-                latencies.push_back(result.latency_ms);
-                latency_hist.record(result.latency_ms);
-                switch (result.outcome) {
-                    case ServeOutcome::kOk: ++report_ok; break;
-                    case ServeOutcome::kShed: ++report_shed; break;
-                    case ServeOutcome::kDegraded: ++report_degraded; break;
-                    case ServeOutcome::kTimedOut: ++report_timed_out; break;
-                    case ServeOutcome::kDraining: ++report_draining; break;
-                }
-            }
+                 engine.run_batch(std::move(batch), options.wait_budget_ms))
+                tally.record(result.outcome, result.latency_ms, result.cache_hit);
         }
         if (live_metrics && options.metrics_per_epoch) reporter.flush();
     }
     const double wall_ms = wall.elapsed_ms();
     reporter.stop();  // background mode: final flush; per-epoch mode: no-op
 
-    ReplayReport report;
-    report.requests = latencies.size();
-    report.wall_ms = wall_ms;
-    report.qps =
-        wall_ms > 0.0 ? static_cast<double>(report.requests) / (wall_ms / 1e3) : 0.0;
-    report.latency_hist = latency_hist.snapshot();
-    if (!latencies.empty()) {
-        double sum = 0.0;
-        for (const double l : latencies) sum += l;
-        report.latency_mean_ms = sum / static_cast<double>(latencies.size());
-        std::sort(latencies.begin(), latencies.end());
-        report.latency_p50_ms = quantile_sorted(latencies, 0.50);
-        report.latency_p95_ms = quantile_sorted(latencies, 0.95);
-        report.latency_p99_ms = quantile_sorted(latencies, 0.99);
-        report.latency_p999_ms = quantile_sorted(latencies, 0.999);
-        report.latency_max_ms = latencies.back();
-        report.hist_p50_ms = report.latency_hist.quantile(0.50);
-        report.hist_p95_ms = report.latency_hist.quantile(0.95);
-        report.hist_p99_ms = report.latency_hist.quantile(0.99);
-        report.hist_p999_ms = report.latency_hist.quantile(0.999);
-    }
-    report.ok = report_ok;
-    report.shed = report_shed;
-    report.degraded = report_degraded;
-    report.timed_out = report_timed_out;
-    report.draining = report_draining;
+    ReplayReport report = tally.finish(prepared.size() * options.epochs, wall_ms);
     report.stats = engine.stats();
     report.metrics = engine.metrics_snapshot();
     return report;

@@ -3,21 +3,13 @@
 #include <string>
 #include <utility>
 
-#include "trace/trace.hpp"
-
 namespace tsched::serve {
 
 ScheduleCache::ScheduleCache(std::size_t capacity, std::size_t shards)
     : lru_(capacity, shards) {}
 
 std::shared_ptr<const Schedule> ScheduleCache::get(std::uint64_t key) {
-    auto value = lru_.find(key, /*counted=*/true);
-    if (value) {
-        TSCHED_COUNT("serve/cache_hits");
-    } else {
-        TSCHED_COUNT("serve/cache_misses");
-    }
-    return value;
+    return lru_.find(key, /*counted=*/true);
 }
 
 std::shared_ptr<const Schedule> ScheduleCache::peek(std::uint64_t key) {
@@ -25,7 +17,7 @@ std::shared_ptr<const Schedule> ScheduleCache::peek(std::uint64_t key) {
 }
 
 void ScheduleCache::put(std::uint64_t key, std::shared_ptr<const Schedule> value) {
-    if (lru_.insert(key, std::move(value))) TSCHED_COUNT("serve/cache_evictions");
+    lru_.insert(key, std::move(value));
 }
 
 void ScheduleCache::metrics_into(obs::MetricsSnapshot& out) const {

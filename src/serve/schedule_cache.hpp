@@ -14,14 +14,16 @@
 //
 // peek() is *counter-neutral*, not lock-free: it takes the shard mutex like
 // every other operation (there is no unsynchronized fast path), but records
-// no hit/miss counter and no trace event, so the serve engine's
+// no hit/miss counter, so the serve engine's
 // double-checked lookup costs one counted cache operation per request.  It
 // still refreshes recency on a hit.
 //
-// Every counted operation feeds both the per-shard counters (stats(), usable
-// in any build) and the process-wide trace registry via TSCHED_COUNT
-// ("serve/cache_hits", "serve/cache_misses", "serve/cache_evictions") so
-// `tsched_serve --counters` and bench trace dumps see cache behaviour.
+// Every counted operation feeds the per-shard counters, the cache's only
+// live count: stats() sums them, and metrics_into() exports them to the
+// engine's obs document as serve/cache/{hits,misses,evictions}, which is
+// where `tsched_serve --counters` and the benchmarks read cache behaviour.
+// Per-engine, not process-wide, so two engines in one process never mix
+// their counts.
 #pragma once
 
 #include <cstdint>

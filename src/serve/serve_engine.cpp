@@ -10,7 +10,6 @@
 
 #include "core/registry.hpp"
 #include "serve/request_trace.hpp"
-#include "trace/trace.hpp"
 
 #ifdef TSCHED_DEBUG_CHECKS
 #include "sched/validate.hpp"
@@ -125,7 +124,6 @@ std::future<ServeResult> ServeEngine::submit_descriptor(const TraceRequest& desc
 
 void ServeEngine::count_request() {
     requests_.fetch_add(1, std::memory_order_relaxed);
-    TSCHED_COUNT("serve/requests");
 }
 
 std::shared_ptr<const Schedule> ServeEngine::lookup(std::uint64_t fp) {
@@ -139,7 +137,6 @@ std::future<ServeResult> ServeEngine::ready_hit(std::shared_ptr<const Schedule> 
                                                 std::uint64_t fp, const Stopwatch& submitted) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     ok_.fetch_add(1, std::memory_order_relaxed);
-    TSCHED_COUNT("serve/served_from_cache");
     std::promise<ServeResult> ready;
     ServeResult result{std::move(hit), fp, true, false, submitted.elapsed_ms()};
     lat_total_ms_.record(result.latency_ms);
@@ -181,16 +178,13 @@ std::future<ServeResult> ServeEngine::submit_fingerprinted(ScheduleRequest reque
             break;
         case AdmitAction::kCoalesced:
             coalesced_.fetch_add(1, std::memory_order_relaxed);
-            TSCHED_COUNT("serve/inflight_coalesced");
             break;
         case AdmitAction::kQueued:
-            TSCHED_COUNT("serve/queued");
             queue_depth_.record(static_cast<double>(decision.pending_depth));
             break;
         case AdmitAction::kCacheHit:
             debug_check_hit(*decision.hit, *decision.request->problem);
             cache_hits_.fetch_add(1, std::memory_order_relaxed);
-            TSCHED_COUNT("serve/served_from_cache");
             resolve_ready(*decision.owner, decision.hit, /*cache_hit=*/true);
             break;
         case AdmitAction::kDegrade:
@@ -269,7 +263,6 @@ void ServeEngine::run_computation(Ticket ticket, ScheduleRequest request, std::u
             CompleteResult done = admission_.complete(ticket);
             for (Waiter& waiter : done.waiters) {
                 cache_hits_.fetch_add(1, std::memory_order_relaxed);
-                TSCHED_COUNT("serve/served_from_cache");
                 resolve_ready(waiter, hit, /*cache_hit=*/true);
             }
             finish_tail(done);
@@ -285,13 +278,11 @@ void ServeEngine::run_computation(Ticket ticket, ScheduleRequest request, std::u
     std::exception_ptr error;
     try {
         const Scheduler& scheduler = scheduler_for(request.algo);
-        TSCHED_SPAN("serve/compute");
         if (chaos_) chaos_->on_compute(fp);
         const Stopwatch compute;
         result = std::make_shared<const Schedule>(scheduler.schedule(*request.problem));
         lat_compute_ms_.record(compute.elapsed_ms());
         computed_.fetch_add(1, std::memory_order_relaxed);
-        TSCHED_COUNT("serve/computed");
     } catch (...) {
         error = std::current_exception();
     }
@@ -317,7 +308,6 @@ void ServeEngine::degrade_inline(ScheduleRequest request, std::uint64_t fp, Wait
         if (auto hit = cache_->peek(fp)) {
             debug_check_hit(*hit, *request.problem);
             cache_hits_.fetch_add(1, std::memory_order_relaxed);
-            TSCHED_COUNT("serve/served_from_cache");
             resolve_ready(owner, hit, /*cache_hit=*/true);
             return;
         }
@@ -334,18 +324,15 @@ void ServeEngine::degrade_inline(ScheduleRequest request, std::uint64_t fp, Wait
     if (!result) {
         try {
             const Scheduler& scheduler = scheduler_for(degraded.algo);
-            TSCHED_SPAN("serve/degrade_compute");
             result = std::make_shared<const Schedule>(scheduler.schedule(*degraded.problem));
         } catch (...) {
             resolve_error(owner, std::current_exception());
             return;
         }
         computed_.fetch_add(1, std::memory_order_relaxed);
-        TSCHED_COUNT("serve/computed");
         if (config_.enable_cache) cache_->put(degraded_fp, result);
     }
     degraded_.fetch_add(1, std::memory_order_relaxed);
-    TSCHED_COUNT("serve/degraded");
     const double latency_ms = owner.submitted.elapsed_ms();
     lat_total_ms_.record(latency_ms);
     owner.promise.set_value(ServeResult{std::move(result), degraded_fp, false, false, latency_ms,
@@ -366,7 +353,6 @@ void ServeEngine::resolve_ready(Waiter& waiter, const std::shared_ptr<const Sche
         // Late completion: the answer is real but the budget is blown — the
         // schedule is still attached (request.hpp outcome contract).
         timed_out_.fetch_add(1, std::memory_order_relaxed);
-        TSCHED_COUNT("serve/timed_out");
     }
     lat_total_ms_.record(latency_ms);
     waiter.promise.set_value(
@@ -377,15 +363,12 @@ void ServeEngine::resolve_outcome(Waiter& waiter, ServeOutcome outcome) {
     switch (outcome) {
         case ServeOutcome::kShed:
             shed_.fetch_add(1, std::memory_order_relaxed);
-            TSCHED_COUNT("serve/shed");
             break;
         case ServeOutcome::kDraining:
             draining_.fetch_add(1, std::memory_order_relaxed);
-            TSCHED_COUNT("serve/draining");
             break;
         case ServeOutcome::kTimedOut:
             timed_out_.fetch_add(1, std::memory_order_relaxed);
-            TSCHED_COUNT("serve/timed_out");
             break;
         default:
             break;
@@ -396,7 +379,6 @@ void ServeEngine::resolve_outcome(Waiter& waiter, ServeOutcome outcome) {
 
 void ServeEngine::resolve_error(Waiter& waiter, const std::exception_ptr& error) {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    TSCHED_COUNT("serve/failed");
     waiter.promise.set_exception(error);
 }
 
@@ -515,8 +497,7 @@ obs::MetricsSnapshot ServeEngine::metrics_snapshot() const {
         {"serve/computed", {}, computed_.load(std::memory_order_relaxed)});
     out.counters.push_back(
         {"serve/coalesced", {}, coalesced_.load(std::memory_order_relaxed)});
-    // "served_from_cache" (the trace counter's name), not "cache_hits": the
-    // cache fragment exports serve/cache/hits, which sanitizes to the same
+    // "served_from_cache", not "cache_hits": the cache fragment exports serve/cache/hits, which sanitizes to the same
     // Prometheus name as serve/cache_hits would — and the two counters mean
     // different things (requests answered from cache vs raw cache-op hits).
     out.counters.push_back(
@@ -526,6 +507,7 @@ obs::MetricsSnapshot ServeEngine::metrics_snapshot() const {
     out.counters.push_back({"serve/timed_out", {}, timed_out_.load(std::memory_order_relaxed)});
     out.counters.push_back({"serve/draining", {}, draining_.load(std::memory_order_relaxed)});
     out.counters.push_back({"serve/failed", {}, failed_.load(std::memory_order_relaxed)});
+    out.counters.push_back({"serve/queued", {}, admission_.stats().queued});
     out.gauges.push_back({"serve/hit_rate", {}, stats().hit_rate()});
     out.gauges.push_back(
         {"serve/inflight", {}, static_cast<double>(admission_.inflight())});

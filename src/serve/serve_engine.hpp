@@ -137,15 +137,6 @@ struct EngineStats {
         return requests > 0 ? static_cast<double>(cache_hits) / static_cast<double>(requests)
                             : 0.0;
     }
-    /// Fraction of requests refused by the admission controller.
-    [[nodiscard]] double shed_rate() const noexcept {
-        return requests > 0 ? static_cast<double>(shed) / static_cast<double>(requests) : 0.0;
-    }
-    /// Fraction of requests whose deadline expired (at dequeue or late).
-    [[nodiscard]] double deadline_hit_rate() const noexcept {
-        return requests > 0 ? static_cast<double>(timed_out) / static_cast<double>(requests)
-                            : 0.0;
-    }
 };
 
 /// What drain() did (serving telemetry + teardown assertions).
@@ -212,11 +203,13 @@ public:
     /// Full obs document for this engine (DESIGN §14): the per-request
     /// latency histograms (serve/latency/{total,queue_wait,cache_lookup,
     /// compute,deadline_slack}_ms and serve/queue_depth), the engine's
-    /// request and outcome counters, the admission gauges (inflight,
-    /// pending depth), the cache fragment and the borrowed pool's fragment,
-    /// merged and sorted.  Each engine owns
-    /// its own MetricsRegistry, so two engines in one process never mix
-    /// streams and teardown cannot leave dangling instrument references.
+    /// request and outcome counters plus serve/queued (AdmissionStats), the
+    /// admission gauges (inflight, pending depth), the cache fragment and
+    /// the borrowed pool's fragment, merged and sorted.  These atomics and
+    /// the cache's per-shard counts are the serve layer's only live counts
+    /// (no process-wide trace counter mirrors them).  Each engine owns its
+    /// own MetricsRegistry, so two engines in one process never mix streams
+    /// and teardown cannot leave dangling instrument references.
     [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
 private:

@@ -83,23 +83,21 @@ public:
     }
 
     /// Insert or overwrite `key`; evicts (and counts) the shard's least-
-    /// recently-used entry when the shard goes over budget.  Returns true
-    /// when an eviction happened.
-    bool insert(std::uint64_t key, Value value) {
+    /// recently-used entry when the shard goes over budget.
+    void insert(std::uint64_t key, Value value) {
         Shard& shard = shard_for(key);
         LockGuard lock(shard.mutex);
         if (const auto it = shard.index.find(key); it != shard.index.end()) {
             it->second->second = std::move(value);
             shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-            return false;
+            return;
         }
         shard.lru.emplace_front(key, std::move(value));
         shard.index.emplace(key, shard.lru.begin());
-        if (shard.lru.size() <= shard.capacity) return false;
+        if (shard.lru.size() <= shard.capacity) return;
         shard.index.erase(shard.lru.back().first);
         shard.lru.pop_back();
         ++shard.evictions;
-        return true;
     }
 
     [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }

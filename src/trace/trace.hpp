@@ -5,8 +5,10 @@
 //   TSCHED_COUNT_ADD("oct_cells", n);    // counter += n
 //
 // Every build is instrumented.  A counter hit costs one relaxed atomic add:
-// the registry lookup happens once per call site via a function-local
-// static.  Span timers additionally read the steady clock twice per scope.
+// the registry lookup (which takes the registry mutex) happens once per call
+// site via a function-local static, for counters and spans alike, so names
+// must be string literals.  Span timers additionally read the steady clock
+// twice per scope and add twice (count and total) relaxed.
 #pragma once
 
 #include <chrono>
@@ -40,10 +42,16 @@ private:
 #define TSCHED_TRACE_CONCAT_INNER(a, b) a##b
 #define TSCHED_TRACE_CONCAT(a, b) TSCHED_TRACE_CONCAT_INNER(a, b)
 
+// The capture-less lambda holds the per-site static; a name held in a local
+// variable fails to compile (the lambda cannot capture it).
 #define TSCHED_SPAN(name)                                                      \
     ::tsched::trace::ScopedSpan TSCHED_TRACE_CONCAT(tsched_scoped_span_,       \
                                                     __LINE__)(                 \
-        ::tsched::trace::registry().span(name))
+        []() -> ::tsched::trace::SpanTimer& {                                  \
+            static ::tsched::trace::SpanTimer& timer =                         \
+                ::tsched::trace::registry().span(name);                        \
+            return timer;                                                      \
+        }())
 
 #define TSCHED_COUNT_ADD(name, delta)                                          \
     do {                                                                       \

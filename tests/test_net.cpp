@@ -34,6 +34,7 @@
 #include "net/socket.hpp"
 #include "sched/schedule.hpp"
 #include "serve/chaos.hpp"
+#include "serve/replay.hpp"
 #include "serve/request.hpp"
 #include "serve/request_trace.hpp"
 #include "serve/serve_engine.hpp"
@@ -602,6 +603,58 @@ TEST(NetServer, MultiClientReplayAccountingIdentity) {
     EXPECT_EQ(stats.responses, report.requests);
 }
 
+// One trace, one ServeConfig, replayed in-process and over the wire with one
+// request in flight at a time: both drivers produce the same report type and
+// the same tally, so any gap between E17 and E21 numbers for a trace is the
+// cost of the wire layer, not a difference in what was counted.
+TEST(NetServer, InProcessAndWireReplayAgreeOnOneTrace) {
+    serve::TraceGenParams params;
+    params.requests = 24;
+    params.repeat_frac = 0.5;
+    params.size = 30;
+    params.procs = 4;
+    params.seed = 2007;
+    const auto trace = serve::generate_trace(params);
+    std::set<std::uint64_t> distinct;
+    for (const auto& tr : trace) distinct.insert(serve::fingerprint_request(serve::materialize(tr)));
+    const serve::ServeConfig config;
+    constexpr std::size_t kEpochs = 2;
+    ThreadPool pool(2);
+
+    serve::ReplayOptions in_process_options;
+    in_process_options.config = config;
+    in_process_options.batch = 1;
+    in_process_options.epochs = kEpochs;
+    const serve::ReplayReport in_process = serve::replay_trace(trace, in_process_options, pool);
+
+    net::ServerConfig server_config = loopback_config();
+    server_config.engine = config;
+    net::ServeServer server(server_config, pool);
+    server.start();
+    net::NetReplayOptions wire_options;
+    wire_options.port = server.port();
+    wire_options.conns = 1;
+    wire_options.window = 1;
+    wire_options.epochs = kEpochs;
+    const serve::ReplayReport wire = net::replay_net(trace, wire_options);
+    server.stop();
+
+    EXPECT_TRUE(in_process.accounting_ok());
+    EXPECT_TRUE(wire.accounting_ok());
+    EXPECT_EQ(in_process.requests, trace.size() * kEpochs);
+    EXPECT_EQ(wire.requests, in_process.requests);
+    EXPECT_EQ(wire.replies, in_process.replies);
+    EXPECT_EQ(wire.ok, in_process.ok);
+    EXPECT_EQ(wire.shed, in_process.shed);
+    EXPECT_EQ(wire.degraded, in_process.degraded);
+    EXPECT_EQ(wire.timed_out, in_process.timed_out);
+    EXPECT_EQ(wire.draining, in_process.draining);
+    EXPECT_EQ(wire.failed, in_process.failed);
+    // Sequential submission: every request after the first of its kind hits.
+    EXPECT_EQ(in_process.cache_hits, in_process.requests - distinct.size());
+    EXPECT_EQ(wire.cache_hits, in_process.cache_hits);
+}
+
 // The descriptor path: a repeat is answered from the descriptor index, and
 // must carry exactly what materialize() + submit() in-process produces.
 TEST(NetServer, RepeatedDescriptorAnswersLikeColdAndInProcess) {
@@ -1025,6 +1078,32 @@ TEST(NetReplay, RejectsDegenerateOptions) {
     options.window = 1;
     options.epochs = 0;
     EXPECT_THROW((void)net::replay_net(small_trace(4), options), std::invalid_argument);
+}
+
+// Every computation throws, so every request is answered by a typed Error
+// frame on a session that stays open.  Each error reply is one reply and one
+// failure; the worker must keep draining its window until every request it
+// sent is answered, or the identity loses the requests still in flight.
+TEST(NetReplay, ErrorRepliesKeepTheAccountingIdentity) {
+    net::ServerConfig config = loopback_config();
+    config.engine.chaos =
+        std::make_shared<serve::DeterministicChaos>(serve::ChaosOptions{.throw_prob = 1.0});
+    ThreadPool pool(2);
+    net::ServeServer server(config, pool);
+    server.start();
+
+    net::NetReplayOptions options;
+    options.port = server.port();
+    options.conns = 1;
+    options.window = 4;
+    const auto report = net::replay_net(small_trace(8), options);
+    server.stop();
+
+    EXPECT_EQ(report.requests, 8u);
+    EXPECT_EQ(report.replies, 8u);
+    EXPECT_EQ(report.failed, 8u);
+    EXPECT_EQ(report.ok, 0u);
+    EXPECT_TRUE(report.accounting_ok());
 }
 
 TEST(NetReplay, EmptyTraceIsEmptyReport) {

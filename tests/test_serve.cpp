@@ -8,7 +8,9 @@
 // from many threads and asserts exactly one computation happened.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -522,6 +524,10 @@ TEST(Replay, SteadyStateAccountingAddsUp) {
     EXPECT_LE(report.latency_p95_ms, report.latency_p99_ms);
     EXPECT_LE(report.latency_p99_ms, report.latency_p999_ms);
     EXPECT_LE(report.latency_p999_ms, report.latency_max_ms);
+    EXPECT_TRUE(report.accounting_ok());
+    EXPECT_EQ(report.replies, report.requests);
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_EQ(report.cache_hits, report.stats.cache_hits);
 
     // The obs histogram runs alongside the exact latency vector in every
     // build configuration; its percentiles must stay within the documented
@@ -535,6 +541,102 @@ TEST(Replay, SteadyStateAccountingAddsUp) {
     // The merged engine metrics document rides along for exporters.
     EXPECT_FALSE(report.metrics.counters.empty());
     EXPECT_FALSE(report.metrics.gauges.empty());
+}
+
+void expect_same_report(const serve::ReplayReport& a, const serve::ReplayReport& b) {
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.replies, b.replies);
+    EXPECT_EQ(a.wall_ms, b.wall_ms);
+    EXPECT_EQ(a.qps, b.qps);
+    EXPECT_EQ(a.latency_mean_ms, b.latency_mean_ms);
+    EXPECT_EQ(a.latency_p50_ms, b.latency_p50_ms);
+    EXPECT_EQ(a.latency_p95_ms, b.latency_p95_ms);
+    EXPECT_EQ(a.latency_p99_ms, b.latency_p99_ms);
+    EXPECT_EQ(a.latency_p999_ms, b.latency_p999_ms);
+    EXPECT_EQ(a.latency_max_ms, b.latency_max_ms);
+    EXPECT_EQ(a.hist_p50_ms, b.hist_p50_ms);
+    EXPECT_EQ(a.hist_p95_ms, b.hist_p95_ms);
+    EXPECT_EQ(a.hist_p99_ms, b.hist_p99_ms);
+    EXPECT_EQ(a.hist_p999_ms, b.hist_p999_ms);
+    EXPECT_EQ(a.latency_hist, b.latency_hist);
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.shed, b.shed);
+    EXPECT_EQ(a.degraded, b.degraded);
+    EXPECT_EQ(a.timed_out, b.timed_out);
+    EXPECT_EQ(a.draining, b.draining);
+    EXPECT_EQ(a.failed, b.failed);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.conns, b.conns);
+    EXPECT_EQ(a.schedule_digest, b.schedule_digest);
+    EXPECT_EQ(a.payload_consistent, b.payload_consistent);
+}
+
+// Both replay drivers fold per-thread tallies into one report; the report
+// must be a function of the recorded samples, not of who recorded them or
+// in which order the tallies merge.
+TEST(Replay, TallyMergeIsOrderIndependent) {
+    struct Sample {
+        serve::ServeOutcome outcome;
+        double latency_ms;
+        bool cache_hit;
+    };
+    constexpr serve::ServeOutcome kOutcomes[] = {
+        serve::ServeOutcome::kOk, serve::ServeOutcome::kOk, serve::ServeOutcome::kShed,
+        serve::ServeOutcome::kDegraded, serve::ServeOutcome::kTimedOut,
+        serve::ServeOutcome::kDraining, serve::ServeOutcome::kOk};
+    std::vector<Sample> samples;
+    for (std::size_t i = 0; i < 61; ++i) {
+        // Latencies over six decades, so a summation-order dependence in
+        // the mean would show in the last bits.
+        const double latency = std::pow(10.0, static_cast<double>((i * 7) % 6) - 3.0) *
+                               (1.0 + 0.013 * static_cast<double>((i * 37) % 29));
+        const serve::ServeOutcome outcome = kOutcomes[i % std::size(kOutcomes)];
+        samples.push_back({outcome, latency, outcome == serve::ServeOutcome::kOk && i % 3 == 0});
+    }
+
+    std::vector<serve::ReplayTally> workers(4);
+    serve::ReplayTally whole;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        const Sample& x = samples[i];
+        workers[i % workers.size()].record(x.outcome, x.latency_ms, x.cache_hit);
+        whole.record(x.outcome, x.latency_ms, x.cache_hit);
+    }
+    workers[1].record_failure(2.5);  // a typed Error reply
+    workers[3].record_lost(2);       // requests lost to a dropped connection
+    whole.record_failure(2.5);
+    whole.record_lost(2);
+    const std::size_t requests = samples.size() + 3;
+    const double wall_ms = 12.5;
+
+    const serve::ReplayReport expected = whole.finish(requests, wall_ms);
+    EXPECT_TRUE(expected.accounting_ok());
+    EXPECT_EQ(expected.replies, 62u);
+    EXPECT_EQ(expected.failed, 3u);
+    EXPECT_EQ(expected.latency_hist.count, 62u);
+
+    std::vector<std::size_t> order{0, 1, 2, 3};
+    std::size_t orders = 0;
+    do {
+        serve::ReplayTally merged;
+        for (const std::size_t w : order) merged.merge(workers[w]);
+        expect_same_report(merged.finish(requests, wall_ms), expected);
+        ++orders;
+    } while (std::next_permutation(order.begin(), order.end()));
+    EXPECT_EQ(orders, 24u);
+
+    // Tree-shaped merge, as a two-level fan-in would do it.
+    serve::ReplayTally left = workers[2];
+    left.merge(workers[0]);
+    serve::ReplayTally right = workers[3];
+    right.merge(workers[1]);
+    right.merge(left);
+    expect_same_report(right.finish(requests, wall_ms), expected);
+
+    // A transport failure that never reaches the tally breaks the identity.
+    serve::ReplayTally dropped;
+    for (const Sample& x : samples) dropped.record(x.outcome, x.latency_ms, x.cache_hit);
+    dropped.record_lost(2);
+    EXPECT_FALSE(dropped.finish(requests, wall_ms).accounting_ok());
 }
 
 // ---------------------------------------------------------------------------

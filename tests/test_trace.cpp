@@ -214,6 +214,21 @@ TEST(TraceRegistry, ConcurrentIncrementsAreNotLost) {
     EXPECT_EQ(reg.counter("shared").value(), kThreads * kIncrements);
     EXPECT_EQ(reg.span("shared_span").count(), kThreads * kIncrements);
     EXPECT_EQ(reg.span("shared_span").total_ns(), kThreads * kIncrements * 10);
+
+    // One TSCHED_SPAN call site entered concurrently: every thread races
+    // the site's first-use lookup, and no scope exit may be lost.
+    const std::uint64_t before = trace::registry().span("test/concurrent_span").count();
+    threads.clear();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([] {
+            for (std::size_t i = 0; i < kIncrements; ++i) {
+                TSCHED_SPAN("test/concurrent_span");
+            }
+        });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(trace::registry().span("test/concurrent_span").count() - before,
+              kThreads * kIncrements);
 }
 
 TEST(TraceRegistry, SnapshotDeltaDropsIdleEntriesAndKeepsNewOnes) {

@@ -17,6 +17,9 @@
 #      clean, and the request/response tallies balance.
 #   5. A garbage-spewing client (raw non-frame bytes) gets the connection
 #      closed while the server keeps serving real clients.
+#   6. The same trace replayed in-process (no --connect) writes the same
+#      report shape: both JSON documents carry the shared keys and agree on
+#      requests and outcomes.ok.
 #
 # Every network step is wrapped in timeout(1) so a wedged server fails the
 # test instead of hanging CI (ctest TIMEOUT is the backstop).
@@ -121,13 +124,19 @@ timeout 120 "$SERVE" "$WORK/trace.tsr" --connect=127.0.0.1:"$PORT" --conns=4 \
     || fail "replay at pool width 2 failed"
 stop_server_clean alt
 
+# --- 6: the same trace replayed in-process (no --connect) -----------------
+timeout 120 "$SERVE" "$WORK/trace.tsr" --epochs=2 --json="$WORK/inproc.json" > /dev/null \
+    || fail "in-process replay failed"
+
 # --- assertions over the JSON reports -------------------------------------
-"$PYTHON" - "$WORK"/replay1.json "$WORK"/replay2.json "$WORK"/replay3.json \
-    "$WORK"/replay4.json <<'PYEOF' || exit 1
+"$PYTHON" - "$WORK"/inproc.json "$WORK"/replay1.json "$WORK"/replay2.json \
+    "$WORK"/replay3.json "$WORK"/replay4.json <<'PYEOF' || exit 1
 import json, sys
 
+with open(sys.argv[1]) as f:
+    inproc = json.load(f)
 docs = []
-for path in sys.argv[1:]:
+for path in sys.argv[2:]:
     with open(path) as f:
         docs.append(json.load(f))
 
@@ -162,14 +171,37 @@ if len(digests) != 1:
 if docs[0]["cache_hits"] == 0:
     die("no cache hits in a 50%-repeat x 2-epoch replay")
 
-print("net_smoke: accounting identity + digest stability over", len(docs), "replays ok")
+# Both replay modes write one report shape: the shared keys are present in
+# each, and the in-process replay of the same trace x epochs tallies alike.
+SHARED = {
+    "": ["requests", "replies", "wall_ms", "qps", "cache_hits", "accounting_ok"],
+    "latency_ms": ["mean", "p50", "p95", "p99", "p999", "max"],
+    "hist_latency_ms": ["p50", "p95", "p99", "p999"],
+    "outcomes": ["ok", "shed", "degraded", "timed_out", "draining", "failed"],
+}
+for name, doc in (("in-process", inproc), ("replay1", docs[0])):
+    for section, keys in SHARED.items():
+        scope = doc[section] if section else doc
+        missing = [k for k in keys if k not in scope]
+        if missing:
+            die(f"{name}: shared keys missing from {section or 'top level'}: {missing}")
+if inproc["requests"] != docs[0]["requests"]:
+    die(f"in-process and wire replay disagree on requests: "
+        f"{inproc['requests']} vs {docs[0]['requests']}")
+if inproc["outcomes"]["ok"] != docs[0]["outcomes"]["ok"]:
+    die(f"in-process and wire replay disagree on outcomes.ok: "
+        f"{inproc['outcomes']['ok']} vs {docs[0]['outcomes']['ok']}")
+
+print("net_smoke: accounting identity + digest stability over", len(docs),
+      "replays ok; in-process and wire reports agree")
 PYEOF
 [ $? -eq 0 ] || exit 1
 
 # Keep the replay reports as a CI artifact directory if requested.
 if [ -n "${NET_SMOKE_ARTIFACT_DIR:-}" ]; then
     mkdir -p "$NET_SMOKE_ARTIFACT_DIR"
-    cp "$WORK"/replay*.json "$WORK"/served.*.out "$NET_SMOKE_ARTIFACT_DIR"/ 2>/dev/null
+    cp "$WORK"/replay*.json "$WORK"/inproc.json "$WORK"/served.*.out \
+        "$NET_SMOKE_ARTIFACT_DIR"/ 2>/dev/null
 fi
 
 echo "net_smoke: PASS"

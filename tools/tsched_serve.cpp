@@ -58,14 +58,20 @@
 //   --conns=N            concurrent connections, one thread each (default 8)
 //   --window=W           outstanding pipelined requests per connection
 //                        (default 16)
-//   --epochs/--deadline-ms/--json as above; the JSON report adds the
-//   accounting identity fields (ok+shed+degraded+timed_out+draining+failed
-//   == requests) and the order-independent schedule payload digest.
+//   --epochs/--deadline-ms/--json as above
 //
-// Exit status: 0 success, 2 usage or file errors; network replay exits 1
-// if the accounting identity fails or a schedule payload was inconsistent.
-#include <algorithm>
+// Both replay modes print and write one report (serve::ReplayReport): the
+// shared keys — requests, replies, wall_ms, qps, latency_ms.*,
+// hist_latency_ms.*, outcomes.{ok,shed,degraded,timed_out,draining,failed},
+// cache_hits, accounting_ok (ok+shed+degraded+timed_out+draining+failed ==
+// requests), shed_rate, deadline_hit_rate — plus each mode's own: the engine
+// configuration, totals and obs document in-process; "mode":"net", conns,
+// window and the order-independent schedule payload digest over the wire.
+//
+// Exit status: 0 success, 2 usage or file errors, 1 if the accounting
+// identity fails or a schedule payload was inconsistent.
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -140,16 +146,17 @@ int generate(const Args& args) {
     return 0;
 }
 
-std::string report_json(const serve::ReplayReport& report, const serve::ReplayOptions& options) {
+/// The replay report as JSON: the keys both modes share, after the mode's
+/// own keys (each written as "key":value followed by a comma).
+std::string report_json(const serve::ReplayReport& report,
+                        const std::function<void(std::ostream&)>& mode_keys) {
     std::ostringstream os;
     os.precision(6);
     os << std::fixed;
-    os << "{\"schema\":1,"
-       << "\"requests\":" << report.requests << ','
-       << "\"batch\":" << options.batch << ','
-       << "\"epochs\":" << options.epochs << ','
-       << "\"cache\":" << (options.config.enable_cache ? "true" : "false") << ','
-       << "\"capacity\":" << options.config.cache_capacity << ','
+    os << "{\"schema\":1,";
+    mode_keys(os);
+    os << "\"requests\":" << report.requests << ','
+       << "\"replies\":" << report.replies << ','
        << "\"wall_ms\":" << report.wall_ms << ','
        << "\"qps\":" << report.qps << ','
        << "\"latency_ms\":{\"mean\":" << report.latency_mean_ms << ",\"p50\":"
@@ -161,50 +168,64 @@ std::string report_json(const serve::ReplayReport& report, const serve::ReplayOp
        << report.hist_p999_ms << "},"
        << "\"outcomes\":{\"ok\":" << report.ok << ",\"shed\":" << report.shed
        << ",\"degraded\":" << report.degraded << ",\"timed_out\":" << report.timed_out
-       << ",\"draining\":" << report.draining << "},"
-       << "\"shed_rate\":" << report.shed_rate() << ','
-       << "\"deadline_hit_rate\":" << report.deadline_hit_rate() << ','
-       << "\"shed_policy\":\"" << serve::shed_policy_name(options.config.shed_policy) << "\","
-       << "\"max_inflight\":" << options.config.max_inflight << ','
-       << "\"max_pending\":" << options.config.max_pending << ','
-       << "\"deadline_ms\":" << options.deadline_ms << ','
-       << "\"computed\":" << report.stats.computed << ','
-       << "\"coalesced\":" << report.stats.coalesced << ','
-       << "\"hits\":" << report.stats.cache_hits << ','
-       << "\"evictions\":" << report.stats.cache.evictions << ','
-       << "\"hit_rate\":" << report.stats.hit_rate() << ','
-       << "\"metrics\":" << obs::to_json(report.metrics) << '}';
-    return os.str();
-}
-
-std::string net_report_json(const net::NetReplayReport& report,
-                            const net::NetReplayOptions& options) {
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"schema\":1,"
-       << "\"mode\":\"net\","
-       << "\"conns\":" << report.conns << ','
-       << "\"window\":" << options.window << ','
-       << "\"epochs\":" << options.epochs << ','
-       << "\"requests\":" << report.requests << ','
-       << "\"replies\":" << report.replies << ','
-       << "\"wall_ms\":" << report.wall_ms << ','
-       << "\"qps\":" << report.qps << ','
-       << "\"latency_ms\":{\"mean\":" << report.latency_mean_ms << ",\"p50\":"
-       << report.latency_p50_ms << ",\"p95\":" << report.latency_p95_ms << ",\"p99\":"
-       << report.latency_p99_ms << ",\"p999\":" << report.latency_p999_ms << ",\"max\":"
-       << report.latency_max_ms << "},"
-       << "\"hist_latency_ms\":{\"p50\":" << report.hist_p50_ms << ",\"p95\":"
-       << report.hist_p95_ms << ",\"p99\":" << report.hist_p99_ms << "},"
-       << "\"outcomes\":{\"ok\":" << report.ok << ",\"shed\":" << report.shed
-       << ",\"degraded\":" << report.degraded << ",\"timed_out\":" << report.timed_out
        << ",\"draining\":" << report.draining << ",\"failed\":" << report.failed << "},"
        << "\"cache_hits\":" << report.cache_hits << ','
        << "\"accounting_ok\":" << (report.accounting_ok() ? "true" : "false") << ','
-       << "\"schedule_digest\":\"" << std::hex << report.schedule_digest << std::dec << "\","
-       << "\"payload_consistent\":" << (report.payload_consistent ? "true" : "false") << '}';
+       << "\"shed_rate\":" << report.shed_rate() << ','
+       << "\"deadline_hit_rate\":" << report.deadline_hit_rate() << '}';
     return os.str();
+}
+
+/// Print the report (the mode's header line, the shared block, the mode's
+/// detail line), write the JSON report if --json asks for it, and check the
+/// accounting identity and payload consistency.  Returns the exit status.
+int emit_report(const Args& args, const serve::ReplayReport& report, const std::string& header,
+                const std::string& detail,
+                const std::function<void(std::ostream&)>& mode_keys) {
+    std::cout << header << '\n';
+    std::cout.precision(3);
+    std::cout << std::fixed;
+    std::cout << "  wall      " << report.wall_ms << " ms\n"
+              << "  qps       " << report.qps << '\n'
+              << "  latency   mean " << report.latency_mean_ms << " ms | p50 "
+              << report.latency_p50_ms << " | p95 " << report.latency_p95_ms << " | p99 "
+              << report.latency_p99_ms << " | p99.9 " << report.latency_p999_ms << " | max "
+              << report.latency_max_ms << '\n'
+              << "  outcomes  ok " << report.ok << " shed " << report.shed << " degraded "
+              << report.degraded << " timed_out " << report.timed_out << " draining "
+              << report.draining << " failed " << report.failed << " (of " << report.requests
+              << ")\n"
+              << "  rates     shed " << report.shed_rate() * 100 << "% | deadline-hit "
+              << report.deadline_hit_rate() * 100 << "%\n"
+              << "  cache     " << report.cache_hits << " hits of " << report.replies
+              << " replies\n"
+              << "  " << detail << '\n';
+
+    const std::string json_path = args.get_string("json", "");
+    if (!json_path.empty()) {
+        const std::string doc = report_json(report, mode_keys);
+        if (json_path == "-") {
+            std::cout << doc << '\n';
+        } else {
+            std::ofstream out(json_path);
+            out << doc << '\n';
+            if (!out) {
+                std::cerr << "tsched_serve: could not write " << json_path << '\n';
+                return 2;
+            }
+        }
+    }
+
+    if (!report.accounting_ok()) {
+        std::cerr << "tsched_serve: accounting identity FAILED: ok+shed+degraded+timed_out"
+                     "+draining+failed != requests\n";
+        return 1;
+    }
+    if (!report.payload_consistent) {
+        std::cerr << "tsched_serve: schedule payloads INCONSISTENT for equal fingerprints\n";
+        return 1;
+    }
+    return 0;
 }
 
 int replay_over_wire(const Args& args, const std::string& trace_path) {
@@ -230,49 +251,23 @@ int replay_over_wire(const Args& args, const std::string& trace_path) {
 
     const auto report = net::replay_net(trace, options);
 
-    std::cout << "tsched_serve: replayed " << trace.size() << " requests x " << options.epochs
-              << " epoch(s) over " << options.conns << " connection(s) to " << options.host
-              << ':' << options.port << " (window=" << options.window << ")\n";
-    std::cout.precision(3);
-    std::cout << std::fixed;
-    std::cout << "  wall      " << report.wall_ms << " ms\n"
-              << "  qps       " << report.qps << '\n'
-              << "  latency   mean " << report.latency_mean_ms << " ms | p50 "
-              << report.latency_p50_ms << " | p95 " << report.latency_p95_ms << " | p99 "
-              << report.latency_p99_ms << " | max " << report.latency_max_ms << '\n'
-              << "  outcomes  ok " << report.ok << " shed " << report.shed << " degraded "
-              << report.degraded << " timed_out " << report.timed_out << " draining "
-              << report.draining << " failed " << report.failed << " (of " << report.requests
-              << ")\n"
-              << "  cache     " << report.cache_hits << " hits | digest " << std::hex
-              << report.schedule_digest << std::dec << " | payload "
-              << (report.payload_consistent ? "consistent" : "INCONSISTENT") << '\n';
-
-    const std::string json_path = args.get_string("json", "");
-    if (!json_path.empty()) {
-        const std::string doc = net_report_json(report, options);
-        if (json_path == "-") {
-            std::cout << doc << '\n';
-        } else {
-            std::ofstream out(json_path);
-            out << doc << '\n';
-            if (!out) {
-                std::cerr << "tsched_serve: could not write " << json_path << '\n';
-                return 2;
-            }
-        }
-    }
-
-    if (!report.accounting_ok()) {
-        std::cerr << "tsched_serve: accounting identity FAILED: ok+shed+degraded+timed_out"
-                     "+draining+failed != requests\n";
-        return 1;
-    }
-    if (!report.payload_consistent) {
-        std::cerr << "tsched_serve: schedule payloads INCONSISTENT for equal fingerprints\n";
-        return 1;
-    }
-    return 0;
+    std::ostringstream header;
+    header << "tsched_serve: replayed " << trace.size() << " requests x " << options.epochs
+           << " epoch(s) over " << options.conns << " connection(s) to " << options.host << ':'
+           << options.port << " (window=" << options.window << ")";
+    std::ostringstream detail;
+    detail << "payload   digest " << std::hex << report.schedule_digest << std::dec << ", "
+           << (report.payload_consistent ? "consistent" : "INCONSISTENT");
+    return emit_report(args, report, header.str(), detail.str(), [&](std::ostream& os) {
+        os << "\"mode\":\"net\","
+           << "\"conns\":" << report.conns << ','
+           << "\"window\":" << options.window << ','
+           << "\"epochs\":" << options.epochs << ','
+           << "\"schedule_digest\":\"" << std::hex << report.schedule_digest << std::dec
+           << "\","
+           << "\"payload_consistent\":" << (report.payload_consistent ? "true" : "false")
+           << ',';
+    });
 }
 
 int replay(const Args& args, const std::string& trace_path) {
@@ -331,63 +326,49 @@ int replay(const Args& args, const std::string& trace_path) {
     ThreadPool pool(threads);
     const auto report = serve::replay_trace(trace, options, pool);
 
-    std::cout << "tsched_serve: replayed " << trace.size() << " requests x " << options.epochs
-              << " epoch(s) on " << pool.size() << " worker(s), batch=" << options.batch
-              << ", cache=" << (options.config.enable_cache ? "on" : "off")
-              << " (capacity=" << options.config.cache_capacity << ")\n";
-    std::cout.precision(3);
-    std::cout << std::fixed;
-    std::cout << "  wall      " << report.wall_ms << " ms\n"
-              << "  qps       " << report.qps << '\n'
-              << "  latency   mean " << report.latency_mean_ms << " ms | p50 "
-              << report.latency_p50_ms << " | p95 " << report.latency_p95_ms << " | p99 "
-              << report.latency_p99_ms << " | p99.9 " << report.latency_p999_ms << " | max "
-              << report.latency_max_ms << '\n'
-              << "  cache     " << report.stats.cache_hits << " hits / "
-              << report.stats.cache.evictions
-              << " evictions (hit rate " << report.stats.hit_rate() * 100 << "%)\n"
-              << "  computed  " << report.stats.computed << " cold runs, "
-              << report.stats.coalesced << " coalesced\n";
+    std::ostringstream header;
+    header << "tsched_serve: replayed " << trace.size() << " requests x " << options.epochs
+           << " epoch(s) on " << pool.size() << " worker(s), batch=" << options.batch
+           << ", cache=" << (options.config.enable_cache ? "on" : "off")
+           << " (capacity=" << options.config.cache_capacity << ")";
     if (options.config.max_inflight > 0 || options.deadline_ms > 0.0 ||
         options.wait_budget_ms > 0.0) {
-        std::cout << "  overload  policy=" << serve::shed_policy_name(options.config.shed_policy)
-                  << " inflight<=" << options.config.max_inflight << " pending<="
-                  << options.config.max_pending << " | ok " << report.ok << " shed "
-                  << report.shed << " degraded " << report.degraded << " timed_out "
-                  << report.timed_out << " draining " << report.draining << '\n'
-                  << "  rates     shed " << report.shed_rate() * 100 << "% | deadline-hit "
-                  << report.deadline_hit_rate() * 100 << "%\n";
+        header << ", policy=" << serve::shed_policy_name(options.config.shed_policy)
+               << " inflight<=" << options.config.max_inflight
+               << " pending<=" << options.config.max_pending;
     }
-
-    const std::string json_path = args.get_string("json", "");
-    if (!json_path.empty()) {
-        const std::string doc = report_json(report, options);
-        if (json_path == "-") {
-            std::cout << doc << '\n';
-        } else {
-            std::ofstream out(json_path);
-            out << doc << '\n';
-            if (!out) {
-                std::cerr << "tsched_serve: could not write " << json_path << '\n';
-                return 2;
-            }
-        }
-    }
+    std::ostringstream detail;
+    detail.precision(3);
+    detail << std::fixed << "engine    " << report.stats.computed << " cold runs, "
+           << report.stats.coalesced << " coalesced, " << report.stats.cache.evictions
+           << " evictions (hit rate " << report.stats.hit_rate() * 100 << "%)";
+    const int status = emit_report(args, report, header.str(), detail.str(), [&](std::ostream& os) {
+        os << "\"batch\":" << options.batch << ','
+           << "\"epochs\":" << options.epochs << ','
+           << "\"cache\":" << (options.config.enable_cache ? "true" : "false") << ','
+           << "\"capacity\":" << options.config.cache_capacity << ','
+           << "\"shed_policy\":\"" << serve::shed_policy_name(options.config.shed_policy)
+           << "\","
+           << "\"max_inflight\":" << options.config.max_inflight << ','
+           << "\"max_pending\":" << options.config.max_pending << ','
+           << "\"deadline_ms\":" << options.deadline_ms << ','
+           << "\"computed\":" << report.stats.computed << ','
+           << "\"coalesced\":" << report.stats.coalesced << ','
+           << "\"hits\":" << report.stats.cache_hits << ','
+           << "\"evictions\":" << report.stats.cache.evictions << ','
+           << "\"hit_rate\":" << report.stats.hit_rate() << ','
+           << "\"metrics\":" << obs::to_json(report.metrics) << ',';
+    });
+    if (status != 0) return status;
 
     if (args.has("counters")) {
-        // The engine/cache/pool obs document for the same run follows the
-        // process trace counters, so one flag gives the full picture
-        // (counters alone miss distributions and gauges).  A counter both
-        // carry (serve/requests, serve/computed, ...) prints once, from the
-        // document.  Histograms print as a one-line summary each.
-        const auto in_document = [&report](const std::string& name) {
-            return std::any_of(report.metrics.counters.begin(), report.metrics.counters.end(),
-                               [&name](const obs::CounterSample& c) { return c.name == name; });
-        };
-        const auto snapshot = trace::registry().snapshot();
-        for (const auto& counter : snapshot.counters)
-            if (counter.value > 0 && !in_document(counter.name))
-                std::cout << counter.name << " = " << counter.value << '\n';
+        // The process trace counters (scheduler internals), then the
+        // engine/cache/pool obs document for the same run, so one flag
+        // gives the full picture (counters alone miss distributions and
+        // gauges).  The two share no name: every serve-layer count lives in
+        // the document only.  Histograms print as a one-line summary each.
+        for (const auto& counter : trace::registry().snapshot().counters)
+            if (counter.value > 0) std::cout << counter.name << " = " << counter.value << '\n';
         for (const auto& counter : report.metrics.counters)
             std::cout << counter.name << " = " << counter.value << '\n';
         for (const auto& gauge : report.metrics.gauges) {
