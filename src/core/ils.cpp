@@ -43,7 +43,9 @@ double duplicate_parents(ScheduleBuilder& trial, TaskId v, ProcId p, std::size_t
         if (!slot) return ready;
         trial.place_duplicate_at(binding, p, *slot);
         TSCHED_COUNT("duplication_accepted");
-        const double next = trial.data_ready(v, p);
+        // A peek, not a cached read: under the caller's speculation a filled
+        // row would be zero-stamped by the rollback before anyone reread it.
+        const double next = trial.data_ready_peek(v, p);
         if (next >= ready - kEps) return next;
         ready = next;
     }
@@ -166,7 +168,6 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
     // Scratch reused across the task loop (previously reallocated per task).
     std::vector<double> eft_of(procs, kInf);
     std::vector<double> start_of(procs, 0.0);  // earliest start behind eft_of
-    std::vector<double> aff_of(procs, -kInf);  // predecessor affinity, top-k only
     std::vector<std::size_t> cand(procs);
     // EFT evaluations are tallied locally and flushed once after the loop —
     // one relaxed atomic add per (task, proc) eval was measurable at big n.
@@ -199,41 +200,49 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
             if (config_.duplication) builder.rollback(mark);
         }
         // Candidate set: the top-k processors by plain EFT (k = all by
-        // default); among them the downstream-aware score decides.
-        std::iota(cand.begin(), cand.end(), 0);
-        std::sort(cand.begin(), cand.end(), [&](std::size_t a, std::size_t b) {
-            if (eft_of[a] != eft_of[b]) return eft_of[a] < eft_of[b];
-            return a < b;
-        });
-        const std::size_t k =
-            use_oct ? (config_.lookahead_k == 0 ? cand.size()
-                                                : std::min(config_.lookahead_k, cand.size()))
-                    : 1;
-
-        // Affinity is a tiebreak over the un-speculated state; hoisted out of
-        // the selection loop, which recomputed it for every comparison.
-        for (std::size_t i = 0; i < k; ++i) {
-            aff_of[cand[i]] = affinity(builder, v, static_cast<ProcId>(cand[i]));
+        // default); among them the downstream-aware score decides.  The
+        // greedy pass (k = 1) is plain argmin EFT, lowest index on ties —
+        // the head of the sorted order, found without sorting.
+        std::size_t k = 1;
+        if (use_oct) {
+            std::iota(cand.begin(), cand.end(), 0);
+            std::sort(cand.begin(), cand.end(), [&](std::size_t a, std::size_t b) {
+                if (eft_of[a] != eft_of[b]) return eft_of[a] < eft_of[b];
+                return a < b;
+            });
+            k = config_.lookahead_k == 0 ? cand.size()
+                                         : std::min(config_.lookahead_k, cand.size());
+        } else {
+            cand[0] = static_cast<std::size_t>(
+                std::min_element(eft_of.begin(), eft_of.end()) - eft_of.begin());
         }
 
+        // Affinity is a tiebreak over the un-speculated state, read only
+        // when a candidate ties the incumbent within kEps on both score and
+        // EFT, so it is computed lazily for exactly those two processors.
         trace::DecisionRecord rec;
         std::size_t best_pi = cand[0];
         double best_score = kInf;
         double best_eft = kInf;
-        double best_affinity = -kInf;
+        std::optional<double> best_affinity;
         for (std::size_t i = 0; i < k; ++i) {
             const std::size_t pi = cand[i];
             const double bias = use_oct ? oct[static_cast<std::size_t>(v) * procs + pi] : 0.0;
             const double score = eft_of[pi] + bias;
-            const double aff = aff_of[pi];
-            const bool better =
-                score < best_score - kEps ||
-                (score <= best_score + kEps &&
-                 (eft_of[pi] < best_eft - kEps ||
-                  (eft_of[pi] <= best_eft + kEps &&
-                   (aff > best_affinity + kEps ||
-                    (aff >= best_affinity - kEps && pi < best_pi)))));
-            if (i == 0 || better) {
+            bool better = i == 0 || score < best_score - kEps;
+            std::optional<double> aff;
+            if (!better && score <= best_score + kEps) {
+                better = eft_of[pi] < best_eft - kEps;
+                if (!better && eft_of[pi] <= best_eft + kEps) {
+                    if (!best_affinity) {
+                        best_affinity = affinity(builder, v, static_cast<ProcId>(best_pi));
+                    }
+                    aff = affinity(builder, v, static_cast<ProcId>(pi));
+                    better = *aff > *best_affinity + kEps ||
+                             (*aff >= *best_affinity - kEps && pi < best_pi);
+                }
+            }
+            if (better) {
                 best_pi = pi;
                 best_score = score;
                 best_eft = eft_of[pi];

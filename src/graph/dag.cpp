@@ -51,21 +51,25 @@ Dag& Dag::operator=(Dag&& other) noexcept {
     if (this != &other) {
         tasks_ = std::move(other.tasks_);
         num_edges_ = other.num_edges_;
-        LockGuard lock(csr_mutex_);
-        csr_cache_.reset();
+        invalidate_csr();
     }
     return *this;
 }
 
 const CsrAdjacency& Dag::csr() const {
     LockGuard lock(csr_mutex_);
-    if (!csr_cache_) csr_cache_ = std::make_unique<CsrAdjacency>(*this);
+    if (!csr_cache_) {
+        csr_cache_ = std::make_unique<CsrAdjacency>(*this);
+        csr_built_.store(true, std::memory_order_release);
+    }
     return *csr_cache_;
 }
 
 void Dag::invalidate_csr() {
+    if (!csr_built_.load(std::memory_order_acquire)) return;
     LockGuard lock(csr_mutex_);
     csr_cache_.reset();
+    csr_built_.store(false, std::memory_order_relaxed);
 }
 
 std::size_t Dag::check(TaskId v) const {
@@ -146,6 +150,26 @@ void Dag::set_edge_data(TaskId u, TaskId v, double data) {
             e.data = data;
             break;
         }
+    }
+    invalidate_csr();
+}
+
+void Dag::scale_edge_data(double factor) {
+    // Scaling by a non-negative factor is monotone, so checking the largest
+    // product covers every edge before anything is written.
+    double max_data = 0.0;
+    for (const TaskNode& t : tasks_) {
+        for (const AdjEdge& e : t.succs) max_data = std::max(max_data, e.data);
+    }
+    if (!(factor >= 0.0) || !std::isfinite(factor) || !std::isfinite(max_data * factor)) {
+        throw std::invalid_argument(
+            "Dag::scale_edge_data: factor must keep every data volume finite and non-negative");
+    }
+    // Each edge's two copies hold the same volume, so scaling both in place
+    // stores the one product set_edge_data would write to both.
+    for (TaskNode& t : tasks_) {
+        for (AdjEdge& e : t.succs) e.data *= factor;
+        for (AdjEdge& e : t.preds) e.data *= factor;
     }
     invalidate_csr();
 }

@@ -11,6 +11,7 @@
 // reduction) produce new Dags.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -138,7 +139,8 @@ public:
     [[nodiscard]] std::size_t in_degree(TaskId v) const { return predecessors(v).size(); }
 
     /// Flat struct-of-arrays adjacency view, built lazily on first call and
-    /// cached until the next mutation (add_task/add_edge/set_edge_data).
+    /// cached until the next mutation (add_task/add_edge/set_edge_data/
+    /// scale_edge_data).
     /// Concurrent csr() calls on a const Dag are safe; the returned reference
     /// is invalidated by any mutation, exactly like the successors() spans.
     [[nodiscard]] const CsrAdjacency& csr() const TSCHED_EXCLUDES(csr_mutex_);
@@ -146,9 +148,15 @@ public:
     [[nodiscard]] bool has_edge(TaskId u, TaskId v) const;
     /// Data volume on edge u -> v; throws std::out_of_range if absent.
     [[nodiscard]] double edge_data(TaskId u, TaskId v) const;
-    /// Overwrite the data volume of an existing edge (used by the CCR
-    /// calibration in workload/); throws std::out_of_range if absent.
+    /// Overwrite the data volume of an existing edge; throws
+    /// std::out_of_range if absent.
     void set_edge_data(TaskId u, TaskId v, double data);
+    /// Multiply every edge's data volume by `factor` in one sweep (the CCR
+    /// calibration in workload/) — exactly the value
+    /// set_edge_data(u, v, data * factor) would store per edge.
+    /// Throws std::invalid_argument (leaving the Dag unchanged) when
+    /// `factor` is negative or non-finite or a scaled volume overflows.
+    void scale_edge_data(double factor);
 
     /// Tasks with no predecessors / successors, ascending by id.
     [[nodiscard]] std::vector<TaskId> sources() const;
@@ -182,10 +190,14 @@ private:
     std::vector<TaskNode> tasks_;
     std::size_t num_edges_ = 0;
     // Lazily built flat adjacency; csr_mutex_ serialises concurrent readers
-    // racing to build it (mutators are single-threaded by contract, but they
-    // still take the lock so the reset pairs with the build).
+    // racing to build it.  Mutators are single-threaded by contract, so they
+    // need the lock only to reset a snapshot that exists: csr_built_ is set
+    // under the lock when csr() builds one and cleared under it on reset,
+    // letting a generator's thousands of add_task/add_edge calls on a
+    // never-snapshotted Dag skip the lock entirely.
     mutable Mutex csr_mutex_;
     mutable std::unique_ptr<CsrAdjacency> csr_cache_ TSCHED_GUARDED_BY(csr_mutex_);
+    mutable std::atomic<bool> csr_built_{false};
 };
 
 }  // namespace tsched

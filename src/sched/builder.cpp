@@ -175,33 +175,62 @@ void ScheduleBuilder::fill_ready_row(TaskId v) const {
     }
 }
 
+double ScheduleBuilder::data_ready_peek(TaskId v, ProcId p) const {
+    if (v < 0 || static_cast<std::size_t>(v) >= placed_.size()) {
+        throw std::out_of_range("ScheduleBuilder::data_ready_peek: task out of range");
+    }
+    const std::size_t idx =
+        static_cast<std::size_t>(v) * procs_ + static_cast<std::size_t>(p);
+    const std::uint64_t stamp = ready_stamp_.at(idx);
+    if (stamp != 0 && preds_modified_[static_cast<std::size_t>(v)] <= stamp) {
+        cache_hits_pending_ += 1;
+        return ready_cache_[idx];
+    }
+    cache_misses_pending_ += 1;
+    return ready_entry(v, p, /*skip_unplaced=*/false);
+}
+
 double ScheduleBuilder::data_ready_partial(TaskId v, ProcId p) const {
     if (v < 0 || static_cast<std::size_t>(v) >= placed_.size()) {
         throw std::out_of_range("ScheduleBuilder::data_ready_partial: task out of range");
     }
+    return ready_entry(v, p, /*skip_unplaced=*/true);
+}
+
+double ScheduleBuilder::ready_entry(TaskId v, ProcId p, bool skip_unplaced) const {
+    // fill_ready_row's comparison chain for column p alone: same CSR order,
+    // same arrival expressions, same strict > from 0.
     const auto preds = csr_->pred_tasks(v);
-    const auto pred_data = csr_->pred_data(v);
     double ready = 0.0;
     if (uniform_links_) {
         const double* remote = pred_remote_.data() + pred_remote_off_[static_cast<std::size_t>(v)];
         for (std::size_t i = 0; i < preds.size(); ++i) {
             const std::size_t u = static_cast<std::size_t>(preds[i]);
-            if (!placed_[u]) continue;
+            if (!placed_[u]) {
+                if (skip_unplaced) continue;
+                return kInf;
+            }
             double best;
             if (extra_placements_[u] == 0) {
-                best = primary_finish_[u] + (primary_proc_[u] == p ? 0.0 : remote[i]);
+                const double f = primary_finish_[u];
+                best = (primary_proc_[u] == p) ? f : f + remote[i];
             } else {
                 best = kInf;
                 for (const Placement& pl : schedule_.placements(preds[i])) {
                     best = std::min(best, pl.finish + (pl.proc == p ? 0.0 : remote[i]));
                 }
             }
-            ready = std::max(ready, best);
+            if (best > ready) ready = best;
         }
     } else {
+        const auto pred_data = csr_->pred_data(v);
         for (std::size_t i = 0; i < preds.size(); ++i) {
-            if (!placed_[static_cast<std::size_t>(preds[i])]) continue;
-            ready = std::max(ready, schedule_.data_available(preds[i], p, pred_data[i], *links_));
+            if (!placed_[static_cast<std::size_t>(preds[i])]) {
+                if (skip_unplaced) continue;
+                return kInf;
+            }
+            const double avail = schedule_.data_available(preds[i], p, pred_data[i], *links_);
+            if (avail > ready) ready = avail;
         }
     }
     return ready;
@@ -271,12 +300,15 @@ double ScheduleBuilder::earliest_start(ProcId p, double ready, double duration,
     return timeline.earliest_start(ready, duration);
 }
 
-double ScheduleBuilder::eft(TaskId v, ProcId p, bool insertion) const {
+double ScheduleBuilder::est(TaskId v, ProcId p, bool insertion) const {
     eft_evals_pending_ += 1;
     const double ready = data_ready(v, p);
     if (!std::isfinite(ready)) return kInf;
-    const double w = problem_->exec_time(v, p);
-    return earliest_start(p, ready, w, insertion) + w;
+    return earliest_start(p, ready, problem_->exec_time(v, p), insertion);
+}
+
+double ScheduleBuilder::eft(TaskId v, ProcId p, bool insertion) const {
+    return est(v, p, insertion) + problem_->exec_time(v, p);
 }
 
 std::optional<double> ScheduleBuilder::find_slot_before(ProcId p, double ready, double duration,

@@ -52,6 +52,14 @@ public:
     /// Unplaced predecessors yield +inf.  Tasks without predecessors: 0.
     [[nodiscard]] double data_ready(TaskId v, ProcId p) const;
 
+    /// data_ready(v, p) without touching the cache: a valid cached entry is
+    /// returned as is; otherwise just this one entry is computed, with
+    /// fill_ready_row's per-predecessor arrival expressions (so the value is
+    /// bit-identical to data_ready's), and nothing is written.  For reads
+    /// taken under speculation whose row the next rollback would discard
+    /// anyway (ILS-D's re-read after each trial duplicate).
+    [[nodiscard]] double data_ready_peek(TaskId v, ProcId p) const;
+
     /// Like data_ready but *ignoring* unplaced predecessors (their arrival
     /// counts as 0).  Used by lookahead policies that must estimate a
     /// successor's start while some of its inputs are still unscheduled.
@@ -73,7 +81,12 @@ public:
     [[nodiscard]] double earliest_start(ProcId p, double ready, double duration,
                                         bool insertion) const;
 
-    /// Earliest finish time of v on p = earliest_start(data_ready) + w(v,p).
+    /// Earliest start time of v on p = earliest_start(data_ready, w(v,p)) —
+    /// the start place() would commit.  +inf when some predecessor is
+    /// unplaced.  Counts as one EFT evaluation.
+    [[nodiscard]] double est(TaskId v, ProcId p, bool insertion) const;
+
+    /// Earliest finish time of v on p = est(v, p) + w(v,p).
     /// +inf when some predecessor is unplaced.
     [[nodiscard]] double eft(TaskId v, ProcId p, bool insertion) const;
 
@@ -151,6 +164,11 @@ private:
     /// scalar loop's exact arrival expressions, so the cached values are
     /// bit-identical to per-(v, p) computation.
     void fill_ready_row(TaskId v) const;
+
+    /// One data-ready entry, uncached: fill_ready_row's column p, computed
+    /// alone and written nowhere.  An unplaced predecessor yields +inf, or
+    /// is skipped with `skip_unplaced` (data_ready_partial's contract).
+    [[nodiscard]] double ready_entry(TaskId v, ProcId p, bool skip_unplaced) const;
 
     /// Record that v's placement set changed (a commit): advances the
     /// builder epoch, invalidating every cached data-ready value that

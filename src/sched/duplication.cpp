@@ -1,7 +1,9 @@
 #include "sched/duplication.hpp"
 
+#include <cmath>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -71,7 +73,9 @@ void duplicate_chain(ScheduleBuilder& trial, TaskId v, ProcId p, std::size_t max
 /// execution costs are positive); per task, speculate every processor's
 /// duplication + placement on the one builder, roll each trial back, then
 /// re-apply the winner (the strategies are deterministic, so the replay
-/// reproduces the winning trial state exactly).
+/// reproduces the winning trial state exactly).  `duplicate` leaves its
+/// copies on the builder and returns v's earliest start on p with them in
+/// place (ScheduleBuilder::est), which the winner's replay commits as is.
 template <typename DuplicateFn>
 Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
     // One sample per scheduler run: the whole speculate/rollback/commit loop
@@ -98,13 +102,12 @@ Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
         for (std::size_t p = 0; p < problem.num_procs(); ++p) {
             const auto proc = static_cast<ProcId>(p);
             const ScheduleBuilder::Checkpoint mark = builder.checkpoint();
-            duplicate(builder, v, proc);
-            // eft() is the same data_ready + earliest_start + w computation
-            // commit would run, so judging the trial by it (instead of
-            // placing v and reading back the finish) spares every trial one
-            // timeline insert/erase pair without changing a single compared
-            // value.
-            const double finish = builder.eft(v, proc, /*insertion=*/true);
+            // start + w is the same data_ready + earliest_start + w
+            // computation eft() and commit run, so judging the trial by it
+            // (instead of placing v and reading back the finish) spares
+            // every trial one timeline insert/erase pair without changing a
+            // single compared value.
+            const double finish = duplicate(builder, v, proc) + problem.exec_time(v, proc);
             if (finish < best_finish) {
                 best_finish = finish;
                 best_proc = proc;
@@ -113,8 +116,11 @@ Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
         }
         const double select_end_ms = loop_watch.elapsed_ms();
         selection_ms += select_end_ms - boundary_ms;
-        duplicate(builder, v, best_proc);
-        builder.place(v, best_proc, /*insertion=*/true);
+        const double start = duplicate(builder, v, best_proc);
+        if (!std::isfinite(start)) {
+            throw std::logic_error("duplication_schedule: a predecessor is unplaced");
+        }
+        builder.place_at(v, best_proc, start);
         boundary_ms = loop_watch.elapsed_ms();
         placement_ms += boundary_ms - select_end_ms;
     }
@@ -127,6 +133,7 @@ Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
 Schedule DshScheduler::schedule(const Problem& problem) const {
     return duplication_schedule(problem, [this](ScheduleBuilder& trial, TaskId v, ProcId p) {
         duplicate_while_improving(trial, v, p, max_dups_);
+        return trial.est(v, p, /*insertion=*/true);
     });
 }
 
@@ -135,11 +142,18 @@ Schedule BtdhScheduler::schedule(const Problem& problem) const {
         // Evaluate the chain-duplication attempt against the plain placement
         // and keep whichever finishes v earlier (BTDH's end-of-attempt test).
         // The attempt speculates on the builder itself; a nested rollback
-        // discards it when it does not pay off.
-        const double plain_eft = trial.eft(v, p, true);
+        // discards it when it does not pay off.  Each state is probed once:
+        // an attempt that committed nothing left the plain state in place,
+        // and a rollback restores it exactly, so plain_start stands for both.
+        const double w = trial.problem().exec_time(v, p);
+        const double plain_start = trial.est(v, p, true);
         const ScheduleBuilder::Checkpoint mark = trial.checkpoint();
         duplicate_chain(trial, v, p, max_dups_, max_depth_);
-        if (trial.eft(v, p, true) >= plain_eft) trial.rollback(mark);
+        if (trial.checkpoint() == mark) return plain_start;
+        const double chain_start = trial.est(v, p, true);
+        if (chain_start + w < plain_start + w) return chain_start;  // compare EFTs
+        trial.rollback(mark);
+        return plain_start;
     });
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
+#include "platform/link_model.hpp"
 #include "trace/trace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -219,11 +220,47 @@ namespace {
 
 /// One OCT row: the per-(task, processor) fold, shared by every variant so
 /// the serial, workspace, and parallel tables are bit-identical.
+///
+/// `uniform` is the problem's UniformLinkModel (nullptr for any other
+/// model), detected once per table by the callers.  Uniform links charge
+/// one remote cost r >= 0 per edge for every distinct pair, so the inner
+/// min over q folds in O(P) instead of O(P^2).  With
+///   local[q]  = (0 + w(c, q)) + OCT(c, q)
+///   remote[q] = (r + w(c, q)) + OCT(c, q)
+/// the generic loop's min over q for row processor p is
+/// min(local[p], min over q != p of remote[q]).  Rounded addition is
+/// monotone, so remote[p] >= local[p] and letting q = p into the remote min
+/// cannot change the result: it is min(local[p], min over all q of
+/// remote[q]), one shared min per edge.  Each candidate keeps the generic
+/// loop's (comm + exec) + oct association and min/max pick one of their
+/// operands without rounding, so the row is bit-identical to the generic
+/// loop's.
 void oct_row(const Problem& problem, const CsrAdjacency& csr, const LinkModel& links,
-             std::size_t procs, TaskId v, std::vector<double>& oct) {
+             const UniformLinkModel* uniform, std::size_t procs, TaskId v,
+             std::vector<double>& oct) {
     const auto vi = static_cast<std::size_t>(v);
     const auto succs = csr.succ_tasks(v);
     const auto data = csr.succ_data(v);
+    double* row = oct.data() + vi * procs;
+    if (uniform != nullptr) {
+        for (std::size_t pi = 0; pi < procs; ++pi) row[pi] = 0.0;
+        for (std::size_t si = 0; si < succs.size(); ++si) {
+            const TaskId c = succs[si];
+            const double* child = oct.data() + static_cast<std::size_t>(c) * procs;
+            const double r = uniform->comm_time(data[si], 0, 1);
+            double min_remote = std::numeric_limits<double>::infinity();
+            for (std::size_t qi = 0; qi < procs; ++qi) {
+                min_remote = std::min(
+                    min_remote, (r + problem.exec_time(c, static_cast<ProcId>(qi))) + child[qi]);
+            }
+            for (std::size_t pi = 0; pi < procs; ++pi) {
+                const double local =
+                    (0.0 + problem.exec_time(c, static_cast<ProcId>(pi))) + child[pi];
+                row[pi] = std::max(row[pi], std::min(local, min_remote));
+            }
+        }
+        return;
+    }
     for (std::size_t pi = 0; pi < procs; ++pi) {
         double worst_child = 0.0;
         for (std::size_t si = 0; si < succs.size(); ++si) {
@@ -238,7 +275,7 @@ void oct_row(const Problem& problem, const CsrAdjacency& csr, const LinkModel& l
             }
             worst_child = std::max(worst_child, best_q);
         }
-        oct[vi * procs + pi] = worst_child;
+        row[pi] = worst_child;
     }
 }
 
@@ -252,10 +289,11 @@ void optimistic_cost_table(const Problem& problem, RankWorkspace& ws, std::vecto
     const std::size_t procs = problem.num_procs();
     TSCHED_COUNT_ADD("oct_cells", n * procs);
     const LinkModel& links = problem.machine().links();
+    const auto* uniform = dynamic_cast<const UniformLinkModel*>(&links);
     out.assign(n * procs, 0.0);
     topo_order_csr(csr, ws.indeg, ws.topo);
     for (auto it = ws.topo.rbegin(); it != ws.topo.rend(); ++it) {
-        oct_row(problem, csr, links, procs, *it, out);
+        oct_row(problem, csr, links, uniform, procs, *it, out);
     }
 }
 
@@ -273,12 +311,13 @@ std::vector<double> optimistic_cost_table(const Problem& problem, ThreadPool& po
     const std::size_t procs = problem.num_procs();
     TSCHED_COUNT_ADD("oct_cells", n * procs);
     const LinkModel& links = problem.machine().links();
+    const auto* uniform = dynamic_cast<const UniformLinkModel*>(&links);
     std::vector<double> oct(n * procs, 0.0);
     if (n == 0) return oct;
     RankWorkspace& ws = tls_workspace();
     level_index_from_sinks(csr, ws);
     run_levels(pool, ws,
-               [&](TaskId v) { oct_row(problem, csr, links, procs, v, oct); });
+               [&](TaskId v) { oct_row(problem, csr, links, uniform, procs, v, oct); });
     return oct;
 }
 

@@ -81,7 +81,7 @@ void static_level(const Problem& problem, RankCost rc, RankWorkspace& ws,
 /// of ILS's downstream-aware selection): OCT(v, p) is the best-case length
 /// of the remaining chain from v to an exit task given v runs on p and every
 /// descendant picks its ideal processor.  Row-major (task x processor);
-/// exit-task rows are zero.  O(m * P^2).
+/// exit-task rows are zero.  O(m * P^2); O(m * P) on a UniformLinkModel.
 [[nodiscard]] std::vector<double> optimistic_cost_table(const Problem& problem);
 
 /// Allocation-free variant: computes into `out` using caller scratch.

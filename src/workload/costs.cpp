@@ -73,15 +73,7 @@ void calibrate_ccr(Dag& dag, const LinkModel& links, std::size_t num_procs, doub
     if (data_dependent > 0.0 && data_sum > 0.0) {
         factor = std::max(0.0, (target_mean * m - zero_comm) / data_dependent);
     }
-    for (std::size_t u = 0; u < dag.num_tasks(); ++u) {
-        // Copy the successor list: set_edge_data mutates adjacency payloads
-        // (never the structure), but iterate over a snapshot for clarity.
-        const auto succs = dag.successors(static_cast<TaskId>(u));
-        for (std::size_t i = 0; i < succs.size(); ++i) {
-            const AdjEdge e = succs[i];
-            dag.set_edge_data(static_cast<TaskId>(u), e.task, e.data * factor);
-        }
-    }
+    dag.scale_edge_data(factor);
 }
 
 }  // namespace tsched::workload

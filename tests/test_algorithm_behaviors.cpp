@@ -128,6 +128,44 @@ TEST(Mcp, AlapOrderSchedulesCriticalBranchFirst) {
     EXPECT_LT(s.primary(heavy).start, s.primary(light).start);
 }
 
+/// Join a, b -> v with zero-volume edges on 2 processors: a and b land on
+/// different processors, and v then has the same EFT and (as an exit task,
+/// OCT 0) the same EFT+OCT score on both — a tie only ILS's predecessor
+/// affinity (the later-finishing predecessor's processor) can break.
+/// `a_first_on_p1` puts the later-finishing a on P1 (affinity beats the
+/// index tie-break); otherwise it sits on P0 and the candidate P1, with
+/// the lower affinity, must not win.
+Problem affinity_tie_join(bool a_first_on_p1) {
+    Dag dag;
+    const TaskId a = dag.add_task();
+    const TaskId b = dag.add_task();
+    const TaskId v = dag.add_task();
+    dag.add_edge(a, v, 0.0);
+    dag.add_edge(b, v, 0.0);
+    const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
+    Machine machine = Machine::homogeneous(2, links);
+    // a finishes at 6, b at 5; v costs 1 everywhere and starts at 6 on both.
+    CostMatrix costs = a_first_on_p1 ? CostMatrix(3, 2, {10.0, 6.0, 5.0, 9.0, 1.0, 1.0})
+                                     : CostMatrix(3, 2, {6.0, 6.0, 5.0, 5.0, 1.0, 1.0});
+    return Problem(std::move(dag), std::move(machine), std::move(costs));
+}
+
+TEST(Ils, PredecessorAffinityBreaksExactScoreTies) {
+    for (const bool a_first_on_p1 : {true, false}) {
+        const Problem problem = affinity_tie_join(a_first_on_p1);
+        const Schedule s = make_scheduler("ils")->schedule(problem);
+        const ProcId a_proc = a_first_on_p1 ? 1 : 0;
+        ASSERT_EQ(s.primary(0).proc, a_proc);
+        ASSERT_EQ(s.primary(1).proc, 1 - a_proc);
+        ASSERT_EQ(s.primary(0).finish, 6.0);
+        ASSERT_EQ(s.primary(1).finish, 5.0);
+        // Both passes tie on makespan (7), so ILS returns the OCT pass,
+        // whose selection applies the affinity tie-break.
+        EXPECT_EQ(s.primary(2).proc, a_proc) << "a_first_on_p1=" << a_first_on_p1;
+        EXPECT_EQ(s.primary(2).start, 6.0);
+    }
+}
+
 TEST(Random, SeedControlsTheSchedule) {
     workload::InstanceParams params;
     params.size = 40;

@@ -19,6 +19,7 @@
 
 #include "core/registry.hpp"
 #include "sched/timeline.hpp"
+#include "serve/request_trace.hpp"
 #include "util/fingerprint.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -275,6 +276,63 @@ TEST(BigN, DuplicationSchedulersLinearVsBucketedByteIdentical) {
         {"dsh", 0x8f4975e61032034bULL, 0x9a2612df3bbc3808ULL},
         {"btdh", 0xb5d88c0655975905ULL, 0xc5634ef7c2935acaULL},
     });
+}
+
+/// Golden digests of the duplication-family schedules on `serve::materialize`
+/// descriptors of the wire-cold request shape (layered, P = 8, CCR 1,
+/// beta 0.5), recorded at commit 4d592b5 — before the uniform-links O(P)
+/// OCT fold, the single-entry data-ready read and the lazy affinity
+/// tie-break.  Uniform links take the fast paths; bus, ring and mesh2d keep
+/// the generic OCT loop and pin that it is untouched.  Each digest folds
+/// the schedule digests of four descriptor seeds, in order.
+struct WireShapeGolden {
+    const char* algo;
+    workload::Net net;
+    std::uint64_t n100;   ///< size 100 (every wire-cold request but the 5% large ones)
+    std::uint64_t n1000;  ///< size 1000 (the large ones)
+};
+
+std::uint64_t wire_shape_digest(const std::string& algo, workload::Net net, std::size_t size) {
+    const auto scheduler = make_scheduler(algo);
+    Fnv1a h;
+    for (const std::uint64_t seed : {1ULL, 2007ULL, 0x9e3779b97f4a7c15ULL, 0xdeadbeefcafeULL}) {
+        serve::TraceRequest request;
+        request.algo = algo;
+        request.size = size;
+        request.procs = 8;
+        request.net = net;
+        request.seed = seed;
+        const serve::ScheduleRequest materialized = serve::materialize(request);
+        h.u64(schedule_digest(scheduler->schedule(*materialized.problem)));
+    }
+    return h.value();
+}
+
+TEST(BigN, WireShapeGoldensByteIdenticalAcrossLinkModels) {
+    const std::initializer_list<WireShapeGolden> goldens = {
+        {"ils", workload::Net::kUniform, 0x234890058b8ccd93ULL, 0x51591d0660bbe0ddULL},
+        {"ils-d", workload::Net::kUniform, 0xb0e4393c5ded8facULL, 0x25bd634074d5c6d2ULL},
+        {"dsh", workload::Net::kUniform, 0x2ca1f42df1e28781ULL, 0xaca9ee9d450c6840ULL},
+        {"btdh", workload::Net::kUniform, 0xcff2a45108a91e0dULL, 0x7ab9766def24cc8fULL},
+        {"ils", workload::Net::kBus, 0x25943ef47beece3cULL, 0x14363df1f6da8cbcULL},
+        {"ils-d", workload::Net::kBus, 0x7882d7a9cfd9fa69ULL, 0x46f2772b4434cc9dULL},
+        {"dsh", workload::Net::kBus, 0x1be2e10c23ae1425ULL, 0x06926d3d354e3574ULL},
+        {"btdh", workload::Net::kBus, 0xc4724307099331baULL, 0xa624862cd021b972ULL},
+        {"ils", workload::Net::kRing, 0x4ae7e60cee18790bULL, 0x1989bcd432ee65cbULL},
+        {"ils-d", workload::Net::kRing, 0xdb7da88687c0b653ULL, 0x82a59de87d5ef0c2ULL},
+        {"dsh", workload::Net::kRing, 0x74d4b12bc5f5b60aULL, 0x764deb28c02135cdULL},
+        {"btdh", workload::Net::kRing, 0x9400ff539a2f0dfaULL, 0x073253bfb9bcc921ULL},
+        {"ils", workload::Net::kMesh2d, 0x6279a54f361dc474ULL, 0x4b93d1c7d6b36c06ULL},
+        {"ils-d", workload::Net::kMesh2d, 0x8a3ff58550032f27ULL, 0x13fe5e9a5271065eULL},
+        {"dsh", workload::Net::kMesh2d, 0x58858f29ae0eef4eULL, 0xb3f6a98666f1948cULL},
+        {"btdh", workload::Net::kMesh2d, 0xce3e6ba636da1858ULL, 0x3aca514a7cab7f21ULL},
+    };
+    for (const WireShapeGolden& golden : goldens) {
+        EXPECT_EQ(wire_shape_digest(golden.algo, golden.net, 100), golden.n100)
+            << golden.algo << "/" << workload::net_name(golden.net) << "/n100";
+        EXPECT_EQ(wire_shape_digest(golden.algo, golden.net, 1000), golden.n1000)
+            << golden.algo << "/" << workload::net_name(golden.net) << "/n1000";
+    }
 }
 
 TEST(BigN, Heft10kUnderWallClockBudget) {

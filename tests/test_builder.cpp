@@ -2,11 +2,16 @@
 // machinery every scheduler relies on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "platform/problem.hpp"
 #include "sched/builder.hpp"
 #include "sched/validate.hpp"
+#include "util/rng.hpp"
+#include "workload/instance.hpp"
 
 namespace tsched {
 namespace {
@@ -259,6 +264,86 @@ TEST(Builder, DataReadyCacheTracksCommitAndRollback) {
     EXPECT_DOUBLE_EQ(builder.data_ready(2, 1), 2.0);  // local duplicate wins
     builder.rollback(mark);
     EXPECT_DOUBLE_EQ(builder.data_ready(2, 1), remote);  // rollback re-aged cache
+}
+
+TEST(Builder, DataReadyPeekMatchesDataReadyUnderSpeculation) {
+    // A seeded walk of the ILS-D pattern: place tasks in topological order,
+    // speculate nested duplicates and primaries, roll back to random
+    // checkpoints.  At every step the peek must agree bit for bit with
+    // data_ready on every (task, processor) — including unplaced tasks
+    // (+inf) and entries the peek itself never caches — on uniform links
+    // (the precomputed-remote path) and on a ring (the generic path).
+    for (const workload::Net net : {workload::Net::kUniform, workload::Net::kRing}) {
+        workload::InstanceParams params;
+        params.size = 60;
+        params.num_procs = 4;
+        params.net = net;
+        params.latency = 0.25;
+        params.ccr = 2.0;
+        const Problem problem = workload::make_instance(params, 77);
+        const std::size_t n = problem.num_tasks();
+        const std::size_t procs = problem.num_procs();
+        ScheduleBuilder builder(problem);
+        Rng rng(2024);
+        const auto check_all = [&](const char* when) {
+            // Peek first: a data_ready call would fill the row and turn the
+            // peek into a cache hit.
+            for (std::size_t v = 0; v < n; ++v) {
+                for (std::size_t q = 0; q < procs; ++q) {
+                    const auto t = static_cast<TaskId>(v);
+                    const auto p = static_cast<ProcId>(q);
+                    const double peek = builder.data_ready_peek(t, p);
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(peek),
+                              std::bit_cast<std::uint64_t>(builder.data_ready(t, p)))
+                        << workload::net_name(net) << " " << when << " task " << v
+                        << " proc " << q;
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(peek),
+                              std::bit_cast<std::uint64_t>(builder.data_ready_peek(t, p)));
+                }
+            }
+        };
+        // Random steps over the ready set (unplaced, every predecessor
+        // placed): commit a task, speculate (checkpoint, duplicate one of a
+        // ready task's inputs onto a random processor), or roll back to a
+        // random open checkpoint.  is_placed is the ground truth, so
+        // rolled-back primaries simply become ready again.
+        const auto pick = [&](std::size_t count) {
+            return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+        };
+        std::vector<ScheduleBuilder::Checkpoint> marks;
+        std::size_t rollbacks = 0;
+        for (int step = 0; step < 400; ++step) {
+            std::vector<TaskId> ready;
+            for (std::size_t v = 0; v < n; ++v) {
+                const auto t = static_cast<TaskId>(v);
+                if (!builder.is_placed(t) && std::isfinite(builder.data_ready_peek(t, 0))) {
+                    ready.push_back(t);
+                }
+            }
+            if (ready.empty()) break;  // every task placed
+            const TaskId v = ready[pick(ready.size())];
+            const auto p = static_cast<ProcId>(pick(procs));
+            const double action = rng.uniform();
+            if (action < 0.3) {
+                marks.push_back(builder.checkpoint());
+                const auto preds = problem.dag().csr().pred_tasks(v);
+                if (!preds.empty()) {
+                    builder.place_duplicate_at(preds[pick(preds.size())], p,
+                                               builder.proc_available(p) + 1.0);
+                }
+            } else if (action < 0.45 && !marks.empty()) {
+                const std::size_t back = pick(marks.size());
+                builder.rollback(marks[back]);
+                marks.resize(back);
+                ++rollbacks;
+            } else {
+                builder.place(v, p, true);
+            }
+            check_all("step");
+        }
+        EXPECT_GT(rollbacks, 0u);
+        check_all("complete");
+    }
 }
 
 TEST(Builder, LinearTimelineEnvMatchesBucketedPlacements) {

@@ -1,8 +1,11 @@
 // Unit tests for the DAG container (graph/dag.hpp).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "graph/dag.hpp"
 
@@ -82,6 +85,42 @@ TEST(Dag, SetEdgeDataUpdatesBothSides) {
     EXPECT_DOUBLE_EQ(dag.predecessors(1)[0].data, 9.0);
     EXPECT_THROW(dag.set_edge_data(1, 0, 1.0), std::out_of_range);
     EXPECT_THROW(dag.set_edge_data(0, 1, -2.0), std::invalid_argument);
+}
+
+TEST(Dag, ScaleEdgeDataMatchesPerEdgeSetEdgeData) {
+    Dag a(4);
+    a.add_edge(0, 1, 1.5);
+    a.add_edge(0, 2, 0.1);
+    a.add_edge(2, 3, 7.0);
+    a.add_edge(1, 3, 0.0);
+    Dag b(a);
+    const double factor = 0.37;
+    a.scale_edge_data(factor);
+    for (TaskId u = 0; u < 4; ++u) {
+        for (const AdjEdge& e : b.successors(u)) b.set_edge_data(u, e.task, e.data * factor);
+    }
+    EXPECT_EQ(a, b);
+    for (TaskId v = 0; v < 4; ++v) {  // predecessor copies scaled too
+        const auto pa = a.predecessors(v);
+        const auto pb = b.predecessors(v);
+        ASSERT_EQ(pa.size(), pb.size());
+        for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
+    }
+}
+
+TEST(Dag, ScaleEdgeDataRejectsBadFactorsWithoutChanges) {
+    Dag dag(2);
+    dag.add_edge(0, 1, 1e300);
+    const Dag before(dag);
+    EXPECT_THROW(dag.scale_edge_data(-1.0), std::invalid_argument);
+    EXPECT_THROW(dag.scale_edge_data(std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
+    EXPECT_THROW(dag.scale_edge_data(std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
+    EXPECT_THROW(dag.scale_edge_data(1e10), std::invalid_argument);  // overflows
+    EXPECT_EQ(dag, before);
+    dag.scale_edge_data(0.0);
+    EXPECT_DOUBLE_EQ(dag.edge_data(0, 1), 0.0);
 }
 
 TEST(Dag, SourcesAndSinks) {
@@ -179,6 +218,9 @@ TEST(Csr, CachedSnapshotIsInvalidatedByMutation) {
     EXPECT_EQ(dag.csr().out_degree(0), 2u);
     dag.set_edge_data(0, 1, 4.0);
     EXPECT_DOUBLE_EQ(dag.csr().succ_data(0)[0], 4.0);
+    dag.scale_edge_data(0.5);
+    EXPECT_DOUBLE_EQ(dag.csr().succ_data(0)[0], 2.0);
+    EXPECT_DOUBLE_EQ(dag.csr().pred_data(1)[0], 2.0);
 }
 
 TEST(Csr, SnapshotStableWhileDagUnchanged) {
@@ -187,6 +229,27 @@ TEST(Csr, SnapshotStableWhileDagUnchanged) {
     dag.add_edge(1, 2, 2.0);
     const CsrAdjacency* first = &dag.csr();
     EXPECT_EQ(&dag.csr(), first);  // same cached snapshot, not a rebuild
+}
+
+TEST(Csr, ConcurrentFirstCallsShareOneSnapshotAndMutationStillInvalidates) {
+    // Readers racing on a never-snapshotted Dag build exactly one snapshot
+    // under the lock; the flag that lets mutators skip the lock must then
+    // be seen set, so the next mutation still drops the stale snapshot.
+    Dag dag(64);
+    for (TaskId v = 1; v < 64; ++v) dag.add_edge(v - 1, v, 1.0);
+    std::vector<const CsrAdjacency*> seen(4, nullptr);
+    {
+        std::vector<std::thread> readers;
+        for (std::size_t i = 0; i < seen.size(); ++i) {
+            readers.emplace_back([&dag, &seen, i] { seen[i] = &dag.csr(); });
+        }
+        for (std::thread& t : readers) t.join();
+    }
+    for (const CsrAdjacency* csr : seen) EXPECT_EQ(csr, seen.front());
+    EXPECT_EQ(seen.front()->num_edges(), 63u);
+    dag.add_edge(0, 63, 2.0);
+    EXPECT_EQ(dag.csr().num_edges(), 64u);
+    EXPECT_EQ(dag.csr().out_degree(0), 2u);
 }
 
 TEST(Csr, CopyAndAssignmentRebuildIndependentSnapshots) {

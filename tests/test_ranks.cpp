@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -145,6 +148,67 @@ TEST(OptimisticCostTable, ExitRowsZeroEverywhere) {
     for (const TaskId sink : p.dag().sinks()) {
         for (std::size_t q = 0; q < p.num_procs(); ++q) {
             EXPECT_DOUBLE_EQ(oct[static_cast<std::size_t>(sink) * p.num_procs() + q], 0.0);
+        }
+    }
+}
+
+/// The generic O(m * P^2) OCT fold, written out independently of the
+/// library: the oracle the uniform-links O(P) fold must match bit for bit.
+std::vector<double> reference_oct(const Problem& problem) {
+    const std::size_t n = problem.num_tasks();
+    const std::size_t procs = problem.num_procs();
+    const LinkModel& links = problem.machine().links();
+    std::vector<double> oct(n * procs, 0.0);
+    const CsrAdjacency& csr = problem.dag().csr();
+    const std::vector<double> rank = upward_rank(problem);
+    for (const TaskId v : order_by_increasing(rank)) {  // successors first
+        const auto succs = csr.succ_tasks(v);
+        const auto data = csr.succ_data(v);
+        for (std::size_t p = 0; p < procs; ++p) {
+            double worst = 0.0;
+            for (std::size_t i = 0; i < succs.size(); ++i) {
+                double best = std::numeric_limits<double>::infinity();
+                for (std::size_t q = 0; q < procs; ++q) {
+                    best = std::min(best, links.comm_time(data[i], static_cast<ProcId>(p),
+                                                          static_cast<ProcId>(q)) +
+                                              problem.exec_time(succs[i], static_cast<ProcId>(q)) +
+                                              oct[static_cast<std::size_t>(succs[i]) * procs + q]);
+                }
+                worst = std::max(worst, best);
+            }
+            oct[static_cast<std::size_t>(v) * procs + p] = worst;
+        }
+    }
+    return oct;
+}
+
+void expect_same_bits(const std::vector<double>& got, const std::vector<double>& want,
+                      const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+            << what << " entry " << i << ": " << got[i] << " vs " << want[i];
+    }
+}
+
+TEST(OptimisticCostTable, UniformFoldMatchesQuadraticFoldBitForBit) {
+    // Heterogeneous costs exercise distinct minima; homogeneous ones (beta
+    // 0) make the candidates of an edge tie.  A nonzero latency keeps
+    // r = latency + data / bandwidth a two-term sum, as on real platforms.
+    ThreadPool pool(2);
+    for (const std::size_t procs : {1u, 2u, 8u}) {
+        for (const double beta : {0.0, 0.5, 1.5}) {
+            workload::InstanceParams params;
+            params.size = 300;
+            params.num_procs = procs;
+            params.latency = 0.3;
+            params.ccr = 5.0;
+            params.beta = beta;
+            const Problem p = workload::make_instance(params, 4242 + procs);
+            ASSERT_NE(dynamic_cast<const UniformLinkModel*>(&p.machine().links()), nullptr);
+            const std::vector<double> want = reference_oct(p);
+            expect_same_bits(optimistic_cost_table(p), want, "serial");
+            expect_same_bits(optimistic_cost_table(p, pool), want, "parallel");
         }
     }
 }

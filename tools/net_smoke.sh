@@ -20,6 +20,8 @@
 #   6. The same trace replayed in-process (no --connect) writes the same
 #      report shape: both JSON documents carry the shared keys and agree on
 #      requests and outcomes.ok.
+#   7. A replay against a closed port (the drained server's) exits nonzero
+#      with a "no replies" message instead of reporting an empty success.
 #
 # Every network step is wrapped in timeout(1) so a wedged server fails the
 # test instead of hanging CI (ctest TIMEOUT is the backstop).
@@ -123,6 +125,14 @@ timeout 120 "$SERVE" "$WORK/trace.tsr" --connect=127.0.0.1:"$PORT" --conns=4 \
     --window=8 --epochs=2 --json="$WORK/replay4.json" > /dev/null \
     || fail "replay at pool width 2 failed"
 stop_server_clean alt
+
+# --- 7: a closed port is a failed replay, not an empty success ------------
+# $PORT still names the alt server's port, and nothing listens there now.
+if timeout 60 "$SERVE" "$WORK/trace.tsr" --connect=127.0.0.1:"$PORT" --conns=2 \
+    > /dev/null 2> "$WORK/dead.err"; then
+    fail "replay against closed port $PORT exited 0"
+fi
+grep -q "no replies" "$WORK/dead.err" || fail "closed-port replay did not report 'no replies'"
 
 # --- 6: the same trace replayed in-process (no --connect) -----------------
 timeout 120 "$SERVE" "$WORK/trace.tsr" --epochs=2 --json="$WORK/inproc.json" > /dev/null \

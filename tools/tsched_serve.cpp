@@ -258,7 +258,7 @@ int replay_over_wire(const Args& args, const std::string& trace_path) {
     std::ostringstream detail;
     detail << "payload   digest " << std::hex << report.schedule_digest << std::dec << ", "
            << (report.payload_consistent ? "consistent" : "INCONSISTENT");
-    return emit_report(args, report, header.str(), detail.str(), [&](std::ostream& os) {
+    const int rc = emit_report(args, report, header.str(), detail.str(), [&](std::ostream& os) {
         os << "\"mode\":\"net\","
            << "\"conns\":" << report.conns << ','
            << "\"window\":" << options.window << ','
@@ -268,6 +268,16 @@ int replay_over_wire(const Args& args, const std::string& trace_path) {
            << "\"payload_consistent\":" << (report.payload_consistent ? "true" : "false")
            << ',';
     });
+    // Every request failing without one reply (nothing listening, every
+    // connection refused) still balances the accounting identity; it is
+    // nonetheless a failed replay, not an empty success.
+    if (rc == 0 && report.requests > 0 && report.replies == 0) {
+        std::cerr << "tsched_serve: no replies from " << options.host << ':' << options.port
+                  << " (" << report.failed << " of " << report.requests
+                  << " requests failed)\n";
+        return 1;
+    }
+    return rc;
 }
 
 int replay(const Args& args, const std::string& trace_path) {
