@@ -468,7 +468,6 @@ int run_sweep(const ServeBenchConfig& config) {
         const auto trace = serve::generate_trace(trace_params(config, 0.5));
         serve::ReplayOptions options;
         options.config.enable_cache = false;
-        options.config.enable_dedup = false;
         options.batch = config.batches.back();
         options.epochs = config.epochs;
         const auto report = serve::replay_trace(trace, options, pool);
@@ -532,7 +531,6 @@ int run_check(const ServeBenchConfig& config) {
         serve::ServeConfig on;
         serve::ServeConfig off;
         off.enable_cache = false;
-        off.enable_dedup = false;
         serve::ServeEngine engine_on(on, pool);
         serve::ServeEngine engine_off(off, pool);
         const auto results_on = engine_on.run_batch(prepared);
@@ -570,7 +568,6 @@ int run_check(const ServeBenchConfig& config) {
         on.batch = 16;
         serve::ReplayOptions off = on;
         off.config.enable_cache = false;
-        off.config.enable_dedup = false;
         // Warm-up replay so first-touch effects (allocator, pool) hit
         // neither measured run.
         (void)serve::replay_trace(trace, off, pool);

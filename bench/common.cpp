@@ -9,6 +9,7 @@
 
 #include "analysis/problem_lints.hpp"
 #include "core/registry.hpp"
+#include "obs/export.hpp"
 #include "trace/counters.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
@@ -64,11 +65,11 @@ std::string safe_label(const std::string& label) {
 }
 
 /// Write one JSON file describing the trace activity of a single sweep point
-/// (counter/span deltas plus the point's wall time).  Failures warn and are
-/// otherwise ignored: tracing must never take a bench run down.
+/// (counter and timer deltas plus the point's wall time).  Failures warn and
+/// are otherwise ignored: tracing must never take a bench run down.
 void dump_point_trace(const std::string& dir, const BenchConfig& config,
                       const std::string& label, double wall_ms,
-                      const trace::Snapshot& delta) {
+                      const trace::Snapshot& counters, const obs::MetricsSnapshot& timers) {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     const std::filesystem::path path = std::filesystem::path(dir) /
@@ -81,7 +82,8 @@ void dump_point_trace(const std::string& dir, const BenchConfig& config,
     char wall[32];
     std::snprintf(wall, sizeof(wall), "%.3f", wall_ms);
     out << "{\"experiment\": \"" << config.experiment << "\", \"label\": \"" << label
-        << "\", \"wall_ms\": " << wall << ", \"trace\": " << trace::to_json(delta) << "}\n";
+        << "\", \"wall_ms\": " << wall << ", \"trace\": " << trace::to_json(counters)
+        << ", \"timers\": " << obs::to_json(timers) << "}\n";
     if (!out) { TSCHED_WARN << "trace-dir: write failed for " << path.string(); }
 }
 
@@ -163,15 +165,16 @@ std::vector<PointResult> run_sweep(const BenchConfig& config,
                                         pool ? &*pool : nullptr));
         } else {
             const trace::Snapshot before = trace::registry().snapshot();
+            const obs::MetricsSnapshot timers_before = obs::registry().snapshot();
             double wall_ms = 0.0;
             {
                 const Stopwatch::Scoped timer(wall_ms);
                 results.push_back(run_point(points[i].params, schedulers, config.trials,
                                             mix_seed(config.seed, i)));
             }
-            const trace::Snapshot after = trace::registry().snapshot();
             dump_point_trace(config.trace_dir, config, points[i].label, wall_ms,
-                             trace::snapshot_delta(before, after));
+                             trace::snapshot_delta(before, trace::registry().snapshot()),
+                             obs::snapshot_delta(timers_before, obs::registry().snapshot()));
         }
         invalid += results.back().invalid_schedules;
     }

@@ -14,9 +14,10 @@
 //   --lint           audit each point's first instance against its requested
 //                    CCR/beta/avg-exec (analysis::lint_problem) on stderr
 //   --trace-dir=DIR  write one JSON file per sweep point with the point's
-//                    wall time and trace counter/span deltas.  Counter deltas
-//                    are process-global snapshots, so trace-dir runs are
-//                    forced serial even when --jobs asks for more workers.
+//                    wall time, trace counter deltas and obs timer deltas
+//                    (histograms such as sched/phase/rank_ms).  Both are
+//                    process-global snapshots, so trace-dir runs are forced
+//                    serial even when --jobs asks for more workers.
 #pragma once
 
 #include <cstdint>

@@ -17,6 +17,15 @@ std::string fmt(double x) {
     return os.str();
 }
 
+/// "P<p>", appended into one string: GCC 12 -O3 reports a false -Wrestrict
+/// overlap inside `"P" + std::to_string(p)`.
+template <typename Id>
+std::string proc_name(Id p) {
+    std::string out = "P";
+    out += std::to_string(p);
+    return out;
+}
+
 /// TS0402/TS0403/TS0404: completeness and per-placement timing.  Returns
 /// false when any error fired (later passes would only cascade noise).
 bool lint_timing(const Schedule& schedule, const Problem& problem, Diagnostics& diags,
@@ -61,7 +70,7 @@ void lint_exclusivity(const Schedule& schedule, const Problem& problem, Diagnost
                 diags.add(
                     Code::kSchedOverlap,
                     SourceLoc{timeline[i].task, static_cast<ProcId>(p), -1},
-                    "P" + std::to_string(p) + ": task " + std::to_string(timeline[i].task) +
+                    proc_name(p) + ": task " + std::to_string(timeline[i].task) +
                         " [" + fmt(timeline[i].start) + ", " + fmt(timeline[i].finish) +
                         ") overlaps task " + std::to_string(timeline[i - 1].task) + " [" +
                         fmt(timeline[i - 1].start) + ", " + fmt(timeline[i - 1].finish) + ")");
@@ -214,7 +223,7 @@ void lint_utilization(const Schedule& schedule, const Problem& problem, Diagnost
         const double mean = busy_sum / static_cast<double>(procs);
         if (mean > 0.0 && busy_max > options.imbalance_warn_ratio * mean) {
             diags.add(Code::kSchedLoadImbalance, SourceLoc{kInvalidTask, busiest, -1},
-                      "P" + std::to_string(busiest) + " carries " + fmt(busy_max) +
+                      proc_name(busiest) + " carries " + fmt(busy_max) +
                           " busy time vs. a mean of " + fmt(mean) + " per processor");
         }
     }

@@ -126,7 +126,7 @@ Schedule IlsScheduler::schedule_traced(const Problem& problem, trace::TraceSink*
 }
 
 Schedule IlsScheduler::run(const Problem& problem, trace::TraceSink* sink) const {
-    TSCHED_SPAN("sched/ils");
+    TSCHED_OBS_PHASE("sched/ils_ms");
     // Greedy-EFT pass (mean upward rank, plain EFT selection): the baseline
     // mode ILS can always fall back on.
     if (sink != nullptr) sink->begin_pass("greedy");

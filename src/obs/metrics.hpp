@@ -2,9 +2,11 @@
 // labelled instrument registry (the quantitative live-telemetry layer the
 // serving stack exports; DESIGN §14).
 //
-// Relation to trace/ (PR 2): trace counters and span timers are *scalar*
-// accumulators for algorithm forensics — totals per process run, dumped at
-// exit.  obs/ is the serving-time layer above them: distributions instead of
+// Relation to trace/: obs is the only timer layer.  Scheduler and simulator
+// scopes record into the process-wide registry() through TSCHED_OBS_PHASE
+// (obs/obs.hpp); the serving stack records into per-engine registries.
+// trace/ keeps only the scalar algorithm counters ("eft_evaluations", ...),
+// totals per process run.  obs adds what they lack: distributions instead of
 // totals (tail latency, not just mean), point-in-time snapshots with
 // delta-since-last support, labels, and wire formats (Prometheus text and
 // JSON, obs/export.hpp) that external collectors scrape while the system

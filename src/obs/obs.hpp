@@ -9,8 +9,14 @@
 // Components with their own MetricsRegistry (ServeEngine) cache instrument
 // references as members and call record() on them directly.
 //
-// A record costs the registry lookup once per call site (a function-local
-// static), then one bucket computation and relaxed atomic add per hit.
+// TSCHED_OBS_PHASE is the library's only scope timer: scheduler entry points
+// ("sched/heft_ms"), scheduling phases ("sched/phase/rank_ms") and simulator
+// runs ("sim/simulate_ms").  Phases nest freely; each scope records into its
+// own histogram.  Counters stay in trace/ (TSCHED_COUNT).
+//
+// Every macro costs the registry lookup once per call site (a function-local
+// static, so names must be string literals), then one bucket computation
+// and relaxed atomic add per hit; a phase also reads the steady clock twice.
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -45,9 +51,15 @@ private:
             .record(static_cast<double>(value_ms));                            \
     } while (0)
 
+// The capture-less lambda holds the per-site static; a name held in a local
+// variable fails to compile (the lambda cannot capture it).
 #define TSCHED_OBS_PHASE(name)                                                 \
     ::tsched::obs::ScopedPhase TSCHED_OBS_CONCAT(tsched_obs_phase_, __LINE__)( \
-        ::tsched::obs::registry().histogram(name))
+        []() -> ::tsched::obs::LatencyHistogram& {                             \
+            static ::tsched::obs::LatencyHistogram& tsched_obs_site =          \
+                ::tsched::obs::registry().histogram(name);                     \
+            return tsched_obs_site;                                            \
+        }())
 
 #define TSCHED_OBS_GAUGE_SET(name, value)                                      \
     do {                                                                       \

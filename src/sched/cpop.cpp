@@ -6,10 +6,10 @@
 #include <queue>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "sched/builder.hpp"
 #include "sched/ranks.hpp"
 #include "trace/decision.hpp"
-#include "trace/trace.hpp"
 
 namespace tsched {
 
@@ -20,7 +20,7 @@ Schedule CpopScheduler::schedule_traced(const Problem& problem, trace::TraceSink
 }
 
 Schedule CpopScheduler::run(const Problem& problem, trace::TraceSink* sink) const {
-    TSCHED_SPAN("sched/cpop");
+    TSCHED_OBS_PHASE("sched/cpop_ms");
     const Dag& dag = problem.dag();
     const std::size_t n = problem.num_tasks();
     const auto ru = upward_rank(problem, RankCost::kMean);

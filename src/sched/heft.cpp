@@ -3,7 +3,6 @@
 #include "obs/obs.hpp"
 #include "sched/builder.hpp"
 #include "trace/decision.hpp"
-#include "trace/trace.hpp"
 #include "util/stopwatch.hpp"
 
 namespace tsched {
@@ -22,7 +21,7 @@ Schedule HeftScheduler::schedule_traced(const Problem& problem, trace::TraceSink
 }
 
 Schedule HeftScheduler::run(const Problem& problem, trace::TraceSink* sink) const {
-    TSCHED_SPAN("sched/heft");
+    TSCHED_OBS_PHASE("sched/heft_ms");
     ScheduleBuilder builder(problem);
     const auto ranks = upward_rank(problem, rank_cost_);
     std::vector<TaskId> order;

@@ -7,7 +7,6 @@
 #include "sched/builder.hpp"
 #include "sched/ranks.hpp"
 #include "trace/decision.hpp"
-#include "trace/trace.hpp"
 #include "util/stopwatch.hpp"
 
 namespace tsched {
@@ -22,7 +21,7 @@ Schedule LookaheadHeftScheduler::schedule_traced(const Problem& problem,
 }
 
 Schedule LookaheadHeftScheduler::run(const Problem& problem, trace::TraceSink* sink) const {
-    TSCHED_SPAN("sched/lheft");
+    TSCHED_OBS_PHASE("sched/lheft_ms");
     const CsrAdjacency& csr = problem.dag().csr();
     const std::size_t procs = problem.num_procs();
     const auto ranks = upward_rank(problem, RankCost::kMean);

@@ -4,10 +4,10 @@
 #include <limits>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "sched/builder.hpp"
 #include "sched/ranks.hpp"
 #include "trace/decision.hpp"
-#include "trace/trace.hpp"
 
 namespace tsched {
 
@@ -18,7 +18,7 @@ Schedule PeftScheduler::schedule_traced(const Problem& problem, trace::TraceSink
 }
 
 Schedule PeftScheduler::run(const Problem& problem, trace::TraceSink* sink) const {
-    TSCHED_SPAN("sched/peft");
+    TSCHED_OBS_PHASE("sched/peft_ms");
     const Dag& dag = problem.dag();
     const std::size_t n = problem.num_tasks();
     const std::size_t procs = problem.num_procs();

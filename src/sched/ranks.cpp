@@ -115,9 +115,7 @@ void run_levels(ThreadPool& pool, const RankWorkspace& ws, const PerTask& per_ta
 
 void upward_rank(const Problem& problem, RankCost rc, RankWorkspace& ws,
                  std::vector<double>& out) {
-    TSCHED_SPAN("rank/upward");
-    // Span above: cumulative total for forensics.  Histogram below: the
-    // per-call distribution a live collector reads (DESIGN §14).
+    // The per-call rank cost; every rank entry point records here (DESIGN §9).
     TSCHED_OBS_PHASE("sched/phase/rank_ms");
     const CsrAdjacency& csr = problem.dag().csr();
     out.assign(csr.num_tasks(), 0.0);
@@ -142,7 +140,6 @@ std::vector<double> upward_rank(const Problem& problem, RankCost rc) {
 }
 
 std::vector<double> upward_rank(const Problem& problem, ThreadPool& pool, RankCost rc) {
-    TSCHED_SPAN("rank/upward");
     TSCHED_OBS_PHASE("sched/phase/rank_ms");
     const CsrAdjacency& csr = problem.dag().csr();
     std::vector<double> rank(csr.num_tasks(), 0.0);
@@ -282,7 +279,6 @@ void oct_row(const Problem& problem, const CsrAdjacency& csr, const LinkModel& l
 }  // namespace
 
 void optimistic_cost_table(const Problem& problem, RankWorkspace& ws, std::vector<double>& out) {
-    TSCHED_SPAN("rank/oct");
     TSCHED_OBS_PHASE("sched/phase/rank_ms");
     const CsrAdjacency& csr = problem.dag().csr();
     const std::size_t n = csr.num_tasks();
@@ -304,7 +300,6 @@ std::vector<double> optimistic_cost_table(const Problem& problem) {
 }
 
 std::vector<double> optimistic_cost_table(const Problem& problem, ThreadPool& pool) {
-    TSCHED_SPAN("rank/oct");
     TSCHED_OBS_PHASE("sched/phase/rank_ms");
     const CsrAdjacency& csr = problem.dag().csr();
     const std::size_t n = csr.num_tasks();

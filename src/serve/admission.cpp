@@ -14,7 +14,7 @@ Ticket AdmissionController::create_entry_locked(std::uint64_t fp, Waiter owner) 
     // emplace (not operator[]): when a second entry for one fp appears —
     // possible in bounded mode when a twin queued while none ran — the first
     // registration keeps the coalesce slot and the duplicate computes alone.
-    if (options_.enable_dedup) coalesce_.emplace(fp, ticket);
+    if (options_.coalesce) coalesce_.emplace(fp, ticket);
     if (entries_.size() > stats_.inflight_peak) stats_.inflight_peak = entries_.size();
     return ticket;
 }
@@ -31,7 +31,7 @@ AdmitDecision AdmissionController::admit(
         return decision;
     }
 
-    if (options_.enable_dedup) {
+    if (options_.coalesce) {
         if (const auto it = coalesce_.find(fp); it != coalesce_.end()) {
             owner.coalesced = true;
             entries_[it->second].waiters.push_back(std::move(owner));
@@ -100,7 +100,7 @@ CompleteResult AdmissionController::complete(Ticket ticket) {
     const auto it = entries_.find(ticket);
     if (it == entries_.end()) return result;  // drain already expropriated it
     result.waiters = std::move(it->second.waiters);
-    if (options_.enable_dedup) {
+    if (options_.coalesce) {
         const auto c = coalesce_.find(it->second.fp);
         if (c != coalesce_.end() && c->second == ticket) coalesce_.erase(c);
     }
@@ -117,7 +117,7 @@ CompleteResult AdmissionController::complete(Ticket ticket) {
             result.to_resolve.push_back({std::move(pending.owner), ServeOutcome::kTimedOut});
             continue;
         }
-        if (options_.enable_dedup) {
+        if (options_.coalesce) {
             if (const auto c = coalesce_.find(pending.fp); c != coalesce_.end()) {
                 pending.owner.coalesced = true;
                 entries_[c->second].waiters.push_back(std::move(pending.owner));

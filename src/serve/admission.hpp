@@ -135,7 +135,7 @@ struct AdmissionOptions {
     std::size_t max_inflight = 0;  ///< 0 = unbounded (admission control off)
     std::size_t max_pending = 0;   ///< pending-queue capacity (used only when bounded)
     ShedPolicy policy = ShedPolicy::kRejectNew;
-    bool enable_dedup = true;      ///< coalesce identical in-flight requests
+    bool coalesce = true;          ///< coalesce identical in-flight requests
 };
 
 struct AdmissionStats {
@@ -213,7 +213,7 @@ private:
     mutable Mutex inflight_mutex_;
     CondVar idle_cv_;
     std::unordered_map<Ticket, Entry> entries_ TSCHED_GUARDED_BY(inflight_mutex_);
-    /// fp -> running ticket; maintained only when dedup is on.  First entry
+    /// fp -> running ticket; maintained only when coalescing is on.  First entry
     /// wins when two entries compute one fp (possible in bounded mode when a
     /// twin queues while no entry runs; see complete()).
     std::unordered_map<std::uint64_t, Ticket> coalesce_ TSCHED_GUARDED_BY(inflight_mutex_);

@@ -53,7 +53,7 @@ ServeEngine::ServeEngine(ServeConfig config, ThreadPool& pool)
       cache_(std::make_unique<ScheduleCache>(config_.cache_capacity, config_.cache_shards)),
       descriptors_(config_.cache_capacity, config_.cache_shards),
       admission_(AdmissionOptions{config_.max_inflight, config_.max_pending,
-                                  config_.shed_policy, config_.enable_dedup}),
+                                  config_.shed_policy, config_.enable_cache}),
       chaos_(config_.chaos),
       lat_total_ms_(metrics_.histogram("serve/latency/total_ms")),
       lat_queue_wait_ms_(metrics_.histogram("serve/latency/queue_wait_ms")),
@@ -68,7 +68,7 @@ ServeEngine::~ServeEngine() {
     // no pool closure still touches `this`.  Only this engine's closures are
     // joined — never the borrowed pool's global idle.
     drain(config_.drain_timeout_ms);
-    wait_own_tasks();
+    wait_own_tasks(0.0);
 }
 
 const Scheduler& ServeEngine::scheduler_for(const std::string& algo) {
@@ -301,9 +301,9 @@ void ServeEngine::run_computation(Ticket ticket, ScheduleRequest request, std::u
 }
 
 void ServeEngine::degrade_inline(ScheduleRequest request, std::uint64_t fp, Waiter owner) {
-    // Stale-ok peek of the full answer first: when dedup is off the admit
-    // path never peeked, and even with dedup the publish may have landed
-    // since.  A hit here is the real answer, so it resolves kOk.
+    // Stale-ok peek of the full answer first: the publish may have landed
+    // since the admit path peeked.  A hit here is the real answer, so it
+    // resolves kOk.
     if (config_.enable_cache) {
         if (auto hit = cache_->peek(fp)) {
             debug_check_hit(*hit, *request.problem);
@@ -397,6 +397,7 @@ void ServeEngine::finish_tail(CompleteResult& result) {
 }
 
 DrainReport ServeEngine::drain(double timeout_ms) {
+    const Stopwatch waited;
     DrainReport report;
     std::vector<ShedWaiter> flushed = admission_.begin_drain();
     report.flushed_pending = flushed.size();
@@ -406,7 +407,15 @@ DrainReport ServeEngine::drain(double timeout_ms) {
         report.forced_waiters = forced.size();
         report.clean = forced.empty();
         for (Waiter& waiter : forced) resolve_outcome(waiter, ServeOutcome::kDraining);
+        return report;
     }
+    // A pool closure retires its ticket before it resolves (and counts) the
+    // ticket's waiters, so idle admission alone does not mean stats() is
+    // final: wait out this engine's closures within what is left of the
+    // budget.  A sliver of budget left must not turn into "wait forever".
+    const double left_ms =
+        timeout_ms > 0.0 ? std::max(timeout_ms - waited.elapsed_ms(), 1e-3) : 0.0;
+    report.clean = wait_own_tasks(left_ms);
     return report;
 }
 
@@ -466,9 +475,20 @@ void ServeEngine::own_task_end() {
     if (--own_tasks_ == 0) own_cv_.notify_all();
 }
 
-void ServeEngine::wait_own_tasks() {
+bool ServeEngine::wait_own_tasks(double timeout_ms) {
     UniqueLock lock(own_mutex_);
-    while (own_tasks_ != 0) own_cv_.wait(lock);
+    if (timeout_ms <= 0.0) {
+        while (own_tasks_ != 0) own_cv_.wait(lock);
+        return true;
+    }
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double, std::milli>(timeout_ms);
+    while (own_tasks_ != 0) {
+        const auto now = std::chrono::steady_clock::now();
+        if (now >= deadline) return false;
+        own_cv_.wait_for(lock, deadline - now);
+    }
+    return true;
 }
 
 EngineStats ServeEngine::stats() const {

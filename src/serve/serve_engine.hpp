@@ -97,8 +97,9 @@
 namespace tsched::serve {
 
 struct ServeConfig {
-    bool enable_cache = true;  ///< content-addressed result cache
-    bool enable_dedup = true;  ///< coalesce concurrent identical requests
+    /// Result sharing: the content-addressed cache and the coalescing of
+    /// concurrent identical requests.  Off = every request computes.
+    bool enable_cache = true;
     std::size_t cache_capacity = 1024;
     std::size_t cache_shards = 8;
 
@@ -192,8 +193,10 @@ public:
 
     /// Stop admission (new submits resolve kDraining), flush the pending
     /// queue, and wait up to timeout_ms (<= 0 = forever) for in-flight
-    /// computations; on timeout every still-parked waiter is resolved
-    /// kDraining so no future is ever leaked.  Idempotent.
+    /// computations and this engine's pool closures; on timeout every
+    /// still-parked waiter is resolved kDraining so no future is ever
+    /// leaked.  After a clean drain, stats() counts every resolved waiter.
+    /// Idempotent.
     DrainReport drain(double timeout_ms);
     DrainReport drain() { return drain(config_.drain_timeout_ms); }
 
@@ -275,11 +278,12 @@ private:
     /// launch the promoted successor (if any).
     void finish_tail(CompleteResult& result);
 
-    // Own-task accounting: the destructor joins exactly the closures this
-    // engine put on the borrowed pool, nothing else.
+    // Own-task accounting: drain() and the destructor join exactly the
+    // closures this engine put on the borrowed pool, nothing else.
+    // wait_own_tasks: timeout_ms <= 0 waits forever; false on timeout.
     void own_task_begin() TSCHED_EXCLUDES(own_mutex_);
     void own_task_end() TSCHED_EXCLUDES(own_mutex_);
-    void wait_own_tasks() TSCHED_EXCLUDES(own_mutex_);
+    bool wait_own_tasks(double timeout_ms) TSCHED_EXCLUDES(own_mutex_);
 
     ServeConfig config_;
     ThreadPool& pool_;

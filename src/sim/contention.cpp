@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "sim/placement_table.hpp"
 #include "trace/trace.hpp"
 
@@ -75,7 +76,7 @@ double plan_start(const Problem& problem, const std::vector<std::vector<std::pai
 }  // namespace
 
 ContentionResult simulate_contended(const Schedule& schedule, const Problem& problem) {
-    TSCHED_SPAN("sim/contended");
+    TSCHED_OBS_PHASE("sim/contended_ms");
     const std::size_t procs = schedule.num_procs();
 
     // Same decision extraction as sim::simulate: the canonical placement

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "sim/placement_table.hpp"
 #include "trace/trace.hpp"
 
@@ -120,7 +121,7 @@ SimResult run(const Schedule& schedule, const Problem& problem, DurationFn&& dur
 }  // namespace
 
 SimResult simulate(const Schedule& schedule, const Problem& problem) {
-    TSCHED_SPAN("sim/simulate");
+    TSCHED_OBS_PHASE("sim/simulate_ms");
 #ifdef TSCHED_DEBUG_CHECKS
     // Reject invalid inputs up front with coded diagnostics; the simulator's
     // own structural checks only catch missing placements and deadlocks.
@@ -140,7 +141,7 @@ SimResult simulate(const Schedule& schedule, const Problem& problem) {
 
 SimResult simulate_noisy(const Schedule& schedule, const Problem& problem, double noise,
                          Rng& rng) {
-    TSCHED_SPAN("sim/simulate_noisy");
+    TSCHED_OBS_PHASE("sim/simulate_noisy_ms");
     if (!(noise >= 0.0 && noise < 1.0)) {
         throw std::invalid_argument("simulate_noisy: noise must be in [0, 1)");
     }

@@ -8,6 +8,7 @@
 
 #include "analysis/fault_lints.hpp"
 #include "analysis/schedule_lints.hpp"
+#include "obs/obs.hpp"
 #include "sim/placement_table.hpp"
 #include "trace/trace.hpp"
 
@@ -187,7 +188,7 @@ FaultPlan random_crash_plan(const Schedule& schedule, Rng& rng, double min_fract
 
 FaultReport simulate_faulty(const Schedule& schedule, const Problem& problem,
                             const FaultPlan& plan, const RepairPolicy& policy) {
-    TSCHED_SPAN("sim/simulate_faulty");
+    TSCHED_OBS_PHASE("sim/simulate_faulty_ms");
     {
         analysis::Diagnostics plan_diags;
         analysis::lint_fault_plan(plan, problem, plan_diags);

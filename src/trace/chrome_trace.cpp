@@ -80,21 +80,29 @@ private:
     std::string out_;
 };
 
+/// prefix + id, appended into one string: GCC 12 -O3 reports a false
+/// -Wrestrict overlap inside `"literal" + std::to_string(...)`.
+template <typename Id>
+std::string numbered(const char* prefix, Id id) {
+    std::string out = prefix;
+    out += std::to_string(id);
+    return out;
+}
+
 std::string task_label(TaskId v, const Dag* dag) {
     if (dag != nullptr && !dag->name(v).empty()) return esc(dag->name(v));
-    return "T" + std::to_string(v);
+    return numbered("T", v);
 }
 
 void write_track_names(EventWriter& writer, std::size_t procs, bool comm) {
     writer.metadata(kExecPid, 0, false, "execution");
     for (std::size_t p = 0; p < procs; ++p) {
-        writer.metadata(kExecPid, static_cast<int>(p), true, "P" + std::to_string(p));
+        writer.metadata(kExecPid, static_cast<int>(p), true, numbered("P", p));
     }
     if (comm) {
         writer.metadata(kCommPid, 0, false, "communication");
         for (std::size_t p = 0; p < procs; ++p) {
-            writer.metadata(kCommPid, static_cast<int>(p), true,
-                            "inbound P" + std::to_string(p));
+            writer.metadata(kCommPid, static_cast<int>(p), true, numbered("inbound P", p));
         }
     }
 }
@@ -212,7 +220,7 @@ std::string chrome_trace_json(const sim::FaultReport& report, const Problem& pro
     write_track_names(writer, schedule.num_procs(), /*comm=*/true);
     writer.metadata(kFaultPid, 0, false, "faults");
     for (std::size_t p = 0; p < schedule.num_procs(); ++p) {
-        writer.metadata(kFaultPid, static_cast<int>(p), true, "P" + std::to_string(p));
+        writer.metadata(kFaultPid, static_cast<int>(p), true, numbered("P", p));
     }
     const Dag* dag = &problem.dag();
     write_exec_events(writer, schedule, dag, &problem, &report.sim.finish_times);
@@ -223,7 +231,10 @@ std::string chrome_trace_json(const sim::FaultReport& report, const Problem& pro
         if (ev.task != kInvalidTask) args += ",\"task\":" + std::to_string(ev.task);
         args += "}";
         std::string name{sim::fault_event_kind_name(ev.kind)};
-        if (ev.task != kInvalidTask) name += " " + task_label(ev.task, dag);
+        if (ev.task != kInvalidTask) {
+            name += ' ';
+            name += task_label(ev.task, dag);
+        }
         const int tid = ev.proc != kInvalidProc ? static_cast<int>(ev.proc) : 0;
         writer.instant(name, "fault", ev.time, kFaultPid, tid, args);
     }

@@ -7,16 +7,6 @@ namespace tsched::trace {
 
 namespace {
 
-template <typename Vec>
-auto& find_or_create(Vec& entries, std::string_view name) {
-    for (auto& [key, value] : entries) {
-        if (key == name) return *value;
-    }
-    entries.emplace_back(std::string(name),
-                         std::make_unique<typename Vec::value_type::second_type::element_type>());
-    return *entries.back().second;
-}
-
 void append_json_string(std::string& out, std::string_view s) {
     out += '"';
     for (const char c : s) {
@@ -43,12 +33,11 @@ void append_json_string(std::string& out, std::string_view s) {
 
 Counter& Registry::counter(std::string_view name) {
     LockGuard lock(mutex_);
-    return find_or_create(counters_, name);
-}
-
-SpanTimer& Registry::span(std::string_view name) {
-    LockGuard lock(mutex_);
-    return find_or_create(spans_, name);
+    for (auto& [key, counter] : counters_) {
+        if (key == name) return *counter;
+    }
+    counters_.emplace_back(std::string(name), std::make_unique<Counter>());
+    return *counters_.back().second;
 }
 
 Snapshot Registry::snapshot() const {
@@ -58,17 +47,12 @@ Snapshot Registry::snapshot() const {
     for (const auto& [name, counter] : counters_) {
         snap.counters.push_back({name, counter->value()});
     }
-    snap.spans.reserve(spans_.size());
-    for (const auto& [name, span] : spans_) {
-        snap.spans.push_back({name, span->count(), span->total_ns()});
-    }
     return snap;
 }
 
 void Registry::reset() {
     LockGuard lock(mutex_);
     for (auto& [name, counter] : counters_) counter->reset();
-    for (auto& [name, span] : spans_) span->reset();
 }
 
 Registry& registry() {
@@ -88,21 +72,6 @@ Snapshot snapshot_delta(const Snapshot& before, const Snapshot& after) {
         }
         if (sample.value > base) delta.counters.push_back({sample.name, sample.value - base});
     }
-    for (const auto& sample : after.spans) {
-        std::uint64_t base_count = 0;
-        std::uint64_t base_ns = 0;
-        for (const auto& prior : before.spans) {
-            if (prior.name == sample.name) {
-                base_count = prior.count;
-                base_ns = prior.total_ns;
-                break;
-            }
-        }
-        if (sample.count > base_count) {
-            delta.spans.push_back(
-                {sample.name, sample.count - base_count, sample.total_ns - base_ns});
-        }
-    }
     return delta;
 }
 
@@ -114,16 +83,6 @@ std::string to_json(const Snapshot& snapshot) {
         char buf[32];
         std::snprintf(buf, sizeof(buf), ":%" PRIu64,
                       static_cast<std::uint64_t>(snapshot.counters[i].value));
-        out += buf;
-    }
-    out += "},\"spans\":{";
-    for (std::size_t i = 0; i < snapshot.spans.size(); ++i) {
-        if (i) out += ',';
-        append_json_string(out, snapshot.spans[i].name);
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), ":{\"count\":%" PRIu64 ",\"total_ms\":%.6f}",
-                      static_cast<std::uint64_t>(snapshot.spans[i].count),
-                      static_cast<double>(snapshot.spans[i].total_ns) / 1e6);
         out += buf;
     }
     out += "}}";

@@ -1,12 +1,12 @@
-// Counter and span-timer registry — the quantitative half of the trace
-// subsystem (see trace/trace.hpp for the macro front-end).
+// Counter registry — the quantitative half of the trace subsystem (see
+// trace/trace.hpp for the macro front-end).
 //
 // Counters are named monotonic uint64 accumulators ("eft_evaluations",
-// "insertion_probes", ...); span timers aggregate wall-clock durations of
-// named phases ("rank/upward", "sim/simulate", ...).  Both live in one
-// process-wide registry so any layer — scheduler, simulator, bench harness —
-// can contribute without plumbing.  Counter *names are append-only*, like
-// the analysis subsystem's TS codes: downstream tooling may key on them.
+// "insertion_probes", ...) in one process-wide registry, so any layer —
+// scheduler, simulator, bench harness — can contribute without plumbing.
+// Counter *names are append-only*, like the analysis subsystem's TS codes:
+// downstream tooling may key on them.  Wall-clock timing of named scopes
+// lives in obs/ (TSCHED_OBS_PHASE histograms), not here.
 //
 // Hot-path cost: one relaxed atomic add per hit (the macro caches the
 // registry lookup in a function-local static).  Registration itself takes a
@@ -36,56 +36,25 @@ private:
     std::atomic<std::uint64_t> value_{0};
 };
 
-class SpanTimer {
-public:
-    void add(std::uint64_t ns) noexcept {
-        count_.fetch_add(1, std::memory_order_relaxed);
-        total_ns_.fetch_add(ns, std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t count() const noexcept {
-        return count_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t total_ns() const noexcept {
-        return total_ns_.load(std::memory_order_relaxed);
-    }
-    void reset() noexcept {
-        count_.store(0, std::memory_order_relaxed);
-        total_ns_.store(0, std::memory_order_relaxed);
-    }
-
-private:
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> total_ns_{0};
-};
-
 struct CounterSample {
     std::string name;
     std::uint64_t value = 0;
 };
 
-struct SpanSample {
-    std::string name;
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-};
-
-/// A point-in-time copy of every registered counter and span timer, in
-/// registration order.
+/// A point-in-time copy of every registered counter, in registration order.
 struct Snapshot {
     std::vector<CounterSample> counters;
-    std::vector<SpanSample> spans;
 };
 
-// Lock discipline: the name->entry tables are GUARDED_BY the registry
-// mutex; the Counter/SpanTimer objects they point to are themselves
-// relaxed-atomic (hot-path adds never take the lock — the registration
-// lookup is cached in a function-local static by the macros).
+// Lock discipline: the name->counter table is GUARDED_BY the registry
+// mutex; the Counter objects it points to are themselves relaxed-atomic
+// (hot-path adds never take the lock — the registration lookup is cached in
+// a function-local static by the macros).
 class Registry {
 public:
     /// Find-or-create; the returned reference is stable for the process
     /// lifetime (entries are never removed).
     Counter& counter(std::string_view name) TSCHED_EXCLUDES(mutex_);
-    SpanTimer& span(std::string_view name) TSCHED_EXCLUDES(mutex_);
 
     [[nodiscard]] Snapshot snapshot() const TSCHED_EXCLUDES(mutex_);
 
@@ -95,8 +64,6 @@ public:
 private:
     mutable Mutex mutex_;
     std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_
-        TSCHED_GUARDED_BY(mutex_);
-    std::vector<std::pair<std::string, std::unique_ptr<SpanTimer>>> spans_
         TSCHED_GUARDED_BY(mutex_);
 };
 
@@ -108,9 +75,7 @@ private:
 /// dropped so per-point dumps stay small.
 [[nodiscard]] Snapshot snapshot_delta(const Snapshot& before, const Snapshot& after);
 
-/// Render a snapshot as JSON:
-///   {"counters": {"name": value, ...},
-///    "spans": {"name": {"count": n, "total_ms": t}, ...}}
+/// Render a snapshot as JSON: {"counters": {"name": value, ...}}
 [[nodiscard]] std::string to_json(const Snapshot& snapshot);
 
 }  // namespace tsched::trace

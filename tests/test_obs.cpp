@@ -512,6 +512,36 @@ TEST(ObsMacros, RecordAndPhaseFeedTheGlobalRegistry) {
     EXPECT_TRUE(saw_gauge);
 }
 
+TEST(ObsMacros, ConcurrentPhaseSiteLosesNoScope) {
+    // One TSCHED_OBS_PHASE call site entered concurrently: every thread races
+    // the site's first-use lookup, and no scope exit may be lost.
+    constexpr std::uint64_t kThreads = 8;
+    constexpr std::uint64_t kScopes = 10000;
+    const std::uint64_t before = registry().histogram("obs_test/concurrent_phase_ms").count();
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([] {
+            for (std::uint64_t i = 0; i < kScopes; ++i) {
+                TSCHED_OBS_PHASE("obs_test/concurrent_phase_ms");
+            }
+        });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(registry().histogram("obs_test/concurrent_phase_ms").count() - before,
+              kThreads * kScopes);
+}
+
+TEST(ObsMacros, PhaseSiteRecordsIntoTheRegistrysOwnHistogram) {
+    // The site resolves its histogram once; every later entry must still land
+    // in the one instrument registry().histogram(name) hands out.
+    const LatencyHistogram& hist = registry().histogram("obs_test/cached_phase_ms");
+    const std::uint64_t before = hist.count();
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+        { TSCHED_OBS_PHASE("obs_test/cached_phase_ms"); }
+        EXPECT_EQ(hist.count() - before, i);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Exporters
 

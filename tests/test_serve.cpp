@@ -331,7 +331,6 @@ TEST(ServeEngine, CacheOffStillDeduplicatesNothingAndMatchesCacheOn) {
 
     serve::ServeConfig off;
     off.enable_cache = false;
-    off.enable_dedup = false;
     serve::ServeEngine engine_on(serve::ServeConfig{}, pool);
     serve::ServeEngine engine_off(off, pool);
     const auto results_on = engine_on.run_batch(requests);
@@ -991,6 +990,34 @@ TEST(ServeEngineDrain, CleanDrainRetiresInflightWorkAndReportsClean) {
     const auto again = engine.drain(/*timeout_ms=*/0.0);
     EXPECT_TRUE(again.clean);
     EXPECT_EQ(again.flushed_pending, 0u);
+}
+
+TEST(ServeEngineDrain, CleanDrainCountsEveryCoalescedWaiter) {
+    // One gated computation carries many coalesced waiters.  Its pool
+    // closure retires the ticket (which lets admission go idle) and only
+    // then resolves and counts the waiters one by one, so a drain that
+    // returned on idle admission alone would read a short ok count.
+    constexpr std::size_t kWaiters = 20000;
+    ThreadPool pool(1);
+    for (int round = 0; round < 10; ++round) {
+        auto gate = make_gate();
+        serve::ServeConfig config;
+        config.chaos = gate;
+        serve::ServeEngine engine(config, pool);
+        const auto request = make_request();
+        std::vector<std::future<serve::ServeResult>> futures;
+        futures.reserve(kWaiters);
+        for (std::size_t i = 0; i < kWaiters; ++i) futures.push_back(engine.submit(request));
+        ASSERT_TRUE(await_stalled(*gate, 1));
+        gate->release_stalls();
+        const auto report = engine.drain(/*timeout_ms=*/0.0);
+        EXPECT_TRUE(report.clean);
+        const auto stats = engine.stats();
+        ASSERT_EQ(stats.ok, kWaiters) << "round " << round;
+        EXPECT_EQ(stats.computed, 1u);
+        EXPECT_EQ(stats.coalesced, kWaiters - 1);
+        for (auto& future : futures) EXPECT_EQ(future.get().outcome, serve::ServeOutcome::kOk);
+    }
 }
 
 TEST(ServeEngineDrain, DestructorDoesNotWaitOnOtherEnginesPoolTasks) {

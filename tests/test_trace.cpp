@@ -1,22 +1,26 @@
-// Trace subsystem: counter/span registry semantics and thread-safety,
-// decision-trace correctness against the schedules that produced them, and
-// well-formedness of every JSON exporter (validated by parsing it back with
-// a minimal JSON reader — no third-party parser in the test).
+// Trace subsystem: counter registry semantics and thread-safety, the obs
+// timers scheduler and simulator scopes record, decision-trace correctness
+// against the schedules that produced them, and well-formedness of every
+// JSON exporter (validated by parsing it back with a minimal JSON reader —
+// no third-party parser in the test).
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/ils.hpp"
 #include "core/registry.hpp"
+#include "obs/obs.hpp"
 #include "platform/machine.hpp"
 #include "platform/problem.hpp"
 #include "sched/heft.hpp"
 #include "sched/repair.hpp"
+#include "sim/event_sim.hpp"
 #include "sim/faults.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/counters.hpp"
@@ -172,7 +176,7 @@ Problem small_problem(std::uint64_t seed = 0x5eed, double ccr = 2.0) {
 }
 
 // ---------------------------------------------------------------------------
-// Counters and spans.
+// Counters.
 
 TEST(TraceRegistry, CounterReferencesAreStableAndAccumulate) {
     trace::Registry reg;
@@ -203,87 +207,85 @@ TEST(TraceRegistry, ConcurrentIncrementsAreNotLost) {
         threads.emplace_back([&reg] {
             // Each thread also races the find-or-create path.
             trace::Counter& c = reg.counter("shared");
-            trace::SpanTimer& s = reg.span("shared_span");
-            for (std::size_t i = 0; i < kIncrements; ++i) {
-                c.add(1);
-                s.add(10);
-            }
+            for (std::size_t i = 0; i < kIncrements; ++i) c.add(1);
         });
     }
     for (auto& t : threads) t.join();
     EXPECT_EQ(reg.counter("shared").value(), kThreads * kIncrements);
-    EXPECT_EQ(reg.span("shared_span").count(), kThreads * kIncrements);
-    EXPECT_EQ(reg.span("shared_span").total_ns(), kThreads * kIncrements * 10);
-
-    // One TSCHED_SPAN call site entered concurrently: every thread races
-    // the site's first-use lookup, and no scope exit may be lost.
-    const std::uint64_t before = trace::registry().span("test/concurrent_span").count();
-    threads.clear();
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([] {
-            for (std::size_t i = 0; i < kIncrements; ++i) {
-                TSCHED_SPAN("test/concurrent_span");
-            }
-        });
-    }
-    for (auto& t : threads) t.join();
-    EXPECT_EQ(trace::registry().span("test/concurrent_span").count() - before,
-              kThreads * kIncrements);
 }
 
 TEST(TraceRegistry, SnapshotDeltaDropsIdleEntriesAndKeepsNewOnes) {
     trace::Registry reg;
     reg.counter("idle").add(7);
-    reg.span("warm").add(100);
+    reg.counter("warm").add(100);
     const trace::Snapshot before = reg.snapshot();
     reg.counter("busy").add(4);
-    reg.span("warm").add(50);
+    reg.counter("warm").add(50);
     const trace::Snapshot after = reg.snapshot();
 
     const trace::Snapshot delta = trace::snapshot_delta(before, after);
-    ASSERT_EQ(delta.counters.size(), 1u);
-    EXPECT_EQ(delta.counters[0].name, "busy");
-    EXPECT_EQ(delta.counters[0].value, 4u);
-    ASSERT_EQ(delta.spans.size(), 1u);
-    EXPECT_EQ(delta.spans[0].name, "warm");
-    EXPECT_EQ(delta.spans[0].count, 1u);
-    EXPECT_EQ(delta.spans[0].total_ns, 50u);
+    ASSERT_EQ(delta.counters.size(), 2u);
+    EXPECT_EQ(delta.counters[0].name, "warm");
+    EXPECT_EQ(delta.counters[0].value, 50u);
+    EXPECT_EQ(delta.counters[1].name, "busy");
+    EXPECT_EQ(delta.counters[1].value, 4u);
 }
 
 TEST(TraceRegistry, SnapshotJsonParsesBack) {
     trace::Registry reg;
     reg.counter("with \"quotes\"").add(1);
-    reg.span("sched/x").add(1234567);
     const std::string json = trace::to_json(reg.snapshot());
     EXPECT_NO_THROW(JsonReader(json).parse()) << json;
 }
 
-TEST(TraceMacros, SpanNestingRecordsEveryLevel) {
+// ---------------------------------------------------------------------------
+// Scope timers: obs histograms in the process-wide registry.
+
+/// Recordings of the unlabelled histogram `name` between two snapshots.
+std::uint64_t timer_delta(const obs::MetricsSnapshot& before, std::string_view name) {
+    for (const auto& h : obs::snapshot_delta(before, obs::registry().snapshot()).histograms) {
+        if (h.name == name && h.labels.empty()) return h.hist.count;
+    }
+    return 0;
+}
+
+TEST(TraceMacros, NestedPhasesAndCountersRecordEveryLevel) {
+    const obs::MetricsSnapshot timers = obs::registry().snapshot();
     const trace::Snapshot before = trace::registry().snapshot();
     {
-        TSCHED_SPAN("test/outer");
+        TSCHED_OBS_PHASE("test/outer_ms");
         {
-            TSCHED_SPAN("test/inner");
+            TSCHED_OBS_PHASE("test/inner_ms");
             TSCHED_COUNT("test/hits");
         }
         {
-            TSCHED_SPAN("test/inner");
+            TSCHED_OBS_PHASE("test/inner_ms");
             TSCHED_COUNT_ADD("test/hits", 2);
         }
     }
     const trace::Snapshot delta =
         trace::snapshot_delta(before, trace::registry().snapshot());
-    std::size_t outer = 0, inner = 0, hits = 0;
-    for (const auto& s : delta.spans) {
-        if (s.name == "test/outer") outer = s.count;
-        if (s.name == "test/inner") inner = s.count;
-    }
+    std::size_t hits = 0;
     for (const auto& c : delta.counters) {
         if (c.name == "test/hits") hits = c.value;
     }
-    EXPECT_EQ(outer, 1u);
-    EXPECT_EQ(inner, 2u);
+    EXPECT_EQ(timer_delta(timers, "test/outer_ms"), 1u);
+    EXPECT_EQ(timer_delta(timers, "test/inner_ms"), 2u);
     EXPECT_EQ(hits, 3u);
+}
+
+TEST(SchedulerTimers, HeftScheduleAndSimulateRecordOncePerTimer) {
+    const Problem problem = small_problem();
+    const obs::MetricsSnapshot before = obs::registry().snapshot();
+    const Schedule schedule = HeftScheduler().schedule(problem);
+    for (const char* name : {"sched/heft_ms", "sched/phase/rank_ms", "sched/phase/priority_ms",
+                             "sched/phase/selection_ms", "sched/phase/placement_ms"}) {
+        EXPECT_EQ(timer_delta(before, name), 1u) << name;
+    }
+    const obs::MetricsSnapshot scheduled = obs::registry().snapshot();
+    (void)sim::simulate(schedule, problem);
+    EXPECT_EQ(timer_delta(scheduled, "sim/simulate_ms"), 1u);
+    EXPECT_EQ(timer_delta(scheduled, "sched/heft_ms"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ grep -q "ok ok ok ok ok ok ok ok shed" "$WORK/run_seed.out" \
 #    so the 2+2 budget overflows regardless of machine speed.
 GEN="--requests=24 --repeat-frac=0.5 --n=400 --procs=4 --algos=heft"
 "$SERVE" --gen="$WORK/storm.tsr" $GEN --seed=7 > /dev/null || fail "--gen failed"
-"$SERVE" "$WORK/storm.tsr" --threads=1 --batch=24 --cache=off --dedup=off \
+"$SERVE" "$WORK/storm.tsr" --threads=1 --batch=24 --cache=off \
     --max-inflight=2 --max-pending=2 \
     --shed-policy=drop-oldest --deadline-ms=5000 --json="$WORK/overload.json" \
     > "$WORK/overload.out" 2>&1 \

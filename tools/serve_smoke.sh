@@ -74,7 +74,7 @@ DUPES="$(grep ' = ' "$WORK/replay.out" | cut -d' ' -f1 | sort | uniq -d)"
 [ -z "$DUPES" ] || fail "--counters printed these names more than once: $DUPES"
 
 # 4. Cache-off serving computes every request cold.
-"$SERVE" "$WORK/a.tsr" --cache=off --dedup=off --json="$WORK/off.json" \
+"$SERVE" "$WORK/a.tsr" --cache=off --json="$WORK/off.json" \
     > /dev/null 2>&1 || fail "cache-off replay failed"
 "$PYTHON" - "$WORK/off.json" <<'PYEOF' || fail "cache-off report incoherent"
 import json, sys

@@ -117,9 +117,18 @@ for d in decisions:
 PYEOF
 
 # 6. Counters report renders and is non-empty: the ils run must at least
-#    have evaluated EFTs.
+#    have evaluated EFTs, and its obs timer must show as a timer row.
 "$TRACE" "$WORK/graph.tsg" "$WORK/platform.tsp" --algo=ils --counters \
     > "$WORK/counters.out" 2>&1 || fail "--counters run failed"
 grep -q "eft_evaluations" "$WORK/counters.out" || fail "--counters printed no eft_evaluations"
+"$TRACE" "$WORK/graph.tsg" "$WORK/platform.tsp" --algo=ils --counters=csv \
+    > "$WORK/counters.csv" 2>&1 || fail "--counters=csv run failed"
+"$PYTHON" - "$WORK/counters.csv" <<'PYEOF' || fail "--counters=csv has no timer row sched/ils_ms with count >= 1"
+import csv, sys
+with open(sys.argv[1]) as f:
+    rows = list(csv.DictReader(f))
+assert any(r["kind"] == "timer" and r["name"] == "sched/ils_ms" and int(r["count"]) >= 1
+           for r in rows), rows
+PYEOF
 
 echo "trace_smoke: OK"

@@ -21,8 +21,8 @@
 //   --seed=S          generation seed (default 2007)
 //
 // Replay flags (with a positional trace.tsr):
-//   --cache=on|off    content-addressed schedule cache (default on)
-//   --dedup=on|off    in-flight coalescing of identical requests (default on)
+//   --cache=on|off    content-addressed schedule cache and in-flight
+//                     coalescing of identical requests (default on)
 //   --capacity=K      cache entry budget (default 1024)
 //   --shards=S        cache lock shards (default 8)
 //   --threads=T       serving pool workers (default 0 = hardware)
@@ -95,7 +95,7 @@ void print_usage(std::ostream& os) {
     os << "usage: tsched_serve --gen=trace.tsr [--requests=N] [--repeat-frac=F]\n"
        << "                    [--algos=a,b] [--shapes=s1,s2] [--n=N] [--procs=P]\n"
        << "                    [--net=NAME] [--ccr=X] [--beta=X] [--seed=S]\n"
-       << "       tsched_serve trace.tsr [--cache=on|off] [--dedup=on|off]\n"
+       << "       tsched_serve trace.tsr [--cache=on|off]\n"
        << "                    [--capacity=K] [--shards=S] [--threads=T]\n"
        << "                    [--batch=B] [--epochs=E] [--json=PATH] [--counters]\n"
        << "                    [--deadline-ms=D] [--wait-budget-ms=W]\n"
@@ -283,7 +283,6 @@ int replay_over_wire(const Args& args, const std::string& trace_path) {
 int replay(const Args& args, const std::string& trace_path) {
     serve::ReplayOptions options;
     options.config.enable_cache = parse_on_off(args, "cache", true);
-    options.config.enable_dedup = parse_on_off(args, "dedup", true);
     options.config.cache_capacity = static_cast<std::size_t>(args.get_int("capacity", 1024));
     options.config.cache_shards = static_cast<std::size_t>(args.get_int("shards", 8));
     options.batch = static_cast<std::size_t>(args.get_int("batch", 16));
@@ -414,7 +413,7 @@ int main(int argc, char** argv) {
     }
     try {
         args.check_known({"gen", "requests", "repeat-frac", "algos", "shapes", "n", "procs",
-                          "net", "ccr", "beta", "seed", "cache", "dedup", "capacity", "shards",
+                          "net", "ccr", "beta", "seed", "cache", "capacity", "shards",
                           "threads", "batch", "epochs", "json", "counters", "deadline-ms",
                           "wait-budget-ms", "max-inflight", "max-pending", "shed-policy",
                           "degrade-algo", "drain-timeout-ms", "metrics-out", "metrics-format",

@@ -20,7 +20,7 @@
 //   --threads=T            serving pool workers (default 0 = hardware)
 //
 // Engine flags (same knobs as tsched_serve replay; DESIGN §16):
-//   --cache=on|off --dedup=on|off --capacity=K --shards=S
+//   --cache=on|off --capacity=K --shards=S
 //   --max-inflight=N --max-pending=N
 //   --shed-policy=reject-new|drop-oldest|degrade --degrade-algo=A
 //   --drain-timeout-ms=D   engine drain bound at shutdown (default 5000;
@@ -61,7 +61,7 @@ void print_usage(std::ostream& os) {
     os << "usage: tsched_served [--host=ADDR] [--port=P] [--max-conns=N]\n"
        << "                     [--per-conn-queue=N] [--max-frame-bytes=N]\n"
        << "                     [--requests-per-tick=N] [--flush-timeout-ms=D]\n"
-       << "                     [--threads=T] [--cache=on|off] [--dedup=on|off]\n"
+       << "                     [--threads=T] [--cache=on|off]\n"
        << "                     [--capacity=K] [--shards=S] [--max-inflight=N]\n"
        << "                     [--max-pending=N] [--shed-policy=P] [--degrade-algo=A]\n"
        << "                     [--drain-timeout-ms=D]\n"
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     }
     try {
         args.check_known({"host", "port", "max-conns", "per-conn-queue", "max-frame-bytes",
-                          "requests-per-tick", "flush-timeout-ms", "threads", "cache", "dedup",
+                          "requests-per-tick", "flush-timeout-ms", "threads", "cache",
                           "capacity", "shards", "max-inflight", "max-pending", "shed-policy",
                           "degrade-algo", "drain-timeout-ms", "version", "help"});
         if (!args.positional().empty()) usage_error("tsched_served takes no positional arguments");
@@ -117,7 +117,6 @@ int main(int argc, char** argv) {
     config.flush_timeout_ms = args.get_double("flush-timeout-ms", 5000.0);
 
     config.engine.enable_cache = parse_on_off(args, "cache", true);
-    config.engine.enable_dedup = parse_on_off(args, "dedup", true);
     config.engine.cache_capacity = static_cast<std::size_t>(args.get_int("capacity", 1024));
     config.engine.cache_shards = static_cast<std::size_t>(args.get_int("shards", 8));
     config.engine.max_inflight = static_cast<std::size_t>(args.get_int("max-inflight", 0));

@@ -1,5 +1,5 @@
 // tsched_trace — Chrome-trace export, decision explanations, and trace
-// counters for task schedules.
+// counters and timers for task schedules.
 //
 //   tsched_trace graph.tsg platform.tsp sched.tss --out=trace.json
 //       convert a saved schedule to Chrome trace_event JSON (open in
@@ -30,8 +30,11 @@
 //                     trace gains a fault timeline (needs .tsg and .tsp)
 //   --repair=NAME     repair policy for --crash: none, remap-pending
 //                     (default), reschedule-suffix, or use-duplicates
-//   --counters[=fmt]  after the run, print every trace counter and span
-//                     recorded in this process: fmt = md (default) or csv
+//   --counters[=fmt]  after the run, print every trace counter and obs
+//                     timer recorded in this process: fmt = md (default) or
+//                     csv.  A timer's total_ms is its histogram's mean x
+//                     count, within 1/128 (LatencyHistogram::
+//                     kMaxRelativeError) of the true total
 //   --version/--help  print and exit 0
 //
 // Exit status: 0 success, 2 usage or file errors.
@@ -42,6 +45,7 @@
 
 #include "core/registry.hpp"
 #include "graph/serialize.hpp"
+#include "obs/metrics.hpp"
 #include "platform/platform_io.hpp"
 #include "sched/schedule_io.hpp"
 #include "sim/faults.hpp"
@@ -64,7 +68,9 @@ void print_usage(std::ostream& os) {
        << "                    [--crash=P@F] [--repair=POLICY]\n"
        << "                    [--counters[=md|csv]] [--version] [--help]\n"
        << "Convert a schedule to Chrome trace_event JSON, or run a scheduler\n"
-       << "with a decision trace and explain every placement.\n";
+       << "with a decision trace and explain every placement.\n"
+       << "--counters lists trace counters and obs timers; a timer's total_ms is\n"
+       << "its histogram mean x count, within 1/128 of the true total.\n";
 }
 
 [[noreturn]] void usage_error(const std::string& error) {
@@ -105,13 +111,15 @@ void print_counters(const std::string& format) {
     for (const auto& c : snap.counters) {
         table.new_row().add("counter").add(c.name).add(c.value).add("").add("");
     }
-    for (const auto& s : snap.spans) {
+    // The histogram keeps no float sum (obs/metrics.hpp), so total_ms is the
+    // bucket-midpoint estimate mean x count.
+    for (const auto& h : obs::registry().snapshot().histograms) {
         table.new_row()
-            .add("span")
-            .add(s.name)
+            .add("timer")
+            .add(h.name)
             .add("")
-            .add(s.count)
-            .add(static_cast<double>(s.total_ns) / 1e6, 3);
+            .add(h.hist.count)
+            .add(h.hist.mean() * static_cast<double>(h.hist.count), 3);
     }
     if (format == "csv") {
         std::cout << table.to_csv();
