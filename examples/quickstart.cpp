@@ -18,17 +18,18 @@ int main() {
     // 1. The application: a small diamond-shaped workflow.
     //    Node work and edge data are abstract units; the platform turns them
     //    into times.
-    Dag dag;
-    const TaskId load = dag.add_task(2.0, "load");
-    const TaskId split_a = dag.add_task(4.0, "filter-A");
-    const TaskId split_b = dag.add_task(6.0, "filter-B");
-    const TaskId merge = dag.add_task(3.0, "merge");
-    const TaskId report = dag.add_task(1.0, "report");
-    dag.add_edge(load, split_a, 8.0);   // 8 data units from load to filter-A
-    dag.add_edge(load, split_b, 8.0);
-    dag.add_edge(split_a, merge, 4.0);
-    dag.add_edge(split_b, merge, 4.0);
-    dag.add_edge(merge, report, 1.0);
+    DagBuilder builder;
+    const TaskId load = builder.add_task(2.0, "load");
+    const TaskId split_a = builder.add_task(4.0, "filter-A");
+    const TaskId split_b = builder.add_task(6.0, "filter-B");
+    const TaskId merge = builder.add_task(3.0, "merge");
+    const TaskId report = builder.add_task(1.0, "report");
+    builder.add_edge(load, split_a, 8.0);   // 8 data units from load to filter-A
+    builder.add_edge(load, split_b, 8.0);
+    builder.add_edge(split_a, merge, 4.0);
+    builder.add_edge(split_b, merge, 4.0);
+    builder.add_edge(merge, report, 1.0);
+    Dag dag = std::move(builder).build();
 
     // 2. The platform: 3 processors on a full crossbar (latency 0.5 time
     //    units per message, 2 data units per time unit), with an explicit

@@ -67,8 +67,9 @@ double affinity(const ScheduleBuilder& builder, TaskId v, ProcId p) {
 }  // namespace
 
 std::vector<double> IlsScheduler::ils_rank(const Problem& problem, bool variance_rank) {
+    TSCHED_OBS_PHASE("sched/phase/rank_ms");
     // The recurrence folds only over each task's own successor list (order
-    // fixed by the CSR snapshot), so any topological processing order gives
+    // fixed by the CSR), so any topological processing order gives
     // bit-identical values — see sched/ranks.cpp for the same argument.
     const CsrAdjacency& csr = problem.dag().csr();
     const std::size_t n = csr.num_tasks();

@@ -159,7 +159,7 @@ bool reaches(const Dag& dag, TaskId u, TaskId v) {
 Dag transitive_reduction(const Dag& dag) {
     const std::size_t n = dag.num_tasks();
     const auto closure = transitive_closure(dag);
-    Dag out;
+    DagBuilder out;
     for (std::size_t i = 0; i < n; ++i) {
         out.add_task(dag.work(static_cast<TaskId>(i)), dag.name(static_cast<TaskId>(i)));
     }
@@ -179,7 +179,7 @@ Dag transitive_reduction(const Dag& dag) {
             if (!redundant) out.add_edge(static_cast<TaskId>(u), e.task, e.data);
         }
     }
-    return out;
+    return std::move(out).build();
 }
 
 std::size_t weakly_connected_components(const Dag& dag) {

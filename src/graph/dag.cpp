@@ -2,113 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace tsched {
 
-CsrAdjacency::CsrAdjacency(const Dag& dag) {
-    num_tasks_ = dag.num_tasks();
-    const std::size_t m = dag.num_edges();
-    succ_off_.assign(num_tasks_ + 1, 0);
-    pred_off_.assign(num_tasks_ + 1, 0);
-    succ_task_.resize(m);
-    pred_task_.resize(m);
-    succ_data_.resize(m);
-    pred_data_.resize(m);
-    for (std::size_t i = 0; i < num_tasks_; ++i) {
-        const auto v = static_cast<TaskId>(i);
-        succ_off_[i + 1] = succ_off_[i] + dag.out_degree(v);
-        pred_off_[i + 1] = pred_off_[i] + dag.in_degree(v);
-    }
-    for (std::size_t i = 0; i < num_tasks_; ++i) {
-        const auto v = static_cast<TaskId>(i);
-        std::size_t s = succ_off_[i];
-        for (const AdjEdge& e : dag.successors(v)) {
-            succ_task_[s] = e.task;
-            succ_data_[s] = e.data;
-            ++s;
-        }
-        std::size_t p = pred_off_[i];
-        for (const AdjEdge& e : dag.predecessors(v)) {
-            pred_task_[p] = e.task;
-            pred_data_[p] = e.data;
-            ++p;
-        }
-    }
-}
+namespace {
+const std::string kNoName;
 
-Dag& Dag::operator=(const Dag& other) {
-    if (this != &other) {
-        tasks_ = other.tasks_;
-        num_edges_ = other.num_edges_;
-        invalidate_csr();
-    }
-    return *this;
-}
-
-Dag& Dag::operator=(Dag&& other) noexcept {
-    if (this != &other) {
-        tasks_ = std::move(other.tasks_);
-        num_edges_ = other.num_edges_;
-        invalidate_csr();
-    }
-    return *this;
-}
-
-const CsrAdjacency& Dag::csr() const {
-    LockGuard lock(csr_mutex_);
-    if (!csr_cache_) {
-        csr_cache_ = std::make_unique<CsrAdjacency>(*this);
-        csr_built_.store(true, std::memory_order_release);
-    }
-    return *csr_cache_;
-}
-
-void Dag::invalidate_csr() {
-    if (!csr_built_.load(std::memory_order_acquire)) return;
-    LockGuard lock(csr_mutex_);
-    csr_cache_.reset();
-    csr_built_.store(false, std::memory_order_relaxed);
-}
-
-std::size_t Dag::check(TaskId v) const {
-    if (v < 0 || static_cast<std::size_t>(v) >= tasks_.size()) {
+std::size_t checked_index(TaskId v, std::size_t num_tasks) {
+    if (v < 0 || static_cast<std::size_t>(v) >= num_tasks) {
         throw std::out_of_range("Dag: invalid TaskId " + std::to_string(v));
     }
     return static_cast<std::size_t>(v);
 }
+}  // namespace
 
-TaskId Dag::add_task(double work, std::string name) {
-    if (!(work >= 0.0) || !std::isfinite(work)) {
-        throw std::invalid_argument("Dag::add_task: work must be finite and non-negative");
-    }
-    if (tasks_.size() >= static_cast<std::size_t>(std::numeric_limits<TaskId>::max())) {
-        throw std::length_error("Dag::add_task: too many tasks");
-    }
-    TaskNode node;
-    node.work = work;
-    node.name = std::move(name);
-    tasks_.push_back(std::move(node));
-    invalidate_csr();
-    return static_cast<TaskId>(tasks_.size() - 1);
+std::size_t Dag::check(TaskId v) const { return checked_index(v, work_.size()); }
+
+const std::string& Dag::name(TaskId v) const {
+    const std::size_t vi = check(v);
+    return names_.empty() ? kNoName : names_[vi];
 }
 
-void Dag::add_edge(TaskId u, TaskId v, double data) {
-    const std::size_t ui = check(u);
+void Dag::set_name(TaskId v, std::string name) {
     const std::size_t vi = check(v);
-    if (u == v) throw std::invalid_argument("Dag::add_edge: self-loop on task " + std::to_string(u));
-    if (!(data >= 0.0) || !std::isfinite(data)) {
-        throw std::invalid_argument("Dag::add_edge: data must be finite and non-negative");
+    if (names_.empty()) {
+        if (name.empty()) return;
+        names_.resize(work_.size());
     }
-    if (has_edge(u, v)) {
-        throw std::invalid_argument("Dag::add_edge: duplicate edge " + std::to_string(u) + " -> " +
-                                    std::to_string(v));
-    }
-    tasks_[ui].succs.push_back({v, data});
-    tasks_[vi].preds.push_back({u, data});
-    ++num_edges_;
-    invalidate_csr();
+    names_[vi] = std::move(name);
 }
 
 bool Dag::has_edge(TaskId u, TaskId v) const {
@@ -133,83 +57,72 @@ void Dag::set_edge_data(TaskId u, TaskId v, double data) {
     if (!(data >= 0.0) || !std::isfinite(data)) {
         throw std::invalid_argument("Dag::set_edge_data: data must be finite and non-negative");
     }
-    bool found = false;
-    for (AdjEdge& e : tasks_[ui].succs) {
-        if (e.task == v) {
-            e.data = data;
-            found = true;
-            break;
-        }
-    }
-    if (!found) {
+    // Index of `want` in row `row` of a CSR direction; the end offset if absent.
+    const auto find = [](const std::vector<std::size_t>& off, const std::vector<TaskId>& task,
+                         std::size_t row, TaskId want) {
+        std::size_t i = off[row];
+        while (i < off[row + 1] && task[i] != want) ++i;
+        return i;
+    };
+    const std::size_t s = find(csr_.succ_off_, csr_.succ_task_, ui, v);
+    if (s == csr_.succ_off_[ui + 1]) {
         throw std::out_of_range("Dag::set_edge_data: no edge " + std::to_string(u) + " -> " +
                                 std::to_string(v));
     }
-    for (AdjEdge& e : tasks_[vi].preds) {
-        if (e.task == u) {
-            e.data = data;
-            break;
-        }
-    }
-    invalidate_csr();
+    csr_.succ_data_[s] = data;
+    csr_.pred_data_[find(csr_.pred_off_, csr_.pred_task_, vi, u)] = data;
 }
 
 void Dag::scale_edge_data(double factor) {
     // Scaling by a non-negative factor is monotone, so checking the largest
     // product covers every edge before anything is written.
     double max_data = 0.0;
-    for (const TaskNode& t : tasks_) {
-        for (const AdjEdge& e : t.succs) max_data = std::max(max_data, e.data);
-    }
+    for (const double d : csr_.succ_data_) max_data = std::max(max_data, d);
     if (!(factor >= 0.0) || !std::isfinite(factor) || !std::isfinite(max_data * factor)) {
         throw std::invalid_argument(
             "Dag::scale_edge_data: factor must keep every data volume finite and non-negative");
     }
     // Each edge's two copies hold the same volume, so scaling both in place
     // stores the one product set_edge_data would write to both.
-    for (TaskNode& t : tasks_) {
-        for (AdjEdge& e : t.succs) e.data *= factor;
-        for (AdjEdge& e : t.preds) e.data *= factor;
-    }
-    invalidate_csr();
+    for (double& d : csr_.succ_data_) d *= factor;
+    for (double& d : csr_.pred_data_) d *= factor;
 }
 
 std::vector<TaskId> Dag::sources() const {
     std::vector<TaskId> out;
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-        if (tasks_[i].preds.empty()) out.push_back(static_cast<TaskId>(i));
+    for (TaskId v = 0; v < static_cast<TaskId>(num_tasks()); ++v) {
+        if (csr_.in_degree(v) == 0) out.push_back(v);
     }
     return out;
 }
 
 std::vector<TaskId> Dag::sinks() const {
     std::vector<TaskId> out;
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-        if (tasks_[i].succs.empty()) out.push_back(static_cast<TaskId>(i));
+    for (TaskId v = 0; v < static_cast<TaskId>(num_tasks()); ++v) {
+        if (csr_.out_degree(v) == 0) out.push_back(v);
     }
     return out;
 }
 
 double Dag::total_work() const noexcept {
     double sum = 0.0;
-    for (const auto& t : tasks_) sum += t.work;
+    for (const double w : work_) sum += w;
     return sum;
 }
 
 double Dag::total_data() const noexcept {
     double sum = 0.0;
-    for (const auto& t : tasks_) {
-        for (const AdjEdge& e : t.succs) sum += e.data;
-    }
+    for (const double d : csr_.succ_data_) sum += d;
     return sum;
 }
 
 bool Dag::is_acyclic() const {
     // Kahn's algorithm: the graph is acyclic iff every task gets popped.
-    std::vector<std::size_t> in_deg(tasks_.size());
+    const std::size_t n = num_tasks();
+    std::vector<std::size_t> in_deg(n);
     std::vector<TaskId> ready;
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-        in_deg[i] = tasks_[i].preds.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        in_deg[i] = csr_.in_degree(static_cast<TaskId>(i));
         if (in_deg[i] == 0) ready.push_back(static_cast<TaskId>(i));
     }
     std::size_t popped = 0;
@@ -217,22 +130,23 @@ bool Dag::is_acyclic() const {
         const TaskId v = ready.back();
         ready.pop_back();
         ++popped;
-        for (const AdjEdge& e : tasks_[static_cast<std::size_t>(v)].succs) {
-            if (--in_deg[static_cast<std::size_t>(e.task)] == 0) ready.push_back(e.task);
+        for (const TaskId s : csr_.succ_tasks(v)) {
+            if (--in_deg[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
         }
     }
-    return popped == tasks_.size();
+    return popped == n;
 }
 
 std::string Dag::validate() const {
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-        if (!(tasks_[i].work >= 0.0) || !std::isfinite(tasks_[i].work)) {
-            return "task " + std::to_string(i) + " has invalid work";
+    for (TaskId v = 0; v < static_cast<TaskId>(num_tasks()); ++v) {
+        const double w = work_[static_cast<std::size_t>(v)];
+        if (!(w >= 0.0) || !std::isfinite(w)) {
+            return "task " + std::to_string(v) + " has invalid work";
         }
-        for (const AdjEdge& e : tasks_[i].succs) {
+        for (const AdjEdge& e : successors(v)) {
             if (!(e.data >= 0.0) || !std::isfinite(e.data)) {
                 std::ostringstream os;
-                os << "edge " << i << " -> " << e.task << " has invalid data";
+                os << "edge " << v << " -> " << e.task << " has invalid data";
                 return os.str();
             }
         }
@@ -242,13 +156,102 @@ std::string Dag::validate() const {
 }
 
 bool operator==(const Dag& a, const Dag& b) {
-    if (a.tasks_.size() != b.tasks_.size() || a.num_edges_ != b.num_edges_) return false;
-    for (std::size_t i = 0; i < a.tasks_.size(); ++i) {
-        const auto& ta = a.tasks_[i];
-        const auto& tb = b.tasks_[i];
-        if (ta.work != tb.work || ta.name != tb.name || ta.succs != tb.succs) return false;
+    if (a.work_ != b.work_ || a.num_edges() != b.num_edges()) return false;
+    for (TaskId v = 0; v < static_cast<TaskId>(a.num_tasks()); ++v) {
+        if (a.name(v) != b.name(v)) return false;
+        const auto sa = a.successors(v);
+        const auto sb = b.successors(v);
+        if (!std::ranges::equal(sa, sb)) return false;
     }
     return true;
+}
+
+std::size_t DagBuilder::check(TaskId v) const { return checked_index(v, work_.size()); }
+
+TaskId DagBuilder::add_task(double work, std::string name) {
+    if (!(work >= 0.0) || !std::isfinite(work)) {
+        throw std::invalid_argument("Dag::add_task: work must be finite and non-negative");
+    }
+    if (work_.size() >= static_cast<std::size_t>(std::numeric_limits<TaskId>::max())) {
+        throw std::length_error("Dag::add_task: too many tasks");
+    }
+    const std::size_t id = work_.size();
+    work_.push_back(work);
+    out_head_.push_back(kNoEdge);
+    out_deg_.push_back(0);
+    in_deg_.push_back(0);
+    if (!name.empty()) {
+        names_.resize(id + 1);
+        names_[id] = std::move(name);
+    }
+    return static_cast<TaskId>(id);
+}
+
+void DagBuilder::add_edge(TaskId u, TaskId v, double data) {
+    const std::size_t ui = check(u);
+    const std::size_t vi = check(v);
+    if (u == v) {
+        throw std::invalid_argument("Dag::add_edge: self-loop on task " + std::to_string(u));
+    }
+    if (!(data >= 0.0) || !std::isfinite(data)) {
+        throw std::invalid_argument("Dag::add_edge: data must be finite and non-negative");
+    }
+    if (has_edge(u, v)) {
+        throw std::invalid_argument("Dag::add_edge: duplicate edge " + std::to_string(u) + " -> " +
+                                    std::to_string(v));
+    }
+    edges_.push_back({u, v, data, out_head_[ui]});
+    out_head_[ui] = edges_.size() - 1;
+    ++out_deg_[ui];
+    ++in_deg_[vi];
+}
+
+bool DagBuilder::has_edge(TaskId u, TaskId v) const {
+    for (std::size_t e = out_head_[check(u)]; e != kNoEdge; e = edges_[e].next_out) {
+        if (edges_[e].to == v) return true;
+    }
+    (void)check(v);
+    return false;
+}
+
+Dag DagBuilder::build() && {
+    const std::size_t n = work_.size();
+    Dag dag;
+    CsrAdjacency& c = dag.csr_;
+    c.succ_off_.assign(n + 1, 0);
+    c.pred_off_.assign(n + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        c.succ_off_[i + 1] = c.succ_off_[i] + out_deg_[i];
+        c.pred_off_[i + 1] = c.pred_off_[i] + in_deg_[i];
+    }
+    const std::size_t m = edges_.size();
+    c.succ_task_.resize(m);
+    c.succ_data_.resize(m);
+    c.pred_task_.resize(m);
+    c.pred_data_.resize(m);
+    // Stable counting sort: walking the edges in insertion order and
+    // filling each row front to back keeps every row in insertion order.
+    // The degree arrays become the per-row fill cursors.
+    std::copy(c.succ_off_.begin(), c.succ_off_.end() - 1, out_deg_.begin());
+    std::copy(c.pred_off_.begin(), c.pred_off_.end() - 1, in_deg_.begin());
+    for (const Edge& e : edges_) {
+        const std::size_t s = out_deg_[static_cast<std::size_t>(e.from)]++;
+        c.succ_task_[s] = e.to;
+        c.succ_data_[s] = e.data;
+        const std::size_t p = in_deg_[static_cast<std::size_t>(e.to)]++;
+        c.pred_task_[p] = e.from;
+        c.pred_data_[p] = e.data;
+    }
+    // The task arrays grew by doubling; a Dag lives long, so trim them.
+    dag.work_ = std::move(work_);
+    dag.work_.shrink_to_fit();
+    if (!names_.empty()) {
+        names_.resize(n);
+        names_.shrink_to_fit();
+        dag.names_ = std::move(names_);
+    }
+    *this = DagBuilder();
+    return dag;
 }
 
 }  // namespace tsched

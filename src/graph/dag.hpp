@@ -6,19 +6,19 @@
 // from producer to consumer (scaled into communication times by the
 // platform's link model).
 //
-// The container is append-only (tasks and edges can be added, never removed)
-// which keeps TaskIds stable; structural transformations (e.g. transitive
-// reduction) produce new Dags.
+// A Dag is built once by a DagBuilder and is structurally immutable after
+// that: tasks and edges are fixed, which keeps TaskIds stable and lets the
+// edges live in one compressed-sparse-row store.  Only values (work, names,
+// edge volumes) can change afterwards.  Structural transformations (e.g.
+// transitive reduction) build new Dags.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
-
-#include "util/thread_annotations.hpp"
 
 namespace tsched {
 
@@ -34,26 +34,68 @@ struct AdjEdge {
     friend bool operator==(const AdjEdge&, const AdjEdge&) = default;
 };
 
-class Dag;
+/// One adjacency row (a task's successors or predecessors) as a read-only
+/// range of AdjEdge values, read from the two parallel CSR arrays.
+class AdjRange {
+public:
+    class iterator {
+    public:
+        using value_type = AdjEdge;
+        using difference_type = std::ptrdiff_t;
+        using iterator_concept = std::forward_iterator_tag;
 
-/// Struct-of-arrays adjacency snapshot of a Dag (compressed sparse row, both
-/// directions).  The per-node `std::vector<AdjEdge>` layout costs one pointer
-/// chase per node; at 10k+ tasks those misses dominate the rank and
-/// data-ready sweeps, so the hot paths (ranks, ScheduleBuilder, the
-/// simulator) iterate this flat view instead.  Edge order within each node
-/// matches the Dag's insertion order exactly — rank and data-ready folds are
-/// floating-point max/min reductions whose results depend on operand order,
-/// and byte-identical schedules require the same order the AdjEdge walk used.
+        iterator() = default;
+        iterator(const TaskId* task, const double* data) : task_(task), data_(data) {}
+
+        AdjEdge operator*() const noexcept { return {*task_, *data_}; }
+        iterator& operator++() noexcept {
+            ++task_;
+            ++data_;
+            return *this;
+        }
+        iterator operator++(int) noexcept {
+            iterator old = *this;
+            ++*this;
+            return old;
+        }
+        friend bool operator==(const iterator& a, const iterator& b) noexcept {
+            return a.task_ == b.task_;
+        }
+
+    private:
+        const TaskId* task_ = nullptr;
+        const double* data_ = nullptr;
+    };
+
+    AdjRange(std::span<const TaskId> tasks, std::span<const double> data) noexcept
+        : tasks_(tasks), data_(data) {}
+
+    [[nodiscard]] std::size_t size() const noexcept { return tasks_.size(); }
+    [[nodiscard]] bool empty() const noexcept { return tasks_.empty(); }
+    [[nodiscard]] AdjEdge operator[](std::size_t i) const noexcept { return {tasks_[i], data_[i]}; }
+    [[nodiscard]] iterator begin() const noexcept { return {tasks_.data(), data_.data()}; }
+    [[nodiscard]] iterator end() const noexcept {
+        return {tasks_.data() + tasks_.size(), data_.data() + data_.size()};
+    }
+
+private:
+    std::span<const TaskId> tasks_;
+    std::span<const double> data_;
+};
+
+/// Struct-of-arrays adjacency of a Dag (compressed sparse row, both
+/// directions) and the only store of its edges.  The hot paths (ranks,
+/// ScheduleBuilder, the simulator) iterate these flat arrays directly; at
+/// 10k+ tasks a per-node list would cost one pointer chase per node.  Edge
+/// order within each row is the DagBuilder's insertion order exactly — rank
+/// and data-ready folds are floating-point max/min reductions whose results
+/// depend on operand order, and byte-identical schedules require it.
 ///
 /// Accessors do no bounds checking: ids must be in [0, num_tasks), which
-/// every consumer guarantees by iterating the snapshot it was built from.
+/// every consumer guarantees by iterating the Dag the CSR belongs to.
 class CsrAdjacency {
 public:
-    CsrAdjacency() = default;
-    /// Snapshot the current adjacency of `dag` (O(n + m)).
-    explicit CsrAdjacency(const Dag& dag);
-
-    [[nodiscard]] std::size_t num_tasks() const noexcept { return num_tasks_; }
+    [[nodiscard]] std::size_t num_tasks() const noexcept { return succ_off_.size() - 1; }
     [[nodiscard]] std::size_t num_edges() const noexcept { return succ_task_.size(); }
 
     [[nodiscard]] std::span<const TaskId> succ_tasks(TaskId v) const noexcept {
@@ -83,9 +125,11 @@ public:
     }
 
 private:
-    std::size_t num_tasks_ = 0;
-    std::vector<std::size_t> succ_off_;  // n + 1 offsets into succ_task_/succ_data_
-    std::vector<std::size_t> pred_off_;  // n + 1 offsets into pred_task_/pred_data_
+    friend class Dag;
+    friend class DagBuilder;
+
+    std::vector<std::size_t> succ_off_ = {0};  // n + 1 offsets into succ_task_/succ_data_
+    std::vector<std::size_t> pred_off_ = {0};  // n + 1 offsets into pred_task_/pred_data_
     std::vector<TaskId> succ_task_;
     std::vector<TaskId> pred_task_;
     std::vector<double> succ_data_;
@@ -94,62 +138,42 @@ private:
 
 class Dag {
 public:
-    Dag() = default;
-    /// Pre-create `n` tasks with unit work and empty names.
-    explicit Dag(std::size_t n) { tasks_.resize(n); }
+    [[nodiscard]] std::size_t num_tasks() const noexcept { return work_.size(); }
+    [[nodiscard]] std::size_t num_edges() const noexcept { return csr_.num_edges(); }
+    [[nodiscard]] bool empty() const noexcept { return work_.empty(); }
 
-    // The lazily built CSR cache travels with neither copies nor moves (the
-    // destination rebuilds it on first use); both are otherwise the same
-    // member-wise operations the compiler used to generate.
-    Dag(const Dag& other) : tasks_(other.tasks_), num_edges_(other.num_edges_) {}
-    Dag(Dag&& other) noexcept
-        : tasks_(std::move(other.tasks_)), num_edges_(other.num_edges_) {}
-    Dag& operator=(const Dag& other);
-    Dag& operator=(Dag&& other) noexcept;
-    ~Dag() = default;
+    [[nodiscard]] double work(TaskId v) const { return work_[check(v)]; }
+    void set_work(TaskId v, double w) { work_[check(v)] = w; }
 
-    /// Add a task; returns its id. `work` is the abstract computation amount.
-    TaskId add_task(double work = 1.0, std::string name = {});
-
-    /// Add a directed edge u -> v carrying `data` volume.
-    /// Throws std::invalid_argument on out-of-range ids, self-loops, or
-    /// duplicate edges. Cycle creation is detected lazily by validate().
-    void add_edge(TaskId u, TaskId v, double data = 0.0);
-
-    [[nodiscard]] std::size_t num_tasks() const noexcept { return tasks_.size(); }
-    [[nodiscard]] std::size_t num_edges() const noexcept { return num_edges_; }
-    [[nodiscard]] bool empty() const noexcept { return tasks_.empty(); }
-
-    [[nodiscard]] double work(TaskId v) const { return tasks_.at(check(v)).work; }
-    void set_work(TaskId v, double w) { tasks_.at(check(v)).work = w; }
-
-    [[nodiscard]] const std::string& name(TaskId v) const { return tasks_.at(check(v)).name; }
-    void set_name(TaskId v, std::string name) { tasks_.at(check(v)).name = std::move(name); }
+    /// Task name; empty when unnamed.
+    [[nodiscard]] const std::string& name(TaskId v) const;
+    void set_name(TaskId v, std::string name);
+    /// False while no task has a name: names are stored only from the first
+    /// non-empty one on.
+    [[nodiscard]] bool has_names() const noexcept { return !names_.empty(); }
 
     /// Successors of v with edge data, in insertion order.
-    [[nodiscard]] std::span<const AdjEdge> successors(TaskId v) const {
-        return tasks_.at(check(v)).succs;
+    [[nodiscard]] AdjRange successors(TaskId v) const {
+        (void)check(v);
+        return {csr_.succ_tasks(v), csr_.succ_data(v)};
     }
     /// Predecessors of v with edge data, in insertion order.
-    [[nodiscard]] std::span<const AdjEdge> predecessors(TaskId v) const {
-        return tasks_.at(check(v)).preds;
+    [[nodiscard]] AdjRange predecessors(TaskId v) const {
+        (void)check(v);
+        return {csr_.pred_tasks(v), csr_.pred_data(v)};
     }
 
     [[nodiscard]] std::size_t out_degree(TaskId v) const { return successors(v).size(); }
     [[nodiscard]] std::size_t in_degree(TaskId v) const { return predecessors(v).size(); }
 
-    /// Flat struct-of-arrays adjacency view, built lazily on first call and
-    /// cached until the next mutation (add_task/add_edge/set_edge_data/
-    /// scale_edge_data).
-    /// Concurrent csr() calls on a const Dag are safe; the returned reference
-    /// is invalidated by any mutation, exactly like the successors() spans.
-    [[nodiscard]] const CsrAdjacency& csr() const TSCHED_EXCLUDES(csr_mutex_);
+    /// The flat struct-of-arrays adjacency the Dag stores its edges in.
+    [[nodiscard]] const CsrAdjacency& csr() const noexcept { return csr_; }
 
     [[nodiscard]] bool has_edge(TaskId u, TaskId v) const;
     /// Data volume on edge u -> v; throws std::out_of_range if absent.
     [[nodiscard]] double edge_data(TaskId u, TaskId v) const;
-    /// Overwrite the data volume of an existing edge; throws
-    /// std::out_of_range if absent.
+    /// Overwrite the data volume of an existing edge (both CSR directions);
+    /// throws std::out_of_range if absent.
     void set_edge_data(TaskId u, TaskId v, double data);
     /// Multiply every edge's data volume by `factor` in one sweep (the CCR
     /// calibration in workload/) — exactly the value
@@ -166,8 +190,9 @@ public:
     [[nodiscard]] double total_work() const noexcept;
     [[nodiscard]] double total_data() const noexcept;
 
-    /// True when the edge set is acyclic (a Dag built only through add_edge
-    /// can still encode a cycle; generators call this as a postcondition).
+    /// True when the edge set is acyclic (a DagBuilder accepts any edge set
+    /// without self-loops or duplicates; generators call this as a
+    /// postcondition).
     [[nodiscard]] bool is_acyclic() const;
 
     /// Check invariants (acyclicity, non-negative work/data); returns an
@@ -177,27 +202,64 @@ public:
     friend bool operator==(const Dag& a, const Dag& b);
 
 private:
-    struct TaskNode {
-        double work = 1.0;
-        std::string name;
-        std::vector<AdjEdge> succs;
-        std::vector<AdjEdge> preds;
+    friend class DagBuilder;
+
+    /// `v` as an index; throws std::out_of_range unless it is in [0, num_tasks).
+    [[nodiscard]] std::size_t check(TaskId v) const;
+
+    std::vector<double> work_;
+    std::vector<std::string> names_;  // empty when no task is named, else one per task
+    CsrAdjacency csr_;
+};
+
+/// Accumulates tasks and edges and packs them into a Dag's CSR in one pass.
+/// Rows keep insertion order: a stable counting sort places each edge after
+/// every earlier edge of the same source (successor row) and of the same
+/// target (predecessor row).
+class DagBuilder {
+public:
+    DagBuilder() = default;
+    /// Pre-create `n` tasks with unit work and empty names.
+    explicit DagBuilder(std::size_t n)
+        : work_(n, 1.0), out_head_(n, kNoEdge), out_deg_(n, 0), in_deg_(n, 0) {}
+
+    /// Add a task; returns its id. `work` is the abstract computation amount.
+    TaskId add_task(double work = 1.0, std::string name = {});
+
+    /// Add a directed edge u -> v carrying `data` volume.
+    /// Throws std::invalid_argument on self-loops, bad data or duplicate
+    /// edges and std::out_of_range on out-of-range ids.  Cycle creation is
+    /// detected lazily by Dag::validate().
+    void add_edge(TaskId u, TaskId v, double data = 0.0);
+
+    [[nodiscard]] std::size_t num_tasks() const noexcept { return work_.size(); }
+    [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
+    [[nodiscard]] std::size_t out_degree(TaskId v) const { return out_deg_[check(v)]; }
+    [[nodiscard]] std::size_t in_degree(TaskId v) const { return in_deg_[check(v)]; }
+    [[nodiscard]] bool has_edge(TaskId u, TaskId v) const;
+
+    /// Pack everything added so far into a Dag (O(n + m)).
+    [[nodiscard]] Dag build() &&;
+
+private:
+    static constexpr std::size_t kNoEdge = static_cast<std::size_t>(-1);
+
+    struct Edge {
+        TaskId from;
+        TaskId to;
+        double data;
+        std::size_t next_out;  // previous edge out of `from`, or kNoEdge
     };
 
+    /// As Dag::check, over the tasks added so far.
     [[nodiscard]] std::size_t check(TaskId v) const;
-    void invalidate_csr() TSCHED_EXCLUDES(csr_mutex_);
 
-    std::vector<TaskNode> tasks_;
-    std::size_t num_edges_ = 0;
-    // Lazily built flat adjacency; csr_mutex_ serialises concurrent readers
-    // racing to build it.  Mutators are single-threaded by contract, so they
-    // need the lock only to reset a snapshot that exists: csr_built_ is set
-    // under the lock when csr() builds one and cleared under it on reset,
-    // letting a generator's thousands of add_task/add_edge calls on a
-    // never-snapshotted Dag skip the lock entirely.
-    mutable Mutex csr_mutex_;
-    mutable std::unique_ptr<CsrAdjacency> csr_cache_ TSCHED_GUARDED_BY(csr_mutex_);
-    mutable std::atomic<bool> csr_built_{false};
+    std::vector<double> work_;
+    std::vector<std::string> names_;     // up to the last named task; empty if none is
+    std::vector<std::size_t> out_head_;  // latest edge out of each task, or kNoEdge
+    std::vector<std::size_t> out_deg_;
+    std::vector<std::size_t> in_deg_;
+    std::vector<Edge> edges_;
 };
 
 }  // namespace tsched

@@ -63,7 +63,7 @@ std::string to_tsg(const Dag& dag) {
 }
 
 Dag read_tsg(std::istream& is) {
-    Dag dag;
+    DagBuilder builder;
     std::string line;
     std::size_t line_no = 0;
     bool header_seen = false;
@@ -90,20 +90,22 @@ Dag read_tsg(std::istream& is) {
             std::size_t id = 0;
             double work = 0.0;
             if (!(ls >> id >> work)) fail("malformed task record");
-            if (id != dag.num_tasks()) fail("task ids must be dense and ascending");
+            if (id != builder.num_tasks()) fail("task ids must be dense and ascending");
             std::string name;
             ls >> std::ws;
             std::getline(ls, name);
-            dag.add_task(work, name);
+            builder.add_task(work, name);
         } else if (tag == "e") {
             if (!header_seen) fail("edge record before header");
             std::size_t u = 0;
             std::size_t v = 0;
             double data = 0.0;
             if (!(ls >> u >> v >> data)) fail("malformed edge record");
-            if (u >= dag.num_tasks() || v >= dag.num_tasks()) fail("edge endpoint out of range");
+            if (u >= builder.num_tasks() || v >= builder.num_tasks()) {
+                fail("edge endpoint out of range");
+            }
             try {
-                dag.add_edge(static_cast<TaskId>(u), static_cast<TaskId>(v), data);
+                builder.add_edge(static_cast<TaskId>(u), static_cast<TaskId>(v), data);
             } catch (const std::invalid_argument& err) {
                 fail(err.what());
             }
@@ -113,14 +115,15 @@ Dag read_tsg(std::istream& is) {
         }
     }
     if (!header_seen) throw std::runtime_error("read_tsg: missing header");
-    if (dag.num_tasks() != expect_tasks) {
+    if (builder.num_tasks() != expect_tasks) {
         throw std::runtime_error("read_tsg: header declares " + std::to_string(expect_tasks) +
-                                 " tasks, found " + std::to_string(dag.num_tasks()));
+                                 " tasks, found " + std::to_string(builder.num_tasks()));
     }
     if (seen_edges != expect_edges) {
         throw std::runtime_error("read_tsg: header declares " + std::to_string(expect_edges) +
                                  " edges, found " + std::to_string(seen_edges));
     }
+    Dag dag = std::move(builder).build();
     const std::string diag = dag.validate();
     if (!diag.empty()) throw std::runtime_error("read_tsg: invalid graph: " + diag);
     return dag;

@@ -65,12 +65,15 @@ struct ServeServer::Session {
 // ---------------------------------------------------------------------------
 
 ServeServer::ServeServer(ServerConfig config, ThreadPool& pool)
-    : config_(std::move(config)), pool_(pool), engine_(config_.engine, pool_) {}
+    : config_(std::move(config)), pool_(pool), engine_(config_.engine, pool_, [this] {
+          wake_loop();
+      }) {}
 
 ServeServer::~ServeServer() { (void)stop(); }
 
 void ServeServer::start() {
-    if (running_.load(std::memory_order_acquire) || loop_thread_.joinable())
+    if (running_.load(std::memory_order_acquire) || loop_thread_.joinable() ||
+        wake_write_.valid())
         throw std::logic_error("ServeServer: start() called twice");
     listener_ = listen_tcp(config_.host, config_.port, config_.listen_backlog);
     set_nonblocking(listener_.fd.get());
@@ -91,6 +94,10 @@ void ServeServer::start() {
 
 void ServeServer::request_stop() noexcept {
     stop_requested_.store(true, std::memory_order_release);
+    wake_loop();
+}
+
+void ServeServer::wake_loop() noexcept {
     // write(2) is async-signal-safe; the byte's only job is waking poll().
     if (wake_write_.valid()) {
         const ssize_t rc = ::write(wake_write_.get(), "x", 1);
@@ -121,6 +128,7 @@ NetServerStats ServeServer::stats() const noexcept {
     s.backpressure_pauses = backpressure_pauses_.load(std::memory_order_relaxed);
     s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
     s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
+    s.loop_wakeups = loop_wakeups_.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -159,7 +167,6 @@ void ServeServer::loop() {
         const bool accepting = !draining && listener_.fd.valid();
         if (accepting) fds.push_back({listener_.fd.get(), POLLIN, 0});
         const std::size_t session_base = fds.size();
-        bool any_pending = false;
         bool any_buffered = false;
         for (auto& session : sessions_) {
             short events = 0;
@@ -176,13 +183,15 @@ void ServeServer::loop() {
                 if (session->decoder.ready()) any_buffered = true;
             }
             if (!session->outbox.empty()) events |= POLLOUT;
-            if (!session->pending.empty()) any_pending = true;
             fds.push_back({session->fd.get(), events, 0});
         }
 
-        const int timeout_ms = any_buffered ? 0 : any_pending ? 1 : (draining ? 5 : 200);
+        // Parked futures need no tick: the engine's completion hook writes
+        // the wake pipe when a computation resolves them.
+        const int timeout_ms = any_buffered ? 0 : (draining ? 5 : 200);
         const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
         if (rc < 0 && errno != EINTR && errno != EAGAIN) break;  // unrecoverable
+        loop_wakeups_.fetch_add(1, std::memory_order_relaxed);
 
         // --- wake pipe ----------------------------------------------------
         if (fds[0].revents != 0) {

@@ -40,6 +40,15 @@
 // when the stop arrived still get typed kDraining responses — a draining
 // server answers everything it ever read, it just refuses to compute more.
 //
+// Wake-ups: the loop sleeps in poll() until a socket is ready, the wake pipe
+// is written, or the idle timeout expires.  The engine runs a hook at the
+// end of every pool closure (ServeEngine's `on_closure_done`), which writes
+// one byte to the self-pipe, so a computed reply goes out as soon as it is
+// resolved; cache hits resolve on the loop thread and write nothing.  The
+// pipe is created once by start() and closed only when the server is
+// destroyed, after the engine has joined every closure it launched, so the
+// hook never writes to a closed or reused descriptor.
+//
 // Threading: the loop thread exclusively owns all session state; the
 // constructor/start()/stop() run on the owner's thread; cross-thread
 // communication is the stop flag, the wake pipe, and atomic counters.  The
@@ -86,6 +95,7 @@ struct NetServerStats {
     std::uint64_t backpressure_pauses = 0;  ///< read-pause transitions
     std::uint64_t bytes_in = 0;
     std::uint64_t bytes_out = 0;
+    std::uint64_t loop_wakeups = 0;  ///< event-loop iterations (poll() returns)
 };
 
 /// What shutdown did (mirrors serve::DrainReport one level up).
@@ -110,7 +120,7 @@ public:
 
     /// Bind + listen (throws std::system_error on failure — port in use,
     /// bad host), then start the event loop thread.  After start() returns,
-    /// port() is the live bound port.
+    /// port() is the live bound port.  A server starts at most once.
     void start();
 
     /// Async-signal-safe stop request: flags the loop and wakes it through
@@ -137,6 +147,9 @@ private:
     struct Session;
 
     void loop();
+    /// Write one byte to the wake pipe (async-signal-safe; a full pipe
+    /// already holds a pending wake-up).
+    void wake_loop() noexcept;
     void accept_ready();
     void read_session(Session& session);
     void process_frames(Session& session);
@@ -150,12 +163,13 @@ private:
 
     ServerConfig config_;
     ThreadPool& pool_;
+    // Declared before engine_ so the pipe outlives every engine closure.
+    FdHandle wake_read_;
+    FdHandle wake_write_;
     serve::ServeEngine engine_;
 
     Listener listener_;
     std::uint16_t port_ = 0;
-    FdHandle wake_read_;
-    FdHandle wake_write_;
 
     std::thread loop_thread_;
     std::atomic<bool> stop_requested_{false};
@@ -175,6 +189,7 @@ private:
     std::atomic<std::uint64_t> backpressure_pauses_{0};
     std::atomic<std::uint64_t> bytes_in_{0};
     std::atomic<std::uint64_t> bytes_out_{0};
+    std::atomic<std::uint64_t> loop_wakeups_{0};
 };
 
 }  // namespace tsched::net

@@ -37,7 +37,7 @@ namespace {
 
 /// Forward topological order by FIFO Kahn over the CSR view, into caller
 /// scratch.  Every rank below is a recurrence whose per-task fold runs over
-/// that task's own adjacency list (order fixed by the CSR snapshot), so the
+/// that task's own adjacency list (order fixed by the CSR), so the
 /// values are identical under *any* topological processing order — FIFO is
 /// simply the cheapest deterministic one.  The public topological_order()
 /// (priority-queue Kahn, id tie-breaks) is unchanged for callers that

@@ -47,7 +47,8 @@ bool ServeEngine::DescriptorEntry::matches(const TraceRequest& other,
            descriptor.seed == other.seed && options == other_options;
 }
 
-ServeEngine::ServeEngine(ServeConfig config, ThreadPool& pool)
+ServeEngine::ServeEngine(ServeConfig config, ThreadPool& pool,
+                         std::function<void()> on_closure_done)
     : config_(std::move(config)),
       pool_(pool),
       cache_(std::make_unique<ScheduleCache>(config_.cache_capacity, config_.cache_shards)),
@@ -55,6 +56,7 @@ ServeEngine::ServeEngine(ServeConfig config, ThreadPool& pool)
       admission_(AdmissionOptions{config_.max_inflight, config_.max_pending,
                                   config_.shed_policy, config_.enable_cache}),
       chaos_(config_.chaos),
+      on_closure_done_(std::move(on_closure_done)),
       lat_total_ms_(metrics_.histogram("serve/latency/total_ms")),
       lat_queue_wait_ms_(metrics_.histogram("serve/latency/queue_wait_ms")),
       lat_cache_lookup_ms_(metrics_.histogram("serve/latency/cache_lookup_ms")),
@@ -217,9 +219,14 @@ void ServeEngine::launch_chain(Ticket ticket, ScheduleRequest request, std::uint
                           sub = current->submitted]() mutable {
                 // The guard (not a tail call) ends the own-task scope, so an
                 // exception escaping run_computation cannot leak the count.
+                // The completion hook runs first, while the destructor's
+                // own-task wait still covers it.
                 struct OwnTaskScope {
                     ServeEngine* engine;
-                    ~OwnTaskScope() { engine->own_task_end(); }
+                    ~OwnTaskScope() {
+                        if (engine->on_closure_done_) engine->on_closure_done_();
+                        engine->own_task_end();
+                    }
                 } scope{this};
                 run_computation(t, std::move(req), f, sub);
             });

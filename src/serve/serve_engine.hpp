@@ -75,6 +75,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -149,8 +150,15 @@ struct DrainReport {
 
 class ServeEngine {
 public:
-    /// The pool is borrowed and must outlive the engine.
-    ServeEngine(ServeConfig config, ThreadPool& pool);
+    /// The pool is borrowed and must outlive the engine.  `on_closure_done`
+    /// (may be empty) runs on the pool thread at the end of every closure
+    /// this engine puts on the pool — after the closure resolved whatever it
+    /// resolves, on every exit path, and before the destructor's own-task
+    /// wait can return.  The socket front-end passes a hook that wakes its
+    /// event loop, so a computed reply is sent without waiting for a poll
+    /// timeout; replies resolved on the submitting thread never run it.
+    ServeEngine(ServeConfig config, ThreadPool& pool,
+                std::function<void()> on_closure_done = {});
 
     /// Drains with the configured drain_timeout_ms, then waits for this
     /// engine's *own* outstanding pool closures (never the borrowed pool's
@@ -293,6 +301,7 @@ private:
     ShardedLru<DescriptorEntry> descriptors_;
     AdmissionController admission_;
     std::shared_ptr<ChaosHook> chaos_;  ///< copy of config_.chaos (hot-path load)
+    std::function<void()> on_closure_done_;
 
     // Engine-local instrument registry plus cached references into it (the
     // references stay valid for the registry's lifetime, metrics.hpp), so

@@ -41,13 +41,13 @@ Dag layered_random(const LayeredDagParams& params, Rng& rng) {
         assigned += width;
     }
 
-    Dag dag;
+    DagBuilder b;
     std::vector<std::vector<TaskId>> levels(level_sizes.size());
     for (std::size_t l = 0; l < level_sizes.size(); ++l) {
         levels[l].reserve(level_sizes[l]);
         for (std::size_t i = 0; i < level_sizes[l]; ++i) {
             const double work = rng.uniform(params.work_min, params.work_max);
-            levels[l].push_back(dag.add_task(work));
+            levels[l].push_back(b.add_task(work));
         }
     }
 
@@ -72,7 +72,7 @@ Dag layered_random(const LayeredDagParams& params, Rng& rng) {
                     rng.uniform_int(static_cast<std::int64_t>(i),
                                     static_cast<std::int64_t>(scratch.size() - 1)));
                 std::swap(scratch[i], scratch[j]);
-                dag.add_edge(u, scratch[i], rand_data());
+                b.add_edge(u, scratch[i], rand_data());
             }
         }
     }
@@ -81,14 +81,14 @@ Dag layered_random(const LayeredDagParams& params, Rng& rng) {
     // the graph has no accidental extra sources.
     for (std::size_t l = 1; l < levels.size(); ++l) {
         for (const TaskId v : levels[l]) {
-            if (dag.in_degree(v) > 0) continue;
+            if (b.in_degree(v) > 0) continue;
             const auto& prev = levels[l - 1];
             const auto pick = static_cast<std::size_t>(
                 rng.uniform_int(0, static_cast<std::int64_t>(prev.size() - 1)));
-            dag.add_edge(prev[pick], v, rand_data());
+            b.add_edge(prev[pick], v, rand_data());
         }
     }
-    return dag;
+    return std::move(b).build();
 }
 
 Dag gnp_random(const GnpDagParams& params, Rng& rng) {
@@ -96,29 +96,29 @@ Dag gnp_random(const GnpDagParams& params, Rng& rng) {
     if (!(params.edge_prob >= 0.0 && params.edge_prob <= 1.0)) {
         throw std::invalid_argument("gnp_random: edge_prob must be in [0, 1]");
     }
-    Dag dag;
+    DagBuilder b;
     for (std::size_t i = 0; i < params.n; ++i) {
-        dag.add_task(rng.uniform(params.work_min, params.work_max));
+        b.add_task(rng.uniform(params.work_min, params.work_max));
     }
     for (std::size_t u = 0; u < params.n; ++u) {
         for (std::size_t v = u + 1; v < params.n; ++v) {
             if (rng.bernoulli(params.edge_prob)) {
-                dag.add_edge(static_cast<TaskId>(u), static_cast<TaskId>(v),
+                b.add_edge(static_cast<TaskId>(u), static_cast<TaskId>(v),
                              rng.uniform(params.data_min, params.data_max));
             }
         }
     }
     if (params.connect_isolated) {
         for (std::size_t v = 1; v < params.n; ++v) {
-            if (dag.in_degree(static_cast<TaskId>(v)) == 0) {
+            if (b.in_degree(static_cast<TaskId>(v)) == 0) {
                 const auto u = static_cast<TaskId>(
                     rng.uniform_int(0, static_cast<std::int64_t>(v - 1)));
-                dag.add_edge(u, static_cast<TaskId>(v),
+                b.add_edge(u, static_cast<TaskId>(v),
                              rng.uniform(params.data_min, params.data_max));
             }
         }
     }
-    return dag;
+    return std::move(b).build();
 }
 
 }  // namespace tsched::workload

@@ -66,14 +66,15 @@ TEST(Etf, StartsTheEarliestStartableTaskFirst) {
 TEST(Hlfet, PrefersHighestLevelReadyTask) {
     // Fork: src -> {long chain, short leaf}.  After src, HLFET must start
     // the chain head (higher static level) before the leaf.
-    Dag dag;
-    const TaskId src = dag.add_task(1.0);
-    const TaskId chain1 = dag.add_task(1.0);
-    const TaskId chain2 = dag.add_task(5.0);
-    const TaskId leaf = dag.add_task(1.0);
-    dag.add_edge(src, chain1, 0.0);
-    dag.add_edge(chain1, chain2, 0.0);
-    dag.add_edge(src, leaf, 0.0);
+    DagBuilder builder;
+    const TaskId src = builder.add_task(1.0);
+    const TaskId chain1 = builder.add_task(1.0);
+    const TaskId chain2 = builder.add_task(5.0);
+    const TaskId leaf = builder.add_task(1.0);
+    builder.add_edge(src, chain1, 0.0);
+    builder.add_edge(chain1, chain2, 0.0);
+    builder.add_edge(src, leaf, 0.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(1, links);
     CostMatrix costs = CostMatrix::uniform(dag, 1);
@@ -111,15 +112,16 @@ TEST(Dls, DeltaTermPrefersSpecialistProcessor) {
 TEST(Mcp, AlapOrderSchedulesCriticalBranchFirst) {
     // Diamond where one middle branch is much heavier: MCP's ascending-ALAP
     // order starts the heavy branch before the light one.
-    Dag dag;
-    const TaskId src = dag.add_task(1.0);
-    const TaskId heavy = dag.add_task(8.0);
-    const TaskId light = dag.add_task(1.0);
-    const TaskId sink = dag.add_task(1.0);
-    dag.add_edge(src, heavy, 0.0);
-    dag.add_edge(src, light, 0.0);
-    dag.add_edge(heavy, sink, 0.0);
-    dag.add_edge(light, sink, 0.0);
+    DagBuilder builder;
+    const TaskId src = builder.add_task(1.0);
+    const TaskId heavy = builder.add_task(8.0);
+    const TaskId light = builder.add_task(1.0);
+    const TaskId sink = builder.add_task(1.0);
+    builder.add_edge(src, heavy, 0.0);
+    builder.add_edge(src, light, 0.0);
+    builder.add_edge(heavy, sink, 0.0);
+    builder.add_edge(light, sink, 0.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(1, links);
     CostMatrix costs = CostMatrix::from_speeds(dag, machine);
@@ -136,12 +138,13 @@ TEST(Mcp, AlapOrderSchedulesCriticalBranchFirst) {
 /// index tie-break); otherwise it sits on P0 and the candidate P1, with
 /// the lower affinity, must not win.
 Problem affinity_tie_join(bool a_first_on_p1) {
-    Dag dag;
-    const TaskId a = dag.add_task();
-    const TaskId b = dag.add_task();
-    const TaskId v = dag.add_task();
-    dag.add_edge(a, v, 0.0);
-    dag.add_edge(b, v, 0.0);
+    DagBuilder builder;
+    const TaskId a = builder.add_task();
+    const TaskId b = builder.add_task();
+    const TaskId v = builder.add_task();
+    builder.add_edge(a, v, 0.0);
+    builder.add_edge(b, v, 0.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     // a finishes at 6, b at 5; v costs 1 everywhere and starts at 6 on both.

@@ -29,10 +29,11 @@ std::size_t count_code(const Diagnostics& diags, Code code) {
 
 /// 0 -> 1 (data 2) on two procs, exec cost constant 3, links latency 0 bw 1.
 Problem tiny_problem() {
-    Dag dag;
-    dag.add_task(3.0);
-    dag.add_task(3.0);
-    dag.add_edge(0, 1, 2.0);
+    DagBuilder builder;
+    builder.add_task(3.0);
+    builder.add_task(3.0);
+    builder.add_edge(0, 1, 2.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);
@@ -161,23 +162,25 @@ TEST(Diagnostics, ParseJsonRejectsGarbage) {
 // ---------------------------------------------------------------------------
 
 TEST(ProblemLints, CleanDagHasNoFindings) {
-    Dag dag;
-    dag.add_task(1.0);
-    dag.add_task(2.0);
-    dag.add_edge(0, 1, 1.0);
+    DagBuilder builder;
+    builder.add_task(1.0);
+    builder.add_task(2.0);
+    builder.add_edge(0, 1, 1.0);
+    Dag dag = std::move(builder).build();
     Diagnostics diags;
     lint_dag(dag, diags);
     EXPECT_TRUE(diags.empty()) << render_text(diags);
 }
 
 TEST(ProblemLints, DetectsCycle) {
-    Dag dag;
-    dag.add_task();
-    dag.add_task();
-    dag.add_task();
-    dag.add_edge(0, 1);
-    dag.add_edge(1, 2);
-    dag.add_edge(2, 0);
+    DagBuilder builder;
+    builder.add_task();
+    builder.add_task();
+    builder.add_task();
+    builder.add_edge(0, 1);
+    builder.add_edge(1, 2);
+    builder.add_edge(2, 0);
+    Dag dag = std::move(builder).build();
     Diagnostics diags;
     lint_dag(dag, diags);
     EXPECT_TRUE(has_code(diags, Code::kDagCycle));
@@ -185,10 +188,11 @@ TEST(ProblemLints, DetectsCycle) {
 }
 
 TEST(ProblemLints, DetectsBadAndZeroWork) {
-    Dag dag;
-    const TaskId a = dag.add_task(1.0);
-    const TaskId b = dag.add_task(1.0);
-    dag.add_edge(a, b, 1.0);
+    DagBuilder builder;
+    const TaskId a = builder.add_task(1.0);
+    const TaskId b = builder.add_task(1.0);
+    builder.add_edge(a, b, 1.0);
+    Dag dag = std::move(builder).build();
     dag.set_work(a, -2.0);
     dag.set_work(b, 0.0);
     Diagnostics diags;
@@ -201,10 +205,11 @@ TEST(ProblemLints, DetectsNonFiniteWork) {
     // Edge data is validated at every construction path (add_edge,
     // set_edge_data, read_tsg), so TS0104/TS0105/TS0106 stay defensive; NaN
     // work is reachable through set_work and must be caught.
-    Dag dag;
-    const TaskId a = dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_edge(0, 1, 1.0);
+    DagBuilder builder;
+    const TaskId a = builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_edge(0, 1, 1.0);
+    Dag dag = std::move(builder).build();
     dag.set_work(a, std::numeric_limits<double>::quiet_NaN());
     Diagnostics diags;
     lint_dag(dag, diags);
@@ -212,11 +217,12 @@ TEST(ProblemLints, DetectsNonFiniteWork) {
 }
 
 TEST(ProblemLints, DetectsDisconnectionAndIsolation) {
-    Dag dag;
-    dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_edge(0, 1, 1.0);  // task 2 is isolated
+    DagBuilder builder;
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_edge(0, 1, 1.0);  // task 2 is isolated
+    Dag dag = std::move(builder).build();
     Diagnostics diags;
     lint_dag(dag, diags);
     EXPECT_TRUE(has_code(diags, Code::kDagDisconnected));
@@ -224,13 +230,14 @@ TEST(ProblemLints, DetectsDisconnectionAndIsolation) {
 }
 
 TEST(ProblemLints, DetectsTransitivelyRedundantEdge) {
-    Dag dag;
-    dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_edge(0, 1, 1.0);
-    dag.add_edge(1, 2, 1.0);
-    dag.add_edge(0, 2, 1.0);  // implied by 0 -> 1 -> 2
+    DagBuilder builder;
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_edge(0, 1, 1.0);
+    builder.add_edge(1, 2, 1.0);
+    builder.add_edge(0, 2, 1.0);  // implied by 0 -> 1 -> 2
+    Dag dag = std::move(builder).build();
     Diagnostics diags;
     lint_dag(dag, diags);
     EXPECT_EQ(count_code(diags, Code::kDagRedundantEdge), 1u);
@@ -242,8 +249,9 @@ TEST(ProblemLints, DetectsTransitivelyRedundantEdge) {
 // ---------------------------------------------------------------------------
 
 TEST(ProblemLints, DegenerateRowsFlaggedWhenBetaDeclared) {
-    Dag dag;
-    for (int i = 0; i < 3; ++i) dag.add_task(5.0);
+    DagBuilder builder;
+    for (int i = 0; i < 3; ++i) builder.add_task(5.0);
+    Dag dag = std::move(builder).build();
     const CostMatrix costs = CostMatrix::uniform(dag, 4);
     Diagnostics diags;
     lint_cost_matrix(costs, diags, 1.0);
@@ -257,8 +265,9 @@ TEST(ProblemLints, DegenerateRowsFlaggedWhenBetaDeclared) {
 }
 
 TEST(ProblemLints, EstimateBetaTracksGeneratedHeterogeneity) {
-    Dag dag;
-    for (int i = 0; i < 200; ++i) dag.add_task(10.0);
+    DagBuilder builder;
+    for (int i = 0; i < 200; ++i) builder.add_task(10.0);
+    Dag dag = std::move(builder).build();
     Rng rng(42);
     workload::CostParams params;
     params.num_procs = 8;
@@ -272,9 +281,10 @@ TEST(ProblemLints, EstimateBetaTracksGeneratedHeterogeneity) {
 }
 
 TEST(ProblemLints, DimensionMismatchIsCoded) {
-    Dag dag;
-    dag.add_task(1.0);
-    dag.add_task(1.0);
+    DagBuilder builder;
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     const Machine machine = Machine::homogeneous(2, links);
     const CostMatrix costs(1, 3, {1.0, 1.0, 1.0});  // wrong on both axes
@@ -418,8 +428,9 @@ TEST(ScheduleLints, EmptyProblemAndScheduleAreClean) {
 }
 
 TEST(ScheduleLints, SingleTaskProblem) {
-    Dag dag;
-    dag.add_task(3.0);
+    DagBuilder builder;
+    builder.add_task(3.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     const Problem problem(dag, Machine::homogeneous(2, links), CostMatrix::uniform(dag, 2));
     Schedule s(1, 2);
@@ -469,10 +480,11 @@ TEST(ScheduleLints, SameProcessorDuplicateWarns) {
 }
 
 TEST(ScheduleLints, IdleFragmentationReported) {
-    Dag dag;
-    dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_edge(0, 1, 8.0);
+    DagBuilder builder;
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_edge(0, 1, 8.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     const Problem problem(dag, Machine::homogeneous(2, links), CostMatrix::uniform(dag, 2));
     Schedule s(2, 2);
@@ -485,13 +497,14 @@ TEST(ScheduleLints, IdleFragmentationReported) {
 }
 
 TEST(ScheduleLints, LoadImbalanceWarns) {
-    Dag dag;  // chain of three heavy tasks plus one light independent task
-    dag.add_task(3.0);
-    dag.add_task(3.0);
-    dag.add_task(3.0);
-    dag.add_task(0.5);
-    dag.add_edge(0, 1, 0.0);
-    dag.add_edge(1, 2, 0.0);
+    DagBuilder builder;  // chain of three heavy tasks plus one light independent task
+    builder.add_task(3.0);
+    builder.add_task(3.0);
+    builder.add_task(3.0);
+    builder.add_task(0.5);
+    builder.add_edge(0, 1, 0.0);
+    builder.add_edge(1, 2, 0.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     const Problem problem(dag, Machine::homogeneous(4, links), CostMatrix::uniform(dag, 4));
     Schedule s(4, 4);

@@ -19,10 +19,11 @@ namespace {
 /// Fork: 0 -> 1, 0 -> 2 (data 4 each); constant exec cost 2 on 2 procs;
 /// uniform links latency 0 bandwidth 1.
 Problem fork_problem() {
-    Dag dag;
-    for (int i = 0; i < 3; ++i) dag.add_task(2.0);
-    dag.add_edge(0, 1, 4.0);
-    dag.add_edge(0, 2, 4.0);
+    DagBuilder builder;
+    for (int i = 0; i < 3; ++i) builder.add_task(2.0);
+    builder.add_edge(0, 1, 4.0);
+    builder.add_edge(0, 2, 4.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);

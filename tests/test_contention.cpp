@@ -14,12 +14,13 @@ namespace {
 /// Contention-free: both transfers overlap, makespan = 1 + 4 + 1 = 6.
 /// One-port: the sender serializes them; second consumer starts at 9.
 Problem fan_problem() {
-    Dag dag;
-    const TaskId src = dag.add_task(1.0);
-    const TaskId a = dag.add_task(1.0);
-    const TaskId b = dag.add_task(1.0);
-    dag.add_edge(src, a, 4.0);
-    dag.add_edge(src, b, 4.0);
+    DagBuilder builder;
+    const TaskId src = builder.add_task(1.0);
+    const TaskId a = builder.add_task(1.0);
+    const TaskId b = builder.add_task(1.0);
+    builder.add_edge(src, a, 4.0);
+    builder.add_edge(src, b, 4.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(3, links);
     CostMatrix costs = CostMatrix::uniform(dag, 3);
@@ -56,12 +57,13 @@ TEST(Contention, LocalDataBypassesPorts) {
 TEST(Contention, ReceiverPortSerializesFanIn) {
     // Two producers on P0/P1 feeding one consumer on P2: the consumer's
     // inbound port serializes the transfers.
-    Dag dag;
-    const TaskId a = dag.add_task(1.0);
-    const TaskId b = dag.add_task(1.0);
-    const TaskId sink = dag.add_task(1.0);
-    dag.add_edge(a, sink, 4.0);
-    dag.add_edge(b, sink, 4.0);
+    DagBuilder builder;
+    const TaskId a = builder.add_task(1.0);
+    const TaskId b = builder.add_task(1.0);
+    const TaskId sink = builder.add_task(1.0);
+    builder.add_edge(a, sink, 4.0);
+    builder.add_edge(b, sink, 4.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(3, links);
     CostMatrix costs = CostMatrix::uniform(dag, 3);

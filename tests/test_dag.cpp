@@ -1,13 +1,17 @@
-// Unit tests for the DAG container (graph/dag.hpp).
+// Unit tests for the DAG container and its builder (graph/dag.hpp).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/dag.hpp"
+#include "graph/serialize.hpp"
+#include "util/fingerprint.hpp"
+#include "workload/instance.hpp"
 
 namespace tsched {
 namespace {
@@ -17,13 +21,18 @@ TEST(Dag, StartsEmpty) {
     EXPECT_TRUE(dag.empty());
     EXPECT_EQ(dag.num_tasks(), 0u);
     EXPECT_EQ(dag.num_edges(), 0u);
+    const Dag built = DagBuilder().build();
+    EXPECT_TRUE(built.empty());
+    EXPECT_EQ(built, dag);
 }
 
 TEST(Dag, AddTaskAssignsDenseIds) {
-    Dag dag;
-    EXPECT_EQ(dag.add_task(1.0, "a"), 0);
-    EXPECT_EQ(dag.add_task(2.0), 1);
-    EXPECT_EQ(dag.add_task(), 2);
+    DagBuilder builder;
+    EXPECT_EQ(builder.add_task(1.0, "a"), 0);
+    EXPECT_EQ(builder.add_task(2.0), 1);
+    EXPECT_EQ(builder.add_task(), 2);
+    EXPECT_EQ(builder.num_tasks(), 3u);
+    const Dag dag = std::move(builder).build();
     EXPECT_EQ(dag.num_tasks(), 3u);
     EXPECT_EQ(dag.name(0), "a");
     EXPECT_EQ(dag.name(1), "");
@@ -32,15 +41,16 @@ TEST(Dag, AddTaskAssignsDenseIds) {
 }
 
 TEST(Dag, PresizedConstructor) {
-    Dag dag(4);
+    const Dag dag = DagBuilder(4).build();
     EXPECT_EQ(dag.num_tasks(), 4u);
     EXPECT_DOUBLE_EQ(dag.work(3), 1.0);
 }
 
 TEST(Dag, AddEdgeWiresBothDirections) {
-    Dag dag(3);
-    dag.add_edge(0, 1, 5.0);
-    dag.add_edge(0, 2, 7.0);
+    DagBuilder builder(3);
+    builder.add_edge(0, 1, 5.0);
+    builder.add_edge(0, 2, 7.0);
+    const Dag dag = std::move(builder).build();
     ASSERT_EQ(dag.successors(0).size(), 2u);
     EXPECT_EQ(dag.successors(0)[0].task, 1);
     EXPECT_DOUBLE_EQ(dag.successors(0)[0].data, 5.0);
@@ -53,24 +63,46 @@ TEST(Dag, AddEdgeWiresBothDirections) {
 }
 
 TEST(Dag, RejectsBadEdges) {
-    Dag dag(2);
-    EXPECT_THROW(dag.add_edge(0, 0, 1.0), std::invalid_argument);       // self loop
-    EXPECT_THROW(dag.add_edge(0, 5, 1.0), std::out_of_range);           // bad target
-    EXPECT_THROW(dag.add_edge(-1, 1, 1.0), std::out_of_range);          // bad source
-    EXPECT_THROW(dag.add_edge(0, 1, -1.0), std::invalid_argument);      // negative data
-    dag.add_edge(0, 1, 1.0);
-    EXPECT_THROW(dag.add_edge(0, 1, 2.0), std::invalid_argument);       // duplicate
+    DagBuilder builder(2);
+    EXPECT_THROW(builder.add_edge(0, 0, 1.0), std::invalid_argument);   // self loop
+    EXPECT_THROW(builder.add_edge(0, 5, 1.0), std::out_of_range);       // bad target
+    EXPECT_THROW(builder.add_edge(-1, 1, 1.0), std::out_of_range);      // bad source
+    EXPECT_THROW(builder.add_edge(0, 1, -1.0), std::invalid_argument);  // negative data
+    builder.add_edge(0, 1, 1.0);
+    EXPECT_THROW(builder.add_edge(0, 1, 2.0), std::invalid_argument);  // duplicate
+    EXPECT_EQ(builder.num_edges(), 1u);  // rejected edges leave no trace
+    EXPECT_EQ(std::move(builder).build().num_edges(), 1u);
 }
 
 TEST(Dag, RejectsBadWork) {
-    Dag dag;
-    EXPECT_THROW(dag.add_task(-1.0), std::invalid_argument);
-    EXPECT_THROW(dag.add_task(std::numeric_limits<double>::infinity()), std::invalid_argument);
+    DagBuilder builder;
+    EXPECT_THROW(builder.add_task(-1.0), std::invalid_argument);
+    EXPECT_THROW(builder.add_task(std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
+    EXPECT_EQ(builder.num_tasks(), 0u);
+}
+
+TEST(DagBuilder, AnswersMidBuildQueries) {
+    DagBuilder builder(3);
+    builder.add_edge(0, 1, 1.0);
+    builder.add_edge(0, 2, 1.0);
+    builder.add_edge(1, 2, 1.0);
+    EXPECT_EQ(builder.num_tasks(), 3u);
+    EXPECT_EQ(builder.num_edges(), 3u);
+    EXPECT_EQ(builder.out_degree(0), 2u);
+    EXPECT_EQ(builder.in_degree(2), 2u);
+    EXPECT_EQ(builder.in_degree(0), 0u);
+    EXPECT_TRUE(builder.has_edge(0, 2));
+    EXPECT_FALSE(builder.has_edge(2, 0));
+    EXPECT_THROW((void)builder.has_edge(3, 0), std::out_of_range);
+    EXPECT_THROW((void)builder.has_edge(0, 3), std::out_of_range);
+    EXPECT_THROW((void)builder.in_degree(-1), std::out_of_range);
 }
 
 TEST(Dag, EdgeDataLookup) {
-    Dag dag(2);
-    dag.add_edge(0, 1, 3.5);
+    DagBuilder builder(2);
+    builder.add_edge(0, 1, 3.5);
+    const Dag dag = std::move(builder).build();
     EXPECT_DOUBLE_EQ(dag.edge_data(0, 1), 3.5);
     EXPECT_THROW((void)dag.edge_data(1, 0), std::out_of_range);
     EXPECT_TRUE(dag.has_edge(0, 1));
@@ -78,8 +110,9 @@ TEST(Dag, EdgeDataLookup) {
 }
 
 TEST(Dag, SetEdgeDataUpdatesBothSides) {
-    Dag dag(2);
-    dag.add_edge(0, 1, 1.0);
+    DagBuilder builder(2);
+    builder.add_edge(0, 1, 1.0);
+    Dag dag = std::move(builder).build();
     dag.set_edge_data(0, 1, 9.0);
     EXPECT_DOUBLE_EQ(dag.successors(0)[0].data, 9.0);
     EXPECT_DOUBLE_EQ(dag.predecessors(1)[0].data, 9.0);
@@ -88,11 +121,12 @@ TEST(Dag, SetEdgeDataUpdatesBothSides) {
 }
 
 TEST(Dag, ScaleEdgeDataMatchesPerEdgeSetEdgeData) {
-    Dag a(4);
-    a.add_edge(0, 1, 1.5);
-    a.add_edge(0, 2, 0.1);
-    a.add_edge(2, 3, 7.0);
-    a.add_edge(1, 3, 0.0);
+    DagBuilder builder(4);
+    builder.add_edge(0, 1, 1.5);
+    builder.add_edge(0, 2, 0.1);
+    builder.add_edge(2, 3, 7.0);
+    builder.add_edge(1, 3, 0.0);
+    Dag a = std::move(builder).build();
     Dag b(a);
     const double factor = 0.37;
     a.scale_edge_data(factor);
@@ -109,8 +143,9 @@ TEST(Dag, ScaleEdgeDataMatchesPerEdgeSetEdgeData) {
 }
 
 TEST(Dag, ScaleEdgeDataRejectsBadFactorsWithoutChanges) {
-    Dag dag(2);
-    dag.add_edge(0, 1, 1e300);
+    DagBuilder builder(2);
+    builder.add_edge(0, 1, 1e300);
+    Dag dag = std::move(builder).build();
     const Dag before(dag);
     EXPECT_THROW(dag.scale_edge_data(-1.0), std::invalid_argument);
     EXPECT_THROW(dag.scale_edge_data(std::numeric_limits<double>::infinity()),
@@ -124,157 +159,276 @@ TEST(Dag, ScaleEdgeDataRejectsBadFactorsWithoutChanges) {
 }
 
 TEST(Dag, SourcesAndSinks) {
-    Dag dag(4);
-    dag.add_edge(0, 2, 1.0);
-    dag.add_edge(1, 2, 1.0);
-    dag.add_edge(2, 3, 1.0);
+    DagBuilder builder(4);
+    builder.add_edge(0, 2, 1.0);
+    builder.add_edge(1, 2, 1.0);
+    builder.add_edge(2, 3, 1.0);
+    const Dag dag = std::move(builder).build();
     EXPECT_EQ(dag.sources(), (std::vector<TaskId>{0, 1}));
     EXPECT_EQ(dag.sinks(), (std::vector<TaskId>{3}));
 }
 
 TEST(Dag, Totals) {
-    Dag dag;
-    dag.add_task(2.0);
-    dag.add_task(3.0);
-    dag.add_edge(0, 1, 4.0);
+    DagBuilder builder;
+    builder.add_task(2.0);
+    builder.add_task(3.0);
+    builder.add_edge(0, 1, 4.0);
+    const Dag dag = std::move(builder).build();
     EXPECT_DOUBLE_EQ(dag.total_work(), 5.0);
     EXPECT_DOUBLE_EQ(dag.total_data(), 4.0);
 }
 
 TEST(Dag, AcyclicityDetection) {
-    Dag dag(3);
-    dag.add_edge(0, 1, 1.0);
-    dag.add_edge(1, 2, 1.0);
-    EXPECT_TRUE(dag.is_acyclic());
-    dag.add_edge(2, 0, 1.0);  // closes a cycle (structurally allowed)
+    DagBuilder builder(3);
+    builder.add_edge(0, 1, 1.0);
+    builder.add_edge(1, 2, 1.0);
+    EXPECT_TRUE(DagBuilder(builder).build().is_acyclic());
+    builder.add_edge(2, 0, 1.0);  // closes a cycle (structurally allowed)
+    const Dag dag = std::move(builder).build();
     EXPECT_FALSE(dag.is_acyclic());
     EXPECT_NE(dag.validate().find("cycle"), std::string::npos);
 }
 
 TEST(Dag, ValidateOkOnProperGraph) {
-    Dag dag(3);
-    dag.add_edge(0, 1, 1.0);
-    dag.add_edge(0, 2, 1.0);
-    EXPECT_EQ(dag.validate(), "");
+    DagBuilder builder(3);
+    builder.add_edge(0, 1, 1.0);
+    builder.add_edge(0, 2, 1.0);
+    EXPECT_EQ(std::move(builder).build().validate(), "");
 }
 
 TEST(Dag, EqualityComparesStructureAndWeights) {
-    Dag a(2);
-    a.add_edge(0, 1, 1.0);
-    Dag b(2);
-    b.add_edge(0, 1, 1.0);
+    DagBuilder builder(2);
+    builder.add_edge(0, 1, 1.0);
+    const Dag a = DagBuilder(builder).build();
+    Dag b = std::move(builder).build();
     EXPECT_EQ(a, b);
     b.set_edge_data(0, 1, 2.0);
     EXPECT_FALSE(a == b);
-    Dag c(2);
+    const Dag c = DagBuilder(2).build();
     EXPECT_FALSE(a == c);
 }
 
 TEST(Dag, OutOfRangeAccessorsThrow) {
-    Dag dag(1);
+    const Dag dag = DagBuilder(1).build();
     EXPECT_THROW((void)dag.work(1), std::out_of_range);
     EXPECT_THROW((void)dag.successors(-1), std::out_of_range);
+    EXPECT_THROW((void)dag.predecessors(1), std::out_of_range);
     EXPECT_THROW((void)dag.name(2), std::out_of_range);
+}
+
+TEST(Dag, AllUnnamedDagStoresNoNames) {
+    DagBuilder builder(2);
+    builder.add_task(1.0, "");
+    Dag dag = std::move(builder).build();
+    EXPECT_FALSE(dag.has_names());
+    EXPECT_EQ(dag.name(2), "");
+    dag.set_name(1, "");  // an empty name still stores nothing
+    EXPECT_FALSE(dag.has_names());
+    dag.set_name(1, "b");
+    EXPECT_TRUE(dag.has_names());
+    EXPECT_EQ(dag.name(0), "");
+    EXPECT_EQ(dag.name(1), "b");
+    EXPECT_EQ(dag.name(2), "");
+
+    DagBuilder named;
+    named.add_task();
+    named.add_task(1.0, "x");
+    named.add_task();  // after the last named task
+    const Dag partly = std::move(named).build();
+    EXPECT_TRUE(partly.has_names());
+    EXPECT_EQ(partly.name(1), "x");
+    EXPECT_EQ(partly.name(2), "");
 }
 
 TEST(Csr, MirrorsAdjacencyInInsertionOrder) {
     // Edge insertion order is what the FP folds in the rank kernels see, so
-    // the CSR must reproduce it exactly in both directions.
-    Dag dag(4);
-    dag.add_edge(0, 2, 5.0);
-    dag.add_edge(0, 1, 3.0);
-    dag.add_edge(1, 3, 7.0);
-    dag.add_edge(2, 3, 9.0);
-    dag.add_edge(0, 3, 11.0);
+    // the CSR must reproduce it exactly in both directions.  Task 3's
+    // predecessors arrive as 1, 2, 0: not sorted by source.
+    DagBuilder builder(4);
+    builder.add_edge(0, 2, 5.0);
+    builder.add_edge(1, 3, 7.0);
+    builder.add_edge(0, 1, 3.0);
+    builder.add_edge(2, 3, 9.0);
+    builder.add_edge(0, 3, 11.0);
+    const Dag dag = std::move(builder).build();
     const CsrAdjacency& csr = dag.csr();
     EXPECT_EQ(csr.num_tasks(), 4u);
+    EXPECT_EQ(csr.num_edges(), 5u);
+    const std::vector<std::vector<AdjEdge>> succs = {
+        {{2, 5.0}, {1, 3.0}, {3, 11.0}}, {{3, 7.0}}, {{3, 9.0}}, {}};
+    const std::vector<std::vector<AdjEdge>> preds = {
+        {}, {{0, 3.0}}, {{0, 5.0}}, {{1, 7.0}, {2, 9.0}, {0, 11.0}}};
     for (TaskId v = 0; v < 4; ++v) {
-        const auto& adj = dag.successors(v);
+        const auto vi = static_cast<std::size_t>(v);
+        const auto adj = dag.successors(v);
         const auto tasks = csr.succ_tasks(v);
         const auto data = csr.succ_data(v);
+        ASSERT_EQ(adj.size(), succs[vi].size()) << "task " << v;
         ASSERT_EQ(tasks.size(), adj.size()) << "task " << v;
         ASSERT_EQ(csr.out_degree(v), adj.size());
         for (std::size_t i = 0; i < adj.size(); ++i) {
+            EXPECT_EQ(adj[i], succs[vi][i]) << "task " << v << " edge " << i;
             EXPECT_EQ(tasks[i], adj[i].task) << "task " << v << " edge " << i;
             EXPECT_EQ(data[i], adj[i].data) << "task " << v << " edge " << i;
         }
-        const auto& padj = dag.predecessors(v);
+        const auto padj = dag.predecessors(v);
         const auto ptasks = csr.pred_tasks(v);
         const auto pdata = csr.pred_data(v);
+        ASSERT_EQ(padj.size(), preds[vi].size()) << "task " << v;
         ASSERT_EQ(ptasks.size(), padj.size()) << "task " << v;
         ASSERT_EQ(csr.in_degree(v), padj.size());
-        for (std::size_t i = 0; i < padj.size(); ++i) {
-            EXPECT_EQ(ptasks[i], padj[i].task) << "task " << v << " edge " << i;
-            EXPECT_EQ(pdata[i], padj[i].data) << "task " << v << " edge " << i;
+        std::size_t i = 0;
+        for (const AdjEdge& e : padj) {  // the range-for walk sees the same row
+            EXPECT_EQ(e, preds[vi][i]) << "task " << v << " edge " << i;
+            EXPECT_EQ(ptasks[i], e.task) << "task " << v << " edge " << i;
+            EXPECT_EQ(pdata[i], e.data) << "task " << v << " edge " << i;
+            ++i;
         }
     }
 }
 
-TEST(Csr, CachedSnapshotIsInvalidatedByMutation) {
-    Dag dag(2);
-    dag.add_edge(0, 1, 1.0);
-    EXPECT_EQ(dag.csr().out_degree(0), 1u);
-    dag.add_edge(0, dag.add_task(), 2.0);  // mutation after csr() was taken
-    EXPECT_EQ(dag.csr().out_degree(0), 2u);
-    dag.set_edge_data(0, 1, 4.0);
-    EXPECT_DOUBLE_EQ(dag.csr().succ_data(0)[0], 4.0);
+TEST(Csr, ValueMutationsAreVisibleInBothDirections) {
+    DagBuilder builder(3);
+    builder.add_edge(0, 1, 1.0);
+    builder.add_edge(2, 1, 3.0);
+    Dag dag = std::move(builder).build();
+    const CsrAdjacency& csr = dag.csr();
+    dag.set_edge_data(2, 1, 4.0);
+    EXPECT_DOUBLE_EQ(csr.succ_data(2)[0], 4.0);
+    EXPECT_DOUBLE_EQ(csr.pred_data(1)[1], 4.0);
+    EXPECT_DOUBLE_EQ(csr.pred_data(1)[0], 1.0);  // the other edge into 1 untouched
     dag.scale_edge_data(0.5);
-    EXPECT_DOUBLE_EQ(dag.csr().succ_data(0)[0], 2.0);
-    EXPECT_DOUBLE_EQ(dag.csr().pred_data(1)[0], 2.0);
-}
-
-TEST(Csr, SnapshotStableWhileDagUnchanged) {
-    Dag dag(3);
-    dag.add_edge(0, 1, 1.0);
-    dag.add_edge(1, 2, 2.0);
-    const CsrAdjacency* first = &dag.csr();
-    EXPECT_EQ(&dag.csr(), first);  // same cached snapshot, not a rebuild
-}
-
-TEST(Csr, ConcurrentFirstCallsShareOneSnapshotAndMutationStillInvalidates) {
-    // Readers racing on a never-snapshotted Dag build exactly one snapshot
-    // under the lock; the flag that lets mutators skip the lock must then
-    // be seen set, so the next mutation still drops the stale snapshot.
-    Dag dag(64);
-    for (TaskId v = 1; v < 64; ++v) dag.add_edge(v - 1, v, 1.0);
-    std::vector<const CsrAdjacency*> seen(4, nullptr);
-    {
-        std::vector<std::thread> readers;
-        for (std::size_t i = 0; i < seen.size(); ++i) {
-            readers.emplace_back([&dag, &seen, i] { seen[i] = &dag.csr(); });
-        }
-        for (std::thread& t : readers) t.join();
-    }
-    for (const CsrAdjacency* csr : seen) EXPECT_EQ(csr, seen.front());
-    EXPECT_EQ(seen.front()->num_edges(), 63u);
-    dag.add_edge(0, 63, 2.0);
-    EXPECT_EQ(dag.csr().num_edges(), 64u);
-    EXPECT_EQ(dag.csr().out_degree(0), 2u);
+    EXPECT_DOUBLE_EQ(csr.succ_data(0)[0], 0.5);
+    EXPECT_DOUBLE_EQ(csr.pred_data(1)[0], 0.5);
+    EXPECT_DOUBLE_EQ(csr.succ_data(2)[0], 2.0);
+    EXPECT_DOUBLE_EQ(csr.pred_data(1)[1], 2.0);
+    dag.set_work(1, 6.0);
+    EXPECT_DOUBLE_EQ(dag.work(1), 6.0);
+    EXPECT_EQ(&dag.csr(), &csr);  // mutators write in place; no rebuild
 }
 
 TEST(Csr, CopyAndAssignmentRebuildIndependentSnapshots) {
-    Dag a(3);
-    a.add_edge(0, 1, 1.0);
-    (void)a.csr();  // populate a's cache before copying
+    // A copy owns its own CSR: value changes on either side stay there.
+    DagBuilder builder(3);
+    builder.add_edge(0, 1, 1.0);
+    builder.add_task(2.0, "named");
+    Dag a = std::move(builder).build();
     Dag b(a);
-    EXPECT_EQ(b.csr().out_degree(0), 1u);
-    b.add_edge(1, 2, 2.0);
-    EXPECT_EQ(b.csr().out_degree(1), 1u);
-    EXPECT_EQ(a.csr().out_degree(1), 0u);  // a's snapshot untouched by b
-    Dag c(1);
+    EXPECT_EQ(b, a);
+    b.set_edge_data(0, 1, 5.0);
+    b.set_work(0, 7.0);
+    b.set_name(3, "renamed");
+    EXPECT_DOUBLE_EQ(a.csr().succ_data(0)[0], 1.0);
+    EXPECT_DOUBLE_EQ(a.csr().pred_data(1)[0], 1.0);
+    EXPECT_DOUBLE_EQ(a.work(0), 1.0);
+    EXPECT_EQ(a.name(3), "named");
+    EXPECT_DOUBLE_EQ(b.csr().pred_data(1)[0], 5.0);
+    Dag c = DagBuilder(1).build();
     c = a;
-    EXPECT_EQ(c.csr().num_tasks(), 3u);
+    EXPECT_EQ(c.csr().num_tasks(), 4u);
     EXPECT_EQ(c.csr().out_degree(0), 1u);
+    a.scale_edge_data(0.0);
+    EXPECT_DOUBLE_EQ(c.edge_data(0, 1), 1.0);
     Dag d(std::move(c));
     EXPECT_EQ(d.csr().out_degree(0), 1u);
+    EXPECT_EQ(d.name(3), "named");
 }
 
 TEST(Csr, EmptyDagYieldsEmptySnapshot) {
-    Dag dag;
+    const Dag dag;
     EXPECT_EQ(dag.csr().num_tasks(), 0u);
-    Dag one(1);
+    EXPECT_EQ(dag.csr().num_edges(), 0u);
+    const Dag one = DagBuilder(1).build();
     EXPECT_EQ(one.csr().in_degree(0), 0u);
     EXPECT_TRUE(one.csr().succ_tasks(0).empty());
+    EXPECT_TRUE(one.successors(0).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Golden rows: every generator shape, and its .tsg round trip, yields the
+// successor and predecessor rows (order, tasks and volumes), works, names,
+// .tsg and JSON text recorded at 274a779, when a Dag still kept per-task
+// adjacency lists next to a lazily built CSR.
+// ---------------------------------------------------------------------------
+
+std::uint64_t rows_digest(const Dag& dag) {
+    Fnv1a h;
+    h.u64(dag.num_tasks());
+    h.u64(dag.num_edges());
+    for (TaskId v = 0; v < static_cast<TaskId>(dag.num_tasks()); ++v) {
+        h.f64(dag.work(v));
+        h.str(dag.name(v));
+        h.u64(dag.out_degree(v));
+        for (const AdjEdge& e : dag.successors(v)) {
+            h.i64(e.task);
+            h.f64(e.data);
+        }
+        h.u64(dag.in_degree(v));
+        for (const AdjEdge& e : dag.predecessors(v)) {
+            h.i64(e.task);
+            h.f64(e.data);
+        }
+    }
+    return h.value();
+}
+
+struct GoldenRows {
+    const char* shape;
+    std::size_t size;
+    std::uint64_t rows;        ///< rows_digest of make_instance(...).dag()
+    std::uint64_t tsg;         ///< fnv1a of to_tsg
+    std::uint64_t json;        ///< fnv1a of to_json
+    std::uint64_t round_trip;  ///< rows_digest of read_tsg_string(to_tsg)
+};
+
+// A .tsg lists edges by source, so a round trip reorders the predecessor
+// rows of fft, cholesky, lu and montage (round_trip != rows there).
+constexpr GoldenRows kGoldenRows[] = {
+    {"layered", 300, 0x688d5f718df99cf5ULL, 0x7b121e594afdc342ULL, 0x6a1f681941f8eb3fULL,
+     0x688d5f718df99cf5ULL},
+    {"gnp", 60, 0x813a8c4afefb21acULL, 0x30e49863ff069043ULL, 0xbc4391ded14c162bULL,
+     0x813a8c4afefb21acULL},
+    {"gauss", 12, 0xc903ed942c61bb5cULL, 0x19dcfc324ffc89dfULL, 0xe51c698717c767f2ULL,
+     0xc903ed942c61bb5cULL},
+    {"fft", 16, 0x0e6177d422dd764bULL, 0x7d2f7109ce2e260fULL, 0xfeacf6e1bd1a9407ULL,
+     0xa0e7848304b1f84bULL},
+    {"laplace", 7, 0x0b76d257dc8c6115ULL, 0x72ae2b54b35fc716ULL, 0x9c590d4cbed8f2d1ULL,
+     0x0b76d257dc8c6115ULL},
+    {"cholesky", 5, 0x2a4d72637325349aULL, 0x2f9e08f54cdf7711ULL, 0x6af628c73dc2a795ULL,
+     0x8203c801f63e465aULL},
+    {"lu", 5, 0x1393f0087efb2920ULL, 0xe55f21a7fe7eb0feULL, 0x089c7ddbd8b9734aULL,
+     0xb430540dd9d566a0ULL},
+    {"forkjoin", 6, 0x87996b682c8dc5bcULL, 0xec8f3965515e481cULL, 0xdb8c8dffe4b15351ULL,
+     0x87996b682c8dc5bcULL},
+    {"outtree", 4, 0xeca4a13af199fe10ULL, 0x4295c4db2b7aa9f2ULL, 0x5d9433a57496c31dULL,
+     0xeca4a13af199fe10ULL},
+    {"intree", 4, 0x4a230fd7f903e42fULL, 0x3cdbcfc6167b2a8bULL, 0xe359e807d02d74f6ULL,
+     0x4a230fd7f903e42fULL},
+    {"chain", 20, 0x1796f11ba172fac9ULL, 0x4ce36f22e68ed595ULL, 0x41c0aed0283a7324ULL,
+     0x1796f11ba172fac9ULL},
+    {"diamond", 6, 0x36faa18730b7c5b6ULL, 0xfa76aacf2a43b1e8ULL, 0xf24717a99fa4e6c5ULL,
+     0x36faa18730b7c5b6ULL},
+    {"stencil", 10, 0x503745f566a10ed0ULL, 0x1daf3cbc7826fdebULL, 0x6fa356278e62e06fULL,
+     0x503745f566a10ed0ULL},
+    {"montage", 6, 0xd29e00d6fda83659ULL, 0x482d8e531db51132ULL, 0xb58bebd65f57628eULL,
+     0xc0793498787efa69ULL},
+};
+
+TEST(DagBuilder, RowsMatchGoldensForEveryShapeAndTsgRoundTrip) {
+    for (const GoldenRows& g : kGoldenRows) {
+        SCOPED_TRACE(g.shape);
+        workload::InstanceParams params;
+        params.shape = workload::shape_from_name(g.shape);
+        params.size = g.size;
+        params.ccr = 2.0;  // calibration rescales every volume in both directions
+        const Problem problem = workload::make_instance(params, 7);
+        const Dag& dag = problem.dag();
+        const std::string tsg = to_tsg(dag);
+        EXPECT_EQ(rows_digest(dag), g.rows);
+        EXPECT_EQ(fnv1a(tsg), g.tsg);
+        EXPECT_EQ(fnv1a(to_json(dag)), g.json);
+        EXPECT_EQ(rows_digest(read_tsg_string(tsg)), g.round_trip);
+    }
 }
 
 }  // namespace

@@ -417,15 +417,16 @@ TEST(Determinism, FaultReportsAreBitIdenticalAcrossRepeatRuns) {
 // values must be bit-stable on every platform.
 
 std::shared_ptr<const Problem> serve_golden_problem(double fork_work) {
-    Dag dag;
-    const TaskId a = dag.add_task(fork_work);
-    const TaskId b = dag.add_task(2.0);
-    const TaskId c = dag.add_task(4.0);
-    const TaskId d = dag.add_task(1.0);
-    dag.add_edge(a, b, 1.5);
-    dag.add_edge(a, c, 2.5);
-    dag.add_edge(b, d, 0.5);
-    dag.add_edge(c, d, 1.0);
+    DagBuilder builder;
+    const TaskId a = builder.add_task(fork_work);
+    const TaskId b = builder.add_task(2.0);
+    const TaskId c = builder.add_task(4.0);
+    const TaskId d = builder.add_task(1.0);
+    builder.add_edge(a, b, 1.5);
+    builder.add_edge(a, c, 2.5);
+    builder.add_edge(b, d, 0.5);
+    builder.add_edge(c, d, 1.0);
+    Dag dag = std::move(builder).build();
     auto links = std::make_shared<const UniformLinkModel>(0.25, 2.0);
     Machine machine({1.0, 2.0}, links);
     CostMatrix costs = CostMatrix::from_speeds(dag, machine);

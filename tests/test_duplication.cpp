@@ -17,12 +17,13 @@ namespace {
 /// transfer; with duplication every processor can host its own copy of the
 /// producer and start its consumers at t = 2.
 Problem fan_out_problem(std::size_t width, std::size_t procs) {
-    Dag dag;
-    const TaskId src = dag.add_task(1.0, "src");
+    DagBuilder builder;
+    const TaskId src = builder.add_task(1.0, "src");
     for (std::size_t i = 0; i < width; ++i) {
-        const TaskId c = dag.add_task(1.0);
-        dag.add_edge(src, c, 10.0);
+        const TaskId c = builder.add_task(1.0);
+        builder.add_edge(src, c, 10.0);
     }
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(procs, links);
     CostMatrix costs = CostMatrix::uniform(dag, procs);
@@ -61,10 +62,11 @@ TEST(IlsD, BeatsHeftOnFanOut) {
 /// Chain with a heavy edge: duplication cannot help (each task has one
 /// parent whose copy would cost the same as the original's comm).
 TEST(Dsh, NoPointlessDuplicationOnCheapCommChain) {
-    Dag dag;
-    const TaskId a = dag.add_task(5.0);
-    const TaskId b = dag.add_task(5.0);
-    dag.add_edge(a, b, 0.1);
+    DagBuilder builder;
+    const TaskId a = builder.add_task(5.0);
+    const TaskId b = builder.add_task(5.0);
+    builder.add_edge(a, b, 0.1);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);

@@ -201,7 +201,8 @@ TEST(Executor, RejectsIncompleteSchedule) {
 TEST(Executor, RejectsMismatchedDag) {
     const Problem problem = sample_problem(6, 2);
     const Schedule schedule = make_scheduler("heft")->schedule(problem);
-    Dag other(3);
+    DagBuilder other_builder(3);
+    Dag other = std::move(other_builder).build();
     EXPECT_THROW((void)sim::execute_threaded(schedule, other, [](TaskId, ProcId) {}),
                  std::invalid_argument);
 }
@@ -210,14 +211,15 @@ TEST(Executor, ComputesRealWorkCorrectly) {
     // End-to-end: execute a schedule whose bodies do real arithmetic and
     // verify the dataflow result (sum over a reduction tree).
     const Dag dag = [&] {
-        Dag d;
-        for (int i = 0; i < 7; ++i) d.add_task(1.0);  // binary in-tree: 4 leaves
-        d.add_edge(3, 1, 1.0);
-        d.add_edge(4, 1, 1.0);
-        d.add_edge(5, 2, 1.0);
-        d.add_edge(6, 2, 1.0);
-        d.add_edge(1, 0, 1.0);
-        d.add_edge(2, 0, 1.0);
+        DagBuilder d_builder;
+        for (int i = 0; i < 7; ++i) d_builder.add_task(1.0);  // binary in-tree: 4 leaves
+        d_builder.add_edge(3, 1, 1.0);
+        d_builder.add_edge(4, 1, 1.0);
+        d_builder.add_edge(5, 2, 1.0);
+        d_builder.add_edge(6, 2, 1.0);
+        d_builder.add_edge(1, 0, 1.0);
+        d_builder.add_edge(2, 0, 1.0);
+        Dag d = std::move(d_builder).build();
         return d;
     }();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);

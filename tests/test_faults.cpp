@@ -25,10 +25,11 @@ Problem sample_problem(std::uint64_t seed, std::size_t procs = 4, std::size_t si
 
 /// Two-task chain 0 -> 1 across two homogeneous processors.
 Problem chain_problem(double data = 5.0) {
-    Dag dag;
-    dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_edge(0, 1, data);
+    DagBuilder builder;
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_edge(0, 1, data);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);

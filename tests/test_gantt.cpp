@@ -62,8 +62,9 @@ TEST(Gantt, DuplicatesRenderedHatched) {
 TEST(Gantt, TitleAndEscaping) {
     Schedule s(1, 1);
     s.add(0, 0, 0.0, 2.0);
-    Dag dag;
-    dag.add_task(2.0, "a<b>&\"c\"");
+    DagBuilder builder;
+    builder.add_task(2.0, "a<b>&\"c\"");
+    Dag dag = std::move(builder).build();
     GanttOptions options;
     options.title = "x<y";
     const std::string svg = to_svg(s, &dag, options);

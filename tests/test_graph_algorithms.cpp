@@ -16,14 +16,15 @@ namespace {
 
 /// Diamond: 0 -> {1, 2} -> 3, plus a long arm 0 -> 4 -> 3.
 Dag diamond_with_arm() {
-    Dag dag;
-    for (int i = 0; i < 5; ++i) dag.add_task(1.0);
-    dag.add_edge(0, 1, 1.0);
-    dag.add_edge(0, 2, 2.0);
-    dag.add_edge(1, 3, 1.0);
-    dag.add_edge(2, 3, 1.0);
-    dag.add_edge(0, 4, 1.0);
-    dag.add_edge(4, 3, 5.0);
+    DagBuilder builder;
+    for (int i = 0; i < 5; ++i) builder.add_task(1.0);
+    builder.add_edge(0, 1, 1.0);
+    builder.add_edge(0, 2, 2.0);
+    builder.add_edge(1, 3, 1.0);
+    builder.add_edge(2, 3, 1.0);
+    builder.add_edge(0, 4, 1.0);
+    builder.add_edge(4, 3, 5.0);
+    Dag dag = std::move(builder).build();
     return dag;
 }
 
@@ -42,9 +43,10 @@ TEST(TopologicalOrder, RespectsEdgesAndIsDeterministic) {
 }
 
 TEST(TopologicalOrder, ThrowsOnCycle) {
-    Dag dag(2);
-    dag.add_edge(0, 1, 1.0);
-    dag.add_edge(1, 0, 1.0);
+    DagBuilder builder(2);
+    builder.add_edge(0, 1, 1.0);
+    builder.add_edge(1, 0, 1.0);
+    Dag dag = std::move(builder).build();
     EXPECT_THROW((void)topological_order(dag), std::invalid_argument);
 }
 
@@ -78,8 +80,9 @@ TEST(CriticalPath, WithAndWithoutEdgeData) {
 }
 
 TEST(CriticalPath, SingleNode) {
-    Dag dag;
-    dag.add_task(7.5);
+    DagBuilder builder;
+    builder.add_task(7.5);
+    Dag dag = std::move(builder).build();
     EXPECT_DOUBLE_EQ(critical_path_length(dag, true), 7.5);
     EXPECT_EQ(critical_path(dag, true), (std::vector<TaskId>{0}));
 }
@@ -104,10 +107,11 @@ TEST(Reachability, ReachesAgrees) {
 }
 
 TEST(TransitiveReduction, RemovesShortcutEdge) {
-    Dag dag(3);
-    dag.add_edge(0, 1, 1.0);
-    dag.add_edge(1, 2, 1.0);
-    dag.add_edge(0, 2, 9.0);  // redundant shortcut
+    DagBuilder builder(3);
+    builder.add_edge(0, 1, 1.0);
+    builder.add_edge(1, 2, 1.0);
+    builder.add_edge(0, 2, 9.0);  // redundant shortcut
+    Dag dag = std::move(builder).build();
     const Dag reduced = transitive_reduction(dag);
     EXPECT_EQ(reduced.num_edges(), 2u);
     EXPECT_FALSE(reduced.has_edge(0, 2));
@@ -116,9 +120,10 @@ TEST(TransitiveReduction, RemovesShortcutEdge) {
 }
 
 TEST(WeaklyConnectedComponents, CountsIslands) {
-    Dag dag(5);
-    dag.add_edge(0, 1, 1.0);
-    dag.add_edge(2, 3, 1.0);
+    DagBuilder builder(5);
+    builder.add_edge(0, 1, 1.0);
+    builder.add_edge(2, 3, 1.0);
+    Dag dag = std::move(builder).build();
     EXPECT_EQ(weakly_connected_components(dag), 3u);  // {0,1} {2,3} {4}
 }
 

@@ -14,10 +14,11 @@ namespace {
 
 /// Chain of 2 unit-cost tasks on 2 procs, no comm data.
 Problem chain2() {
-    Dag dag;
-    dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_edge(0, 1, 0.0);
+    DagBuilder builder;
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_edge(0, 1, 0.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);
@@ -208,9 +209,10 @@ TEST(Robustness, MonteCarloRejectsZeroSamples) {
 TEST(Robustness, SlackScoreBoundsAndHandValue) {
     // Two independent unit tasks on separate procs, makespan 2: the task
     // finishing at 1 has one unit of slack, the critical one has none.
-    Dag dag;
-    dag.add_task(1.0);
-    dag.add_task(2.0);
+    DagBuilder builder;
+    builder.add_task(1.0);
+    builder.add_task(2.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);

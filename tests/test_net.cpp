@@ -548,6 +548,36 @@ TEST(NetServer, StartStopIdempotent) {
     EXPECT_TRUE(again.clean);
 }
 
+// While one slow computation is the only work, the loop sleeps in poll():
+// the engine's completion hook, not a poll tick, wakes it to send the reply.
+TEST(NetServer, LoopSleepsWhileTheOnlyComputationRuns) {
+    struct SlowCompute final : serve::ChaosHook {
+        void on_compute(std::uint64_t /*fp*/) override {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+    };
+    ThreadPool pool(2);
+    net::ServerConfig config = loopback_config();
+    config.engine.chaos = std::make_shared<SlowCompute>();
+    net::ServeServer server(config, pool);
+    server.start();
+
+    net::ClientConfig client_config;
+    client_config.port = server.port();
+    net::ServeClient client(client_config);
+    const std::uint64_t before = server.stats().loop_wakeups;
+    const auto reply = client.call(small_request());
+    const std::uint64_t wakeups = server.stats().loop_wakeups - before;
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply.response->outcome, serve::ServeOutcome::kOk);
+    EXPECT_FALSE(reply.response->cache_hit);
+    // The request's arrival, the completion wake and a stray tick or two; a
+    // 1 ms poll tick would wake about 50 times during the computation.
+    EXPECT_LE(wakeups, 6u) << wakeups << " loop wake-ups for one 50 ms computation";
+    EXPECT_GE(wakeups, 1u);
+    server.stop();
+}
+
 TEST(NetServer, CallReturnsValidScheduleAndCacheHitFlag) {
     ThreadPool pool(2);
     net::ServeServer server(loopback_config(), pool);

@@ -65,15 +65,16 @@ TEST(Bnb, ForkJoinTradeoffHandCase) {
     // costs 3 comm each way (src->b remote, b->sink remote): start b at 4,
     // sink waits until 5+3 = 8 + 1 -> 9; serialising everything on one
     // processor gives 4.  Optimum = 4.
-    Dag dag;
-    const TaskId src = dag.add_task(1.0);
-    const TaskId a = dag.add_task(1.0);
-    const TaskId b = dag.add_task(1.0);
-    const TaskId sink = dag.add_task(1.0);
-    dag.add_edge(src, a, 3.0);
-    dag.add_edge(src, b, 3.0);
-    dag.add_edge(a, sink, 3.0);
-    dag.add_edge(b, sink, 3.0);
+    DagBuilder builder;
+    const TaskId src = builder.add_task(1.0);
+    const TaskId a = builder.add_task(1.0);
+    const TaskId b = builder.add_task(1.0);
+    const TaskId sink = builder.add_task(1.0);
+    builder.add_edge(src, a, 3.0);
+    builder.add_edge(src, b, 3.0);
+    builder.add_edge(a, sink, 3.0);
+    builder.add_edge(b, sink, 3.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);

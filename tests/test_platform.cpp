@@ -140,9 +140,10 @@ TEST(CostMatrix, RejectsBadConstruction) {
 }
 
 TEST(CostMatrix, FromSpeedsAndUniform) {
-    Dag dag;
-    dag.add_task(6.0);
-    dag.add_task(3.0);
+    DagBuilder builder;
+    builder.add_task(6.0);
+    builder.add_task(3.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     const Machine machine({1.0, 2.0}, links);
     const CostMatrix w = CostMatrix::from_speeds(dag, machine);
@@ -156,10 +157,11 @@ TEST(CostMatrix, FromSpeedsAndUniform) {
 
 TEST(Problem, WiringAndDerivedQuantities) {
     // Chain 0 -> 1 with data 4; two procs; uniform links latency 0, bw 1.
-    Dag dag;
-    dag.add_task(2.0);
-    dag.add_task(4.0);
-    dag.add_edge(0, 1, 4.0);
+    DagBuilder builder;
+    builder.add_task(2.0);
+    builder.add_task(4.0);
+    builder.add_edge(0, 1, 4.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs(2, 2, {2.0, 6.0, 4.0, 4.0});
@@ -180,8 +182,9 @@ TEST(Problem, WiringAndDerivedQuantities) {
 }
 
 TEST(Problem, RejectsMismatchedComponents) {
-    Dag dag;
-    dag.add_task(1.0);
+    DagBuilder builder;
+    builder.add_task(1.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     EXPECT_THROW(Problem(dag, Machine::homogeneous(2, links), CostMatrix(1, 3, {1, 1, 1})),
                  std::invalid_argument);

@@ -20,12 +20,13 @@ namespace {
 /// Chain 0 -> 1 -> 2, data 4 per edge; 2 procs; cost rows {2,4}, {6,6}, {1,3};
 /// uniform links latency 0 bandwidth 2 (mean comm of data 4 = 2).
 Problem chain_problem() {
-    Dag dag;
-    dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_edge(0, 1, 4.0);
-    dag.add_edge(1, 2, 4.0);
+    DagBuilder builder;
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_edge(0, 1, 4.0);
+    builder.add_edge(1, 2, 4.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 2.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs(3, 2, {2.0, 4.0, 6.0, 6.0, 1.0, 3.0});
@@ -224,20 +225,21 @@ TEST(RankCostName, Names) {
 /// exceeds the parallel cutoff (256), so the pool overloads actually run
 /// their level phases on worker threads.
 Problem wide_problem(std::size_t width) {
-    Dag dag;
-    const TaskId src = dag.add_task(1.0);
+    DagBuilder builder;
+    const TaskId src = builder.add_task(1.0);
     std::vector<TaskId> mid(width);
     for (std::size_t i = 0; i < width; ++i) {
-        mid[i] = dag.add_task(1.0 + static_cast<double>(i % 7));
-        dag.add_edge(src, mid[i], static_cast<double>(i % 5) + 1.0);
+        mid[i] = builder.add_task(1.0 + static_cast<double>(i % 7));
+        builder.add_edge(src, mid[i], static_cast<double>(i % 5) + 1.0);
     }
-    const TaskId sink = dag.add_task(2.0);
+    const TaskId sink = builder.add_task(2.0);
     for (std::size_t i = 0; i < width; ++i) {
-        dag.add_edge(mid[i], sink, static_cast<double>(i % 3) + 1.0);
+        builder.add_edge(mid[i], sink, static_cast<double>(i % 3) + 1.0);
     }
     const auto links = std::make_shared<UniformLinkModel>(0.5, 2.0);
     Machine machine = Machine::homogeneous(4, links);
-    const std::size_t n = dag.num_tasks();
+    const std::size_t n = builder.num_tasks();
+    Dag dag = std::move(builder).build();
     std::vector<double> costs(n * 4);
     for (std::size_t i = 0; i < costs.size(); ++i) {
         costs[i] = 1.0 + static_cast<double>((i * 37) % 11);

@@ -94,10 +94,11 @@ TEST(Schedule, ToStringMentionsProcessorsAndMakespan) {
 
 /// 0 -> 1 (data 2) on two procs, exec cost constant 3, links latency 0 bw 1.
 Problem tiny_problem() {
-    Dag dag;
-    dag.add_task(3.0);
-    dag.add_task(3.0);
-    dag.add_edge(0, 1, 2.0);
+    DagBuilder builder;
+    builder.add_task(3.0);
+    builder.add_task(3.0);
+    builder.add_edge(0, 1, 2.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);

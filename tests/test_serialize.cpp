@@ -11,13 +11,14 @@ namespace tsched {
 namespace {
 
 Dag sample() {
-    Dag dag;
-    dag.add_task(1.5, "load");
-    dag.add_task(2.25, "compute kernel");  // name with a space
-    dag.add_task(0.75);
-    dag.add_edge(0, 1, 10.0);
-    dag.add_edge(0, 2, 0.125);
-    dag.add_edge(1, 2, 3.0);
+    DagBuilder builder;
+    builder.add_task(1.5, "load");
+    builder.add_task(2.25, "compute kernel");  // name with a space
+    builder.add_task(0.75);
+    builder.add_edge(0, 1, 10.0);
+    builder.add_edge(0, 2, 0.125);
+    builder.add_edge(1, 2, 3.0);
+    Dag dag = std::move(builder).build();
     return dag;
 }
 
@@ -99,8 +100,9 @@ TEST(Json, ContainsTasksAndEdges) {
 }
 
 TEST(Json, EscapesSpecialCharacters) {
-    Dag dag;
-    dag.add_task(1.0, "a\"b\\c");
+    DagBuilder builder;
+    builder.add_task(1.0, "a\"b\\c");
+    Dag dag = std::move(builder).build();
     const std::string json = to_json(dag);
     EXPECT_NE(json.find("a\\\"b\\\\c"), std::string::npos);
 }

@@ -44,15 +44,16 @@ namespace {
 
 std::shared_ptr<const Problem> make_problem(double fork_work = 3.0, double edge_data = 1.5,
                                             double latency = 0.25) {
-    Dag dag;
-    const TaskId a = dag.add_task(fork_work);
-    const TaskId b = dag.add_task(2.0);
-    const TaskId c = dag.add_task(4.0);
-    const TaskId d = dag.add_task(1.0);
-    dag.add_edge(a, b, edge_data);
-    dag.add_edge(a, c, 2.5);
-    dag.add_edge(b, d, 0.5);
-    dag.add_edge(c, d, 1.0);
+    DagBuilder builder;
+    const TaskId a = builder.add_task(fork_work);
+    const TaskId b = builder.add_task(2.0);
+    const TaskId c = builder.add_task(4.0);
+    const TaskId d = builder.add_task(1.0);
+    builder.add_edge(a, b, edge_data);
+    builder.add_edge(a, c, 2.5);
+    builder.add_edge(b, d, 0.5);
+    builder.add_edge(c, d, 1.0);
+    Dag dag = std::move(builder).build();
     auto links = std::make_shared<const UniformLinkModel>(latency, 2.0);
     Machine machine({1.0, 2.0}, links);
     CostMatrix costs = CostMatrix::from_speeds(dag, machine);
@@ -125,11 +126,12 @@ TEST(RequestFingerprint, StableAcrossCallsAndCopies) {
 TEST(RequestFingerprint, TaskNamesAreExcluded) {
     const auto base = make_problem();
     // Rebuild the same problem but with task names attached.
-    Dag dag;
+    DagBuilder builder;
     for (TaskId v = 0; v < static_cast<TaskId>(base->num_tasks()); ++v)
-        dag.add_task(base->dag().work(v), "task_" + std::to_string(v));
+        builder.add_task(base->dag().work(v), "task_" + std::to_string(v));
     for (TaskId v = 0; v < static_cast<TaskId>(base->num_tasks()); ++v)
-        for (const AdjEdge& e : base->dag().successors(v)) dag.add_edge(v, e.task, e.data);
+        for (const AdjEdge& e : base->dag().successors(v)) builder.add_edge(v, e.task, e.data);
+    Dag dag = std::move(builder).build();
     auto links = std::make_shared<const UniformLinkModel>(0.25, 2.0);
     Machine machine({1.0, 2.0}, links);
     CostMatrix costs = CostMatrix::from_speeds(dag, machine);
@@ -170,15 +172,16 @@ TEST(RequestFingerprint, SensitiveToEveryInput) {
 TEST(RequestFingerprint, TopologyMattersNotJustTotals) {
     // Same tasks, same total edge data, different wiring.
     const auto build = [](bool cross) {
-        Dag dag;
-        dag.add_task(1.0);
-        dag.add_task(1.0);
-        dag.add_task(1.0);
+        DagBuilder builder;
+        builder.add_task(1.0);
+        builder.add_task(1.0);
+        builder.add_task(1.0);
         if (cross) {
-            dag.add_edge(0, 1, 2.0);
+            builder.add_edge(0, 1, 2.0);
         } else {
-            dag.add_edge(0, 2, 2.0);
+            builder.add_edge(0, 2, 2.0);
         }
+        Dag dag = std::move(builder).build();
         auto links = std::make_shared<const UniformLinkModel>(0.0, 1.0);
         Machine machine = Machine::homogeneous(2, links);
         CostMatrix costs = CostMatrix::from_speeds(dag, machine);
@@ -405,6 +408,9 @@ TEST(ServeEngine, MetricsSnapshotMergesEngineCacheAndPool) {
     for (int i = 0; i < 3; ++i) {
         ASSERT_NE(engine.serve(make_request()).schedule, nullptr);
     }
+    // serve() returns once the closure resolves the promise; the pool counts
+    // the task only after the closure returns, so let it finish first.
+    pool.wait_idle();
     const obs::MetricsSnapshot snap = engine.metrics_snapshot();
 
     const auto counter = [&snap](const std::string& name) -> std::uint64_t {

@@ -104,10 +104,11 @@ TEST(Simulate, BusyTimesMatchCosts) {
 
 TEST(Simulate, CountsRemoteMessages) {
     // Producer on p0, consumer on p1: exactly one remote edge.
-    Dag dag;
-    dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_edge(0, 1, 5.0);
+    DagBuilder builder;
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_edge(0, 1, 5.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);
@@ -134,10 +135,11 @@ TEST(Simulate, ThrowsOnIncompleteSchedule) {
 TEST(Simulate, DetectsOrderDeadlock) {
     // Two tasks 0 -> 1 planned on one processor with 1 *before* 0: the head
     // placement waits forever on task 0 queued behind it.
-    Dag dag;
-    dag.add_task(1.0);
-    dag.add_task(1.0);
-    dag.add_edge(0, 1, 1.0);
+    DagBuilder builder;
+    builder.add_task(1.0);
+    builder.add_task(1.0);
+    builder.add_edge(0, 1, 1.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(1, links);
     CostMatrix costs = CostMatrix::uniform(dag, 1);
@@ -151,10 +153,11 @@ TEST(Simulate, DetectsOrderDeadlock) {
 TEST(Simulate, DuplicateAwareDataRouting) {
     // Consumer on p1 can use the duplicate of its parent on p1 and start
     // immediately after it.
-    Dag dag;
-    dag.add_task(2.0);
-    dag.add_task(1.0);
-    dag.add_edge(0, 1, 100.0);
+    DagBuilder builder;
+    builder.add_task(2.0);
+    builder.add_task(1.0);
+    builder.add_edge(0, 1, 100.0);
+    Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);

@@ -288,6 +288,19 @@ TEST(SchedulerTimers, HeftScheduleAndSimulateRecordOncePerTimer) {
     EXPECT_EQ(timer_delta(scheduled, "sched/heft_ms"), 0u);
 }
 
+TEST(SchedulerTimers, IlsRanksEachPassIntoTheRankPhase) {
+    // A two-pass run ranks twice (greedy mean rank, OCT-pass rank) and builds
+    // one optimistic cost table: three rank-phase samples, for ILS and ILS-D.
+    const Problem problem = small_problem();
+    for (const IlsConfig config : {IlsConfig{}, IlsConfig{.duplication = true}}) {
+        const IlsScheduler ils(config);
+        const obs::MetricsSnapshot before = obs::registry().snapshot();
+        (void)ils.schedule(problem);
+        EXPECT_EQ(timer_delta(before, "sched/phase/rank_ms"), 3u) << ils.name();
+        EXPECT_EQ(timer_delta(before, "sched/ils_ms"), 1u) << ils.name();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Decision traces.
 
@@ -462,9 +475,10 @@ TEST(ChromeTrace, FaultReportOverloadAddsFaultTrack) {
 
 TEST(ChromeTrace, TaskNamesAreEscaped) {
     // A 2-task chain with a name that needs escaping.
-    Dag dag(2);
+    DagBuilder builder(2);
+    builder.add_edge(0, 1, 1.0);
+    Dag dag = std::move(builder).build();
     dag.set_name(0, "weird \"name\"\\with\nstuff");
-    dag.add_edge(0, 1, 1.0);
     const std::size_t procs = 2;
     CostMatrix costs(2, procs, std::vector<double>{1.0, 1.0, 1.0, 1.0});
     const auto links = std::make_shared<UniformLinkModel>(/*latency=*/0.0, /*bandwidth=*/1.0);

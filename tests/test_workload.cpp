@@ -296,9 +296,10 @@ TEST(CalibrateCcr, LatencyFloorClampsToZeroData) {
 }
 
 TEST(CalibrateCcr, PreservesRelativeDataSizes) {
-    Dag dag(3);
-    dag.add_edge(0, 1, 2.0);
-    dag.add_edge(1, 2, 6.0);
+    DagBuilder builder(3);
+    builder.add_edge(0, 1, 2.0);
+    builder.add_edge(1, 2, 6.0);
+    Dag dag = std::move(builder).build();
     const UniformLinkModel links(0.0, 1.0);
     workload::calibrate_ccr(dag, links, 4, 2.0, 10.0);
     EXPECT_NEAR(dag.edge_data(1, 2) / dag.edge_data(0, 1), 3.0, 1e-9);
