@@ -58,7 +58,7 @@ double affinity(const ScheduleBuilder& builder, TaskId v, ProcId p) {
     const CsrAdjacency& csr = builder.problem().dag().csr();
     double best = -kInf;
     for (const TaskId u : csr.pred_tasks(v)) {
-        for (const Placement& pl : builder.partial().placements(u)) {
+        for (const Placement& pl : builder.placements(u)) {
             if (pl.proc == p) best = std::max(best, pl.finish);
         }
     }

@@ -263,13 +263,11 @@ std::string encode_schedule(const Schedule& schedule) {
     w.u64(schedule.num_tasks());
     w.u64(schedule.num_procs());
     w.u64(schedule.num_placements());
-    for (TaskId task = 0; task < static_cast<TaskId>(schedule.num_tasks()); ++task) {
-        for (const Placement& p : schedule.placements(task)) {
-            w.u64(static_cast<std::uint64_t>(p.task));
-            w.u64(static_cast<std::uint64_t>(p.proc));
-            w.f64(p.start);
-            w.f64(p.finish);
-        }
+    for (const Placement& p : schedule.all_placements()) {
+        w.u64(static_cast<std::uint64_t>(p.task));
+        w.u64(static_cast<std::uint64_t>(p.proc));
+        w.f64(p.start);
+        w.f64(p.finish);
     }
     return w.take();
 }
@@ -289,7 +287,7 @@ Schedule decode_schedule(std::string_view bytes) {
     if (num_tasks > num_placements || num_procs > (1u << 20))
         throw CodecError(CodecStatus::kBadValue,
                          "net codec: schedule dimensions exceed the placement count");
-    Schedule schedule(num_tasks, num_procs);
+    ScheduleDraft schedule(num_tasks, num_procs);
     for (std::uint64_t i = 0; i < num_placements; ++i) {
         const std::uint64_t task = r.u64();
         const std::uint64_t proc = r.u64();
@@ -305,7 +303,7 @@ Schedule decode_schedule(std::string_view bytes) {
         }
     }
     r.done();
-    return schedule;
+    return std::move(schedule).build();
 }
 
 WireResponse make_response(std::uint64_t id, const serve::ServeResult& result) {

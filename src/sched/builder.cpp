@@ -23,16 +23,17 @@ ScheduleBuilder::ScheduleBuilder(const Problem& problem)
       csr_(&problem.dag().csr()),
       links_(&problem.machine().links()),
       procs_(problem.num_procs()),
-      schedule_(problem.num_tasks(), problem.num_procs()),
       placed_(problem.num_tasks(), false),
       task_modified_(problem.num_tasks(), 0),
       preds_modified_(problem.num_tasks(), 0),
       ready_cache_(problem.num_tasks() * problem.num_procs(), 0.0),
       ready_stamp_(problem.num_tasks() * problem.num_procs(), 0),
       ready_binding_(problem.num_tasks() * problem.num_procs(), kInvalidTask),
+      primary_start_(problem.num_tasks(), 0.0),
       primary_finish_(problem.num_tasks(), 0.0),
       primary_proc_(problem.num_tasks(), kInvalidProc),
-      extra_placements_(problem.num_tasks(), 0) {
+      first_dup_(problem.num_tasks(), kNoDup),
+      last_dup_(problem.num_tasks(), kNoDup) {
     busy_.resize(procs_);
 
     // Uniform-links fast path (single-proc machines stay on the generic
@@ -72,7 +73,23 @@ bool ScheduleBuilder::is_placed(TaskId v) const {
     return placed_[static_cast<std::size_t>(v)];
 }
 
-double ScheduleBuilder::finish_time(TaskId v) const { return schedule_.primary(v).finish; }
+double ScheduleBuilder::finish_time(TaskId v) const {
+    if (!is_placed(v)) throw std::out_of_range("ScheduleBuilder::finish_time: task is unplaced");
+    return primary_finish_[static_cast<std::size_t>(v)];
+}
+
+ScheduleBuilder::PlacementRange ScheduleBuilder::placements(TaskId v) const {
+    (void)is_placed(v);  // range check
+    return {this, v};
+}
+
+double ScheduleBuilder::data_available(TaskId u, ProcId p, double data) const {
+    double best = kInf;
+    for (const Placement& pl : placements(u)) {
+        best = std::min(best, pl.finish + links_->comm_time(data, pl.proc, p));
+    }
+    return best;
+}
 
 double ScheduleBuilder::data_ready(TaskId v, ProcId p) const {
     if (v < 0 || static_cast<std::size_t>(v) >= placed_.size()) {
@@ -119,7 +136,7 @@ void ScheduleBuilder::fill_ready_row(TaskId v) const {
                 blocked = true;
                 break;
             }
-            if (extra_placements_[u] == 0) {
+            if (first_dup_[u] == kNoDup) {
                 const double f = primary_finish_[u];
                 const auto pp = static_cast<std::size_t>(primary_proc_[u]);
                 const double fr = f + remote[i];  // same add the scalar path did
@@ -133,7 +150,7 @@ void ScheduleBuilder::fill_ready_row(TaskId v) const {
             } else {
                 for (std::size_t q = 0; q < procs_; ++q) {
                     double best = kInf;
-                    for (const Placement& pl : schedule_.placements(preds[i])) {
+                    for (const Placement& pl : placements(preds[i])) {
                         const auto qp = static_cast<ProcId>(q);
                         best = std::min(best, pl.finish + (pl.proc == qp ? 0.0 : remote[i]));
                     }
@@ -151,8 +168,8 @@ void ScheduleBuilder::fill_ready_row(TaskId v) const {
                 break;
             }
             for (std::size_t q = 0; q < procs_; ++q) {
-                const double avail = schedule_.data_available(preds[i], static_cast<ProcId>(q),
-                                                              pred_data[i], *links_);
+                const double avail =
+                    data_available(preds[i], static_cast<ProcId>(q), pred_data[i]);
                 if (avail > row[q]) {
                     row[q] = avail;
                     args[q] = preds[i];
@@ -211,12 +228,12 @@ double ScheduleBuilder::ready_entry(TaskId v, ProcId p, bool skip_unplaced) cons
                 return kInf;
             }
             double best;
-            if (extra_placements_[u] == 0) {
+            if (first_dup_[u] == kNoDup) {
                 const double f = primary_finish_[u];
                 best = (primary_proc_[u] == p) ? f : f + remote[i];
             } else {
                 best = kInf;
-                for (const Placement& pl : schedule_.placements(preds[i])) {
+                for (const Placement& pl : placements(preds[i])) {
                     best = std::min(best, pl.finish + (pl.proc == p ? 0.0 : remote[i]));
                 }
             }
@@ -229,7 +246,7 @@ double ScheduleBuilder::ready_entry(TaskId v, ProcId p, bool skip_unplaced) cons
                 if (skip_unplaced) continue;
                 return kInf;
             }
-            const double avail = schedule_.data_available(preds[i], p, pred_data[i], *links_);
+            const double avail = data_available(preds[i], p, pred_data[i]);
             if (avail > ready) ready = avail;
         }
     }
@@ -259,11 +276,11 @@ TaskId ScheduleBuilder::binding_remote_pred(TaskId v, ProcId p, double eps) cons
         for (std::size_t i = 0; i < preds.size(); ++i) {
             const std::size_t u = static_cast<std::size_t>(preds[i]);
             double avail;
-            if (placed_[u] && extra_placements_[u] == 0) {
+            if (placed_[u] && first_dup_[u] == kNoDup) {
                 avail = primary_finish_[u] + (primary_proc_[u] == p ? 0.0 : remote[i]);
             } else {
                 avail = kInf;
-                for (const Placement& pl : schedule_.placements(preds[i])) {
+                for (const Placement& pl : placements(preds[i])) {
                     avail = std::min(avail, pl.finish + (pl.proc == p ? 0.0 : remote[i]));
                 }
             }
@@ -274,7 +291,7 @@ TaskId ScheduleBuilder::binding_remote_pred(TaskId v, ProcId p, double eps) cons
         }
     } else {
         for (std::size_t i = 0; i < preds.size(); ++i) {
-            const double avail = schedule_.data_available(preds[i], p, pred_data[i], *links_);
+            const double avail = data_available(preds[i], p, pred_data[i]);
             if (avail > worst) {
                 worst = avail;
                 binding = preds[i];
@@ -283,10 +300,10 @@ TaskId ScheduleBuilder::binding_remote_pred(TaskId v, ProcId p, double eps) cons
     }
     if (binding == kInvalidTask || worst <= 0.0) return kInvalidTask;
     const auto b = static_cast<std::size_t>(binding);
-    if (placed_[b] && extra_placements_[b] == 0) {
+    if (placed_[b] && first_dup_[b] == kNoDup) {
         if (primary_proc_[b] == p && primary_finish_[b] <= worst + eps) return kInvalidTask;
     } else {
-        for (const Placement& pl : schedule_.placements(binding)) {
+        for (const Placement& pl : placements(binding)) {
             if (pl.proc == p && pl.finish <= worst + eps) return kInvalidTask;
         }
     }
@@ -356,16 +373,25 @@ Placement ScheduleBuilder::place_duplicate_at(TaskId v, ProcId p, double start) 
 Placement ScheduleBuilder::commit(TaskId v, ProcId p, double start, bool duplicate) {
     const double w = problem_->exec_time(v, p);
     const Placement pl{v, p, start, start + w};
-    schedule_.add(v, p, pl.start, pl.finish);
+    check_placement(pl, placed_.size(), procs_);
     busy_[static_cast<std::size_t>(p)].insert({pl.start, pl.finish});
     undo_log_.push_back({v, makespan_, task_modified_[static_cast<std::size_t>(v)],
                          ready_log_.size(), succ_log_.size(), duplicate});
+    const auto i = static_cast<std::size_t>(v);
     if (!duplicate) {
-        placed_[static_cast<std::size_t>(v)] = true;
-        primary_finish_[static_cast<std::size_t>(v)] = pl.finish;
-        primary_proc_[static_cast<std::size_t>(v)] = p;
+        placed_[i] = true;
+        primary_start_[i] = pl.start;
+        primary_finish_[i] = pl.finish;
+        primary_proc_[i] = p;
     } else {
-        ++extra_placements_[static_cast<std::size_t>(v)];
+        const auto d = static_cast<std::uint32_t>(dups_.size());
+        dups_.push_back({pl, last_dup_[i], kNoDup});
+        if (last_dup_[i] == kNoDup) {
+            first_dup_[i] = d;
+        } else {
+            dups_[last_dup_[i]].next = d;
+        }
+        last_dup_[i] = d;
     }
     touch(v);
     makespan_ = std::max(makespan_, pl.finish);
@@ -383,14 +409,24 @@ void ScheduleBuilder::rollback(Checkpoint mark) {
     while (undo_log_.size() > mark) {
         const UndoEntry entry = undo_log_.back();
         undo_log_.pop_back();
-        const Placement pl = schedule_.remove_last(entry.task);
+        const auto i = static_cast<std::size_t>(entry.task);
+        Placement pl{entry.task, primary_proc_[i], primary_start_[i], primary_finish_[i]};
+        if (!entry.duplicate) {
+            placed_[i] = false;
+        } else {
+            // LIFO: the newest duplicate overall is this task's last one.
+            const Duplicate dup = dups_.back();
+            dups_.pop_back();
+            pl = dup.pl;
+            last_dup_[i] = dup.prev;
+            if (dup.prev == kNoDup) {
+                first_dup_[i] = kNoDup;
+            } else {
+                dups_[dup.prev].next = kNoDup;
+            }
+        }
         if (!busy_[static_cast<std::size_t>(pl.proc)].erase({pl.start, pl.finish})) {
             throw std::logic_error("ScheduleBuilder::rollback: interval not found");
-        }
-        if (!entry.duplicate) {
-            placed_[static_cast<std::size_t>(entry.task)] = false;
-        } else {
-            --extra_placements_[static_cast<std::size_t>(entry.task)];
         }
         // Restore the task's modification stamp instead of advancing it:
         // after the rollback the placement state is exactly what the
@@ -411,15 +447,30 @@ void ScheduleBuilder::rollback(Checkpoint mark) {
     }
 }
 
+Schedule ScheduleBuilder::snapshot() const {
+    // Each task's group is its primary, then its duplicate chain: commit
+    // order, as a ScheduleDraft fed the same commits would pack it.
+    const std::size_t n = placed_.size();
+    std::vector<std::uint32_t> offsets(n + 1, 0);
+    std::vector<Placement> packed;
+    packed.reserve(num_placements_);
+    for (std::size_t v = 0; v < n; ++v) {
+        for (const Placement& pl : placements(static_cast<TaskId>(v))) packed.push_back(pl);
+        offsets[v + 1] = static_cast<std::uint32_t>(packed.size());
+    }
+    return Schedule(procs_, std::move(offsets), std::move(packed));
+}
+
 Schedule ScheduleBuilder::take() && {
+    Schedule schedule = snapshot();
 #ifdef TSCHED_DEBUG_CHECKS
     // With -DTSCHED_DEBUG_CHECKS=ON every schedule leaving a builder is run
     // through the error-severity lint passes, so an invalid placement is
     // caught inside the scheduler that produced it instead of at validation
     // time much later.  Throws std::invalid_argument on violations.
-    analysis::run_debug_checks(schedule_, *problem_);
+    analysis::run_debug_checks(schedule, *problem_);
 #endif
-    return std::move(schedule_);
+    return schedule;
 }
 
 }  // namespace tsched

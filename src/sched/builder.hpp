@@ -8,7 +8,9 @@
 // in one tested place.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -36,9 +38,70 @@ public:
 
     [[nodiscard]] const Problem& problem() const noexcept { return *problem_; }
 
-    /// Read-only view of the partial schedule built so far (duplication
-    /// heuristics inspect per-predecessor data availability through it).
-    [[nodiscard]] const Schedule& partial() const noexcept { return schedule_; }
+    /// The placements of one task committed so far, in commit order (the
+    /// primary first, then its duplicates): what the built Schedule's
+    /// placements(v) will hold.  Iterates Placement values; a view into the
+    /// builder, invalidated by the next commit or rollback.
+    class PlacementRange {
+    public:
+        class iterator {
+        public:
+            using value_type = Placement;
+            using difference_type = std::ptrdiff_t;
+            using iterator_concept = std::forward_iterator_tag;
+
+            iterator() = default;
+            iterator(const ScheduleBuilder* builder, TaskId v, std::uint32_t at) noexcept
+                : builder_(builder), v_(v), at_(at) {}
+
+            Placement operator*() const noexcept {
+                if (at_ != kPrimarySlot) return builder_->dups_[at_].pl;
+                const auto i = static_cast<std::size_t>(v_);
+                return {v_, builder_->primary_proc_[i], builder_->primary_start_[i],
+                        builder_->primary_finish_[i]};
+            }
+            iterator& operator++() noexcept {
+                at_ = at_ == kPrimarySlot ? builder_->first_dup_[static_cast<std::size_t>(v_)]
+                                          : builder_->dups_[at_].next;
+                return *this;
+            }
+            iterator operator++(int) noexcept {
+                iterator old = *this;
+                ++*this;
+                return old;
+            }
+            friend bool operator==(const iterator& a, const iterator& b) noexcept {
+                return a.at_ == b.at_;
+            }
+
+        private:
+            const ScheduleBuilder* builder_ = nullptr;
+            TaskId v_ = kInvalidTask;
+            std::uint32_t at_ = kNoDup;  // kPrimarySlot, a dups_ index, or kNoDup (end)
+        };
+
+        PlacementRange(const ScheduleBuilder* builder, TaskId v) noexcept
+            : builder_(builder), v_(v) {}
+
+        [[nodiscard]] bool empty() const noexcept {
+            return !builder_->placed_[static_cast<std::size_t>(v_)];
+        }
+        [[nodiscard]] iterator begin() const noexcept {
+            return {builder_, v_, empty() ? kNoDup : kPrimarySlot};
+        }
+        [[nodiscard]] iterator end() const noexcept { return {builder_, v_, kNoDup}; }
+
+    private:
+        const ScheduleBuilder* builder_;
+        TaskId v_;
+    };
+
+    /// Throws std::out_of_range for an out-of-range task.
+    [[nodiscard]] PlacementRange placements(TaskId v) const;
+
+    /// The partial schedule built so far, packed into a Schedule (the
+    /// branch-and-bound incumbent).  O(n + placements).
+    [[nodiscard]] Schedule snapshot() const;
 
     // ---- queries (no mutation) -------------------------------------------
 
@@ -140,10 +203,22 @@ public:
     /// checkpoint of this builder.
     void rollback(Checkpoint mark);
 
-    /// Move the finished schedule out; the builder must not be used after.
+    /// Pack the finished schedule; the builder must not be used after.
     [[nodiscard]] Schedule take() &&;
 
 private:
+    static constexpr std::uint32_t kNoDup = 0xFFFFFFFFu;
+    static constexpr std::uint32_t kPrimarySlot = kNoDup - 1;  // PlacementRange cursor
+
+    /// One committed duplicate, linked to the same task's neighbours in
+    /// commit order.  Rollback is LIFO, so the duplicate it undoes is
+    /// always the last entry of dups_ and the last link of its chain.
+    struct Duplicate {
+        Placement pl;
+        std::uint32_t prev = kNoDup;  // earlier duplicate of pl.task
+        std::uint32_t next = kNoDup;  // later duplicate of pl.task
+    };
+
     struct UndoEntry {
         TaskId task = kInvalidTask;
         double prev_makespan = 0.0;       ///< makespan before this commit
@@ -154,6 +229,9 @@ private:
     };
 
     Placement commit(TaskId v, ProcId p, double start, bool duplicate);
+
+    /// Schedule::data_available over the placements committed so far.
+    [[nodiscard]] double data_available(TaskId u, ProcId p, double data) const;
 
     /// Compute and cache data_ready(v, q) for *every* processor q in one
     /// predecessor walk.  Every caller that misses on (v, p) probes the
@@ -189,7 +267,6 @@ private:
     const CsrAdjacency* csr_;  ///< flat adjacency of problem_->dag(), built once
     const LinkModel* links_;
     std::size_t procs_;
-    Schedule schedule_;
     std::vector<BusyTimeline> busy_;  // per proc, flat-order by start
     std::vector<bool> placed_;
     std::vector<UndoEntry> undo_log_;  // one entry per commit, in order
@@ -242,15 +319,19 @@ private:
     std::vector<double> pred_remote_;            // per pred edge, CSR order
     std::vector<std::size_t> pred_remote_off_;   // per task offsets into it
 
-    // Flat mirror of each task's *primary* placement.  Schedule stores
-    // placements in per-task heap vectors, so the data_ready loop pays a
-    // pointer chase per predecessor; tasks without duplicates (the common
-    // case — duplication heuristics are the only source of extras) are
-    // served from these arrays instead.  extra_placements_[v] > 0 falls
-    // back to the full span walk.
+    // The placements themselves, with no per-task heap block: each task's
+    // primary in flat per-task arrays (the data_ready loops read a
+    // predecessor's finish and processor straight from them), and every
+    // duplicate in one commit-ordered list chained per task.  take() packs
+    // both into the Schedule once.  first_dup_[v] == kNoDup (the common
+    // case: duplication heuristics are the only source of extras) keeps a
+    // predecessor on the primary-only fast path.
+    std::vector<double> primary_start_;        // valid while placed_[v]
     std::vector<double> primary_finish_;       // valid while placed_[v]
     std::vector<ProcId> primary_proc_;         // valid while placed_[v]
-    std::vector<std::uint32_t> extra_placements_;  // duplicates per task
+    std::vector<Duplicate> dups_;              // commit order
+    std::vector<std::uint32_t> first_dup_;     // per task, kNoDup when none
+    std::vector<std::uint32_t> last_dup_;      // per task, kNoDup when none
 
     // One locally accumulated trace-counter delta, flushed by the builder's
     // destructor.  A copied tally starts at zero (the counts stay with the

@@ -29,7 +29,7 @@ double port_aware_start(const ScheduleBuilder& builder, TaskId v, ProcId q, Port
         double best_nominal = std::numeric_limits<double>::infinity();
         double best_finish = 0.0;
         ProcId best_src = q;
-        for (const Placement& pl : builder.partial().placements(e.task)) {
+        for (const Placement& pl : builder.placements(e.task)) {
             const double nominal = pl.finish + links.comm_time(e.data, pl.proc, q);
             if (nominal < best_nominal) {
                 best_nominal = nominal;

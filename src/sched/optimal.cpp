@@ -60,7 +60,7 @@ void search(SearchState& state, ScheduleBuilder& builder, std::vector<TaskId>& r
         const double cost = builder.current_makespan();
         if (cost < state.best_cost - kTieEps) {
             state.best_cost = cost;
-            state.best = builder.partial();
+            state.best = builder.snapshot();
         }
         return;
     }

@@ -16,35 +16,32 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Per-task view of the crash split (instances in original insertion order).
+/// Per-task view of the crash split: the pending instances grouped by task
+/// (original insertion order, packed like any Schedule), and per task
+/// whether some instance executed and how many instances were lost.
 struct TaskSplit {
-    std::vector<std::vector<FrozenPlacement>> frozen;
-    std::vector<std::vector<Placement>> pending;
-    std::vector<std::vector<Placement>> lost;
+    std::vector<bool> ran;
+    Schedule pending;
+    std::vector<std::size_t> lost;
 
-    explicit TaskSplit(const RepairContext& ctx) {
-        const std::size_t n = ctx.problem->num_tasks();
-        frozen.resize(n);
-        pending.resize(n);
-        lost.resize(n);
-        for (const FrozenPlacement& f : ctx.frozen) {
-            frozen[static_cast<std::size_t>(f.task)].push_back(f);
-        }
-        for (const Placement& pl : ctx.pending) {
-            pending[static_cast<std::size_t>(pl.task)].push_back(pl);
-        }
-        for (const Placement& pl : ctx.lost) {
-            lost[static_cast<std::size_t>(pl.task)].push_back(pl);
-        }
+    explicit TaskSplit(const RepairContext& ctx)
+        : ran(ctx.problem->num_tasks(), false),
+          pending(pack_pending(ctx)),
+          lost(ctx.problem->num_tasks(), 0) {
+        for (const FrozenPlacement& f : ctx.frozen) ran[static_cast<std::size_t>(f.task)] = true;
+        for (const Placement& pl : ctx.lost) ++lost[static_cast<std::size_t>(pl.task)];
     }
 
-    [[nodiscard]] bool executed(TaskId v) const {
-        return !frozen[static_cast<std::size_t>(v)].empty();
+    static Schedule pack_pending(const RepairContext& ctx) {
+        ScheduleDraft draft(ctx.problem->num_tasks(), ctx.num_procs());
+        for (const Placement& pl : ctx.pending) draft.add(pl.task, pl.proc, pl.start, pl.finish);
+        return std::move(draft).build();
     }
+
+    [[nodiscard]] bool executed(TaskId v) const { return ran[static_cast<std::size_t>(v)]; }
     /// No instance left anywhere: neither executed nor pending on a live proc.
     [[nodiscard]] bool stranded(TaskId v) const {
-        return frozen[static_cast<std::size_t>(v)].empty() &&
-               pending[static_cast<std::size_t>(v)].empty();
+        return !executed(v) && pending.placements(v).empty();
     }
 };
 
@@ -85,7 +82,7 @@ Placement place_floored(ScheduleBuilder& builder, TaskId v, ProcId p, double flo
 /// its planned times).
 void replay_pending(ScheduleBuilder& builder, const RepairContext& ctx, const TaskSplit& split,
                     TaskId v) {
-    for (const Placement& pl : split.pending[static_cast<std::size_t>(v)]) {
+    for (const Placement& pl : split.pending.placements(v)) {
         place_floored(builder, v, pl.proc, std::max(pl.start, ctx.crash_time),
                       /*insertion=*/false);
     }
@@ -154,7 +151,7 @@ public:
             replay_pending(builder, ctx, split, v);
             // Migrate every lost instance to the live processor that
             // finishes it earliest (duplicates stay duplicates).
-            for (std::size_t i = 0; i < split.lost[static_cast<std::size_t>(v)].size(); ++i) {
+            for (std::size_t i = 0; i < split.lost[static_cast<std::size_t>(v)]; ++i) {
                 place_best_live(builder, ctx, v, /*insertion=*/true);
             }
         }

@@ -11,10 +11,8 @@ void write_tss(std::ostream& os, const Schedule& schedule) {
     os << "# tsched schedule\n";
     os << "tss " << schedule.num_tasks() << ' ' << schedule.num_procs() << '\n';
     os << std::setprecision(17);
-    for (std::size_t v = 0; v < schedule.num_tasks(); ++v) {
-        for (const Placement& pl : schedule.placements(static_cast<TaskId>(v))) {
-            os << "p " << v << ' ' << pl.proc << ' ' << pl.start << ' ' << pl.finish << '\n';
-        }
+    for (const Placement& pl : schedule.all_placements()) {
+        os << "p " << pl.task << ' ' << pl.proc << ' ' << pl.start << ' ' << pl.finish << '\n';
     }
 }
 
@@ -30,7 +28,7 @@ Schedule read_tss(std::istream& is) {
     bool header_seen = false;
     std::size_t num_tasks = 0;
     std::size_t num_procs = 0;
-    Schedule schedule(0, 1);
+    ScheduleDraft schedule(0, 1);
 
     auto fail = [&](const std::string& what) -> void {
         throw std::runtime_error("read_tss: line " + std::to_string(line_no) + ": " + what);
@@ -45,7 +43,11 @@ Schedule read_tss(std::istream& is) {
         if (tag == "tss") {
             if (header_seen) fail("duplicate header");
             if (!(ls >> num_tasks >> num_procs) || num_procs == 0) fail("malformed header");
-            schedule = Schedule(num_tasks, num_procs);
+            try {
+                schedule = ScheduleDraft(num_tasks, num_procs);
+            } catch (const std::invalid_argument& err) {
+                fail(err.what());
+            }
             header_seen = true;
         } else if (tag == "p") {
             if (!header_seen) fail("placement before header");
@@ -66,7 +68,7 @@ Schedule read_tss(std::istream& is) {
         }
     }
     if (!header_seen) throw std::runtime_error("read_tss: missing header");
-    return schedule;
+    return std::move(schedule).build();
 }
 
 Schedule read_tss_string(const std::string& text) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <deque>
 #include <exception>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -33,11 +34,13 @@ public:
         completion_.assign(n, -1.0);
         quarantined_.assign(procs_, false);
         report_.placements_run.assign(procs_, 0);
-        orders_.resize(procs_);
+        order_off_.assign(procs_ + 1, 0);
         for (std::size_t p = 0; p < procs_; ++p) {
-            orders_[p] = schedule.processor_timeline(static_cast<ProcId>(p));
-            remaining_ += orders_[p].size();
+            const auto timeline = schedule.processor_timeline(static_cast<ProcId>(p));
+            orders_.insert(orders_.end(), timeline.begin(), timeline.end());
+            order_off_[p + 1] = orders_.size();
         }
+        remaining_ = orders_.size();
     }
 
     ExecutionReport run() TSCHED_EXCLUDES(mutex_) {
@@ -81,11 +84,17 @@ private:
         return overflow_.end();
     }
 
+    /// Processor p's placements in start order.
+    [[nodiscard]] std::span<const Placement> order(std::size_t p) const {
+        return std::span<const Placement>(orders_).subspan(order_off_[p],
+                                                           order_off_[p + 1] - order_off_[p]);
+    }
+
     /// Worker p's next own placement is ready to run.
     [[nodiscard]] bool own_next_runnable_locked(std::size_t p, std::size_t idx) const
         TSCHED_REQUIRES(mutex_) {
-        return !quarantined_[p] && idx < orders_[p].size() &&
-               preds_done_locked(orders_[p][idx].task);
+        return !quarantined_[p] && idx < order(p).size() &&
+               preds_done_locked(order(p)[idx].task);
     }
 
     /// Run one placement through the attempt ladder.  Returns the error that
@@ -133,7 +142,7 @@ private:
                 }
                 if (failed_ || remaining_ == 0) return;
                 if (own_next_runnable_locked(p, idx)) {
-                    pl = orders_[p][idx++];
+                    pl = order(p)[idx++];
                 } else {
                     const auto it = runnable_overflow_locked();
                     pl = *it;
@@ -173,7 +182,7 @@ private:
                     quarantined_[p] = true;
                     TSCHED_COUNT("executor_quarantines");
                     overflow_.push_back(pl);
-                    for (; idx < orders_[p].size(); ++idx) overflow_.push_back(orders_[p][idx]);
+                    for (; idx < order(p).size(); ++idx) overflow_.push_back(order(p)[idx]);
                     lock.unlock();
                     cv_.notify_all();
                     return;
@@ -192,7 +201,8 @@ private:
     const TaskBody& body_;
     const ExecutorOptions& options_;
     std::size_t procs_ = 0;
-    std::vector<std::vector<Placement>> orders_;
+    std::vector<Placement> orders_;       // every processor's timeline, by processor
+    std::vector<std::size_t> order_off_;  // procs_ + 1 offsets into orders_
     std::chrono::steady_clock::time_point start_time_;
 
     Mutex mutex_;

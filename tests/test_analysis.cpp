@@ -328,9 +328,10 @@ TEST(ProblemLints, MiscalibratedCcrIsAnError) {
 
 TEST(ScheduleLints, CleanScheduleHasNoErrors) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(1, 0, 3.0, 6.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(1, 0, 3.0, 6.0);
+    const Schedule s = std::move(draft).build();
     Diagnostics diags;
     lint_schedule(s, problem, diags);
     EXPECT_FALSE(diags.has_errors()) << render_text(diags);
@@ -348,32 +349,36 @@ TEST(ScheduleLints, DimensionMismatchShortCircuits) {
 TEST(ScheduleLints, EachValidityCodeFires) {
     const Problem problem = tiny_problem();
     {
-        Schedule s(2, 2);
-        s.add(0, 0, 0.0, 3.0);
+        ScheduleDraft draft(2, 2);
+        draft.add(0, 0, 0.0, 3.0);
+        const Schedule s = std::move(draft).build();
         Diagnostics diags;
         lint_schedule(s, problem, diags);
         EXPECT_TRUE(has_code(diags, Code::kSchedMissingTask));
     }
     {
-        Schedule s(2, 2);
-        s.add(0, 0, 0.0, 4.0);  // cost is 3
-        s.add(1, 1, 6.0, 9.0);
+        ScheduleDraft draft(2, 2);
+        draft.add(0, 0, 0.0, 4.0);  // cost is 3
+        draft.add(1, 1, 6.0, 9.0);
+        const Schedule s = std::move(draft).build();
         Diagnostics diags;
         lint_schedule(s, problem, diags);
         EXPECT_TRUE(has_code(diags, Code::kSchedDurationMismatch));
     }
     {
-        Schedule s(2, 2);
-        s.add(0, 0, 0.0, 3.0);
-        s.add(1, 0, 2.0, 5.0);  // overlaps task 0 on P0
+        ScheduleDraft draft(2, 2);
+        draft.add(0, 0, 0.0, 3.0);
+        draft.add(1, 0, 2.0, 5.0);  // overlaps task 0 on P0
+        const Schedule s = std::move(draft).build();
         Diagnostics diags;
         lint_schedule(s, problem, diags);
         EXPECT_TRUE(has_code(diags, Code::kSchedOverlap));
     }
     {
-        Schedule s(2, 2);
-        s.add(0, 0, 0.0, 3.0);
-        s.add(1, 1, 4.0, 7.0);  // data arrives at 5
+        ScheduleDraft draft(2, 2);
+        draft.add(0, 0, 0.0, 3.0);
+        draft.add(1, 1, 4.0, 7.0);  // data arrives at 5
+        const Schedule s = std::move(draft).build();
         Diagnostics diags;
         lint_schedule(s, problem, diags);
         EXPECT_TRUE(has_code(diags, Code::kSchedPrecedence));
@@ -383,9 +388,10 @@ TEST(ScheduleLints, EachValidityCodeFires) {
 
 TEST(ScheduleLints, ImpossibleMakespanBelowLowerBound) {
     const Problem problem = tiny_problem();  // CP lower bound = 6
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(1, 1, 0.0, 3.0);  // "parallel chain": precedence broken, makespan 3
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(1, 1, 0.0, 3.0);  // "parallel chain": precedence broken, makespan 3
+    const Schedule s = std::move(draft).build();
     Diagnostics diags;
     lint_schedule(s, problem, diags);
     EXPECT_TRUE(has_code(diags, Code::kSchedPrecedence));
@@ -396,9 +402,10 @@ TEST(ScheduleLints, ViolationExactlyAtEpsilonIsAllowed) {
     const Problem problem = tiny_problem();
     const double eps = 1e-6;
     {
-        Schedule s(2, 2);  // data arrives on P1 at 5; start eps early is absorbed
-        s.add(0, 0, 0.0, 3.0);
-        s.add(1, 1, 5.0 - eps, 8.0 - eps);
+        ScheduleDraft draft(2, 2);  // data arrives on P1 at 5; start eps early is absorbed
+        draft.add(0, 0, 0.0, 3.0);
+        draft.add(1, 1, 5.0 - eps, 8.0 - eps);
+        const Schedule s = std::move(draft).build();
         Diagnostics diags;
         ScheduleLintOptions options;
         options.time_eps = eps;
@@ -406,9 +413,10 @@ TEST(ScheduleLints, ViolationExactlyAtEpsilonIsAllowed) {
         EXPECT_FALSE(diags.has_errors()) << render_text(diags);
     }
     {
-        Schedule s(2, 2);  // twice the epsilon is a violation
-        s.add(0, 0, 0.0, 3.0);
-        s.add(1, 1, 5.0 - 2 * eps, 8.0 - 2 * eps);
+        ScheduleDraft draft(2, 2);  // twice the epsilon is a violation
+        draft.add(0, 0, 0.0, 3.0);
+        draft.add(1, 1, 5.0 - 2 * eps, 8.0 - 2 * eps);
+        const Schedule s = std::move(draft).build();
         Diagnostics diags;
         ScheduleLintOptions options;
         options.time_eps = eps;
@@ -433,8 +441,9 @@ TEST(ScheduleLints, SingleTaskProblem) {
     Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     const Problem problem(dag, Machine::homogeneous(2, links), CostMatrix::uniform(dag, 2));
-    Schedule s(1, 2);
-    s.add(0, 1, 0.0, 3.0);
+    ScheduleDraft draft(1, 2);
+    draft.add(0, 1, 0.0, 3.0);
+    const Schedule s = std::move(draft).build();
     Diagnostics diags;
     lint_schedule(s, problem, diags);
     EXPECT_FALSE(diags.has_errors()) << render_text(diags);
@@ -446,10 +455,11 @@ TEST(ScheduleLints, SingleTaskProblem) {
 
 TEST(ScheduleLints, ConsumedDuplicateIsNotFlagged) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(0, 1, 0.0, 3.0);  // duplicate feeds task 1 locally
-    s.add(1, 1, 3.0, 6.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(0, 1, 0.0, 3.0);  // duplicate feeds task 1 locally
+    draft.add(1, 1, 3.0, 6.0);
+    const Schedule s = std::move(draft).build();
     Diagnostics diags;
     lint_schedule(s, problem, diags);
     EXPECT_FALSE(has_code(diags, Code::kSchedRedundantDuplicate)) << render_text(diags);
@@ -458,10 +468,11 @@ TEST(ScheduleLints, ConsumedDuplicateIsNotFlagged) {
 
 TEST(ScheduleLints, UnconsumedDuplicateWarns) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(0, 1, 0.0, 3.0);  // consumer sits on P0; this copy helps nobody
-    s.add(1, 0, 3.0, 6.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(0, 1, 0.0, 3.0);  // consumer sits on P0; this copy helps nobody
+    draft.add(1, 0, 3.0, 6.0);
+    const Schedule s = std::move(draft).build();
     Diagnostics diags;
     lint_schedule(s, problem, diags);
     EXPECT_TRUE(has_code(diags, Code::kSchedRedundantDuplicate));
@@ -470,10 +481,11 @@ TEST(ScheduleLints, UnconsumedDuplicateWarns) {
 
 TEST(ScheduleLints, SameProcessorDuplicateWarns) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(0, 0, 3.0, 6.0);  // duplicate of task 0 on its own processor
-    s.add(1, 0, 6.0, 9.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(0, 0, 3.0, 6.0);  // duplicate of task 0 on its own processor
+    draft.add(1, 0, 6.0, 9.0);
+    const Schedule s = std::move(draft).build();
     Diagnostics diags;
     lint_schedule(s, problem, diags);
     EXPECT_TRUE(has_code(diags, Code::kSchedSameProcDuplicate));
@@ -487,9 +499,10 @@ TEST(ScheduleLints, IdleFragmentationReported) {
     Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     const Problem problem(dag, Machine::homogeneous(2, links), CostMatrix::uniform(dag, 2));
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 1.0);
-    s.add(1, 1, 9.0, 10.0);  // waits for the 8-unit transfer; both procs mostly idle
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(1, 1, 9.0, 10.0);  // waits for the 8-unit transfer; both procs mostly idle
+    const Schedule s = std::move(draft).build();
     Diagnostics diags;
     lint_schedule(s, problem, diags);
     EXPECT_TRUE(has_code(diags, Code::kSchedIdleFragmentation)) << render_text(diags);
@@ -507,11 +520,12 @@ TEST(ScheduleLints, LoadImbalanceWarns) {
     Dag dag = std::move(builder).build();
     const auto links = std::make_shared<UniformLinkModel>(0.0, 1.0);
     const Problem problem(dag, Machine::homogeneous(4, links), CostMatrix::uniform(dag, 4));
-    Schedule s(4, 4);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(1, 0, 3.0, 6.0);
-    s.add(2, 0, 6.0, 9.0);
-    s.add(3, 1, 0.0, 0.5);
+    ScheduleDraft draft(4, 4);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(1, 0, 3.0, 6.0);
+    draft.add(2, 0, 6.0, 9.0);
+    draft.add(3, 1, 0.0, 0.5);
+    const Schedule s = std::move(draft).build();
     Diagnostics diags;
     ScheduleLintOptions options;
     options.imbalance_warn_ratio = 2.0;
@@ -521,10 +535,11 @@ TEST(ScheduleLints, LoadImbalanceWarns) {
 
 TEST(ScheduleLints, QualityPassesCanBeDisabled) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(0, 1, 0.0, 3.0);
-    s.add(1, 0, 3.0, 6.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(0, 1, 0.0, 3.0);
+    draft.add(1, 0, 3.0, 6.0);
+    const Schedule s = std::move(draft).build();
     Diagnostics diags;
     ScheduleLintOptions options;
     options.quality = false;
@@ -538,15 +553,17 @@ TEST(ScheduleLints, QualityPassesCanBeDisabled) {
 
 TEST(ScheduleLints, RunDebugChecksThrowsOnErrorsOnly) {
     const Problem problem = tiny_problem();
-    Schedule good(2, 2);
-    good.add(0, 0, 0.0, 3.0);
-    good.add(0, 1, 0.0, 3.0);  // redundant duplicate: warning, not error
-    good.add(1, 0, 3.0, 6.0);
+    ScheduleDraft good_draft(2, 2);
+    good_draft.add(0, 0, 0.0, 3.0);
+    good_draft.add(0, 1, 0.0, 3.0);  // redundant duplicate: warning, not error
+    good_draft.add(1, 0, 3.0, 6.0);
+    const Schedule good = std::move(good_draft).build();
     EXPECT_NO_THROW(run_debug_checks(good, problem));
 
-    Schedule bad(2, 2);
-    bad.add(0, 0, 0.0, 3.0);
-    bad.add(1, 1, 0.0, 3.0);
+    ScheduleDraft bad_draft(2, 2);
+    bad_draft.add(0, 0, 0.0, 3.0);
+    bad_draft.add(1, 1, 0.0, 3.0);
+    const Schedule bad = std::move(bad_draft).build();
     EXPECT_THROW(run_debug_checks(bad, problem), std::invalid_argument);
 }
 
@@ -575,10 +592,11 @@ TEST(ValidateShim, DuplicatePlacementsOnOneProcessorStayValid) {
     // Same-processor duplicates are legal (quality warning only); the legacy
     // API must keep accepting them.
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(0, 0, 3.0, 6.0);
-    s.add(1, 0, 6.0, 9.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(0, 0, 3.0, 6.0);
+    draft.add(1, 0, 6.0, 9.0);
+    const Schedule s = std::move(draft).build();
     EXPECT_TRUE(validate(s, problem).ok);
 }
 

@@ -2,19 +2,52 @@
 // machinery every scheduler relies on.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <optional>
 #include <vector>
 
+#include "graph/algorithms.hpp"
+#include "net/codec.hpp"
 #include "platform/problem.hpp"
 #include "sched/builder.hpp"
 #include "sched/validate.hpp"
 #include "util/rng.hpp"
 #include "workload/instance.hpp"
 
+// Scoped allocation counter: this binary replaces the global operator new,
+// which counts heap blocks while `counting_allocations` is set.
+namespace {
+std::atomic<bool> counting_allocations{false};
+std::atomic<std::size_t> allocation_count{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+    if (counting_allocations.load(std::memory_order_relaxed)) {
+        allocation_count.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
 namespace tsched {
 namespace {
+
+/// Heap blocks allocated while `fn` runs.
+template <class Fn>
+std::size_t allocations_during(Fn&& fn) {
+    allocation_count = 0;
+    counting_allocations = true;
+    fn();
+    counting_allocations = false;
+    return allocation_count;
+}
 
 /// Fork: 0 -> 1, 0 -> 2 (data 4 each); constant exec cost 2 on 2 procs;
 /// uniform links latency 0 bandwidth 1.
@@ -125,7 +158,7 @@ TEST(Builder, DuplicateRequiresOriginal) {
     EXPECT_EQ(dup.proc, 1);
     // Duplicate feeds consumers on its processor without comm.
     EXPECT_DOUBLE_EQ(builder.data_ready(1, 1), 2.0);
-    EXPECT_EQ(builder.partial().num_duplicates(), 1u);
+    EXPECT_EQ(builder.snapshot().num_duplicates(), 1u);
 }
 
 TEST(Builder, CopySemanticsGiveIndependentTrials) {
@@ -157,7 +190,7 @@ TEST(Builder, RollbackRestoresAllState) {
     EXPECT_EQ(builder.num_placements(), 1u);
     EXPECT_FALSE(builder.is_placed(1));
     EXPECT_FALSE(builder.is_placed(2));
-    EXPECT_EQ(builder.partial().num_duplicates(), 0u);
+    EXPECT_EQ(builder.snapshot().num_duplicates(), 0u);
     EXPECT_DOUBLE_EQ(builder.current_makespan(), 2.0);
     EXPECT_DOUBLE_EQ(builder.proc_available(0), 2.0);
     EXPECT_DOUBLE_EQ(builder.proc_available(1), 0.0);
@@ -344,6 +377,136 @@ TEST(Builder, DataReadyPeekMatchesDataReadyUnderSpeculation) {
         }
         EXPECT_GT(rollbacks, 0u);
         check_all("complete");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Packed output: take() must pack exactly what a ScheduleDraft fed the same
+// commits packs (each task's primary, then its duplicates in commit order),
+// whatever was speculated and rolled back on the way.
+// ---------------------------------------------------------------------------
+
+Problem layered_problem(std::size_t n) {
+    workload::InstanceParams params;
+    params.size = n;
+    params.num_procs = 4;
+    params.ccr = 2.0;
+    return workload::make_instance(params, 3);
+}
+
+/// Commit one fixed sequence on `builder`, recording every commit on
+/// `draft`: each task in topological order on processor v % P, and after
+/// every third task a duplicate of its first predecessor on the next
+/// processor.  With `speculate`, each task is first tried under nested
+/// checkpoints (placed elsewhere, duplicated, its predecessors duplicated)
+/// and everything is rolled back, so the task's own placement and its
+/// duplicates are undone together.  Every duplicate is appended after its
+/// processor's last interval once its inputs have arrived, so the result
+/// stays valid (take() lints it under TSCHED_DEBUG_CHECKS).
+void commit_sequence(ScheduleBuilder& builder, ScheduleDraft& draft, bool speculate) {
+    const Problem& problem = builder.problem();
+    const CsrAdjacency& csr = problem.dag().csr();
+    const std::size_t procs = problem.num_procs();
+    const auto duplicate = [&](TaskId u, ProcId q) {
+        const double start = builder.earliest_start(q, builder.data_ready(u, q),
+                                                    problem.exec_time(u, q), /*insertion=*/false);
+        return builder.place_duplicate_at(u, q, start);
+    };
+    const auto record = [&](const Placement& pl) {
+        draft.add(pl.task, pl.proc, pl.start, pl.finish);
+    };
+    for (const TaskId v : topological_order(problem.dag())) {
+        const auto p = static_cast<ProcId>(static_cast<std::size_t>(v) % procs);
+        const auto q = static_cast<ProcId>((static_cast<std::size_t>(v) + 1) % procs);
+        if (speculate) {
+            const auto outer = builder.checkpoint();
+            builder.place(v, q, true);
+            duplicate(v, p);
+            const auto inner = builder.checkpoint();
+            for (const TaskId u : csr.pred_tasks(v)) duplicate(u, q);
+            builder.rollback(inner);
+            duplicate(v, q);
+            builder.rollback(outer);
+        }
+        record(builder.place(v, p, true));
+        const auto preds = csr.pred_tasks(v);
+        if (static_cast<std::size_t>(v) % 3 == 0 && !preds.empty()) {
+            record(duplicate(preds.front(), q));
+        }
+    }
+}
+
+TEST(Builder, TakeAfterSpeculationPacksLikeDraftAndNeverSpeculated) {
+    const Problem problem = layered_problem(40);
+    ScheduleBuilder direct(problem);
+    ScheduleDraft direct_draft(problem.num_tasks(), problem.num_procs());
+    commit_sequence(direct, direct_draft, /*speculate=*/false);
+    ScheduleBuilder spec(problem);
+    ScheduleDraft spec_draft(problem.num_tasks(), problem.num_procs());
+    commit_sequence(spec, spec_draft, /*speculate=*/true);
+
+    // The builder's per-task view already holds what the packed result will.
+    const Schedule snapshot = spec.snapshot();
+    ASSERT_GT(snapshot.num_duplicates(), 0u);
+    for (TaskId v = 0; v < static_cast<TaskId>(problem.num_tasks()); ++v) {
+        std::vector<Placement> viewed;
+        for (const Placement& pl : spec.placements(v)) viewed.push_back(pl);
+        const auto packed = snapshot.placements(v);
+        EXPECT_EQ(viewed, std::vector<Placement>(packed.begin(), packed.end())) << "task " << v;
+    }
+
+    const std::string direct_bytes = net::encode_schedule(std::move(direct).take());
+    const std::string spec_bytes = net::encode_schedule(std::move(spec).take());
+    EXPECT_EQ(spec_bytes, direct_bytes);
+    EXPECT_EQ(spec_bytes, net::encode_schedule(snapshot));
+    EXPECT_EQ(direct_bytes, net::encode_schedule(std::move(direct_draft).build()));
+    EXPECT_EQ(spec_bytes, net::encode_schedule(std::move(spec_draft).build()));
+}
+
+TEST(Builder, PlacementsViewFollowsCommitsAndRollbacks) {
+    const Problem problem = fork_problem();
+    ScheduleBuilder builder(problem);
+    EXPECT_TRUE(builder.placements(0).empty());
+    EXPECT_THROW((void)builder.placements(3), std::out_of_range);
+    builder.place(0, 0, true);
+    const auto mark = builder.checkpoint();
+    builder.place_duplicate_at(0, 1, 0.0);
+    builder.place_duplicate_at(0, 1, 2.0);
+    std::vector<Placement> seen;
+    for (const Placement& pl : builder.placements(0)) seen.push_back(pl);
+    const std::vector<Placement> all{{0, 0, 0.0, 2.0}, {0, 1, 0.0, 2.0}, {0, 1, 2.0, 4.0}};
+    EXPECT_EQ(seen, all);
+    builder.rollback(mark);
+    seen.clear();
+    for (const Placement& pl : builder.placements(0)) seen.push_back(pl);
+    EXPECT_EQ(seen, std::vector<Placement>{all.front()});
+    // A fresh duplicate after the rollback links where the undone ones were.
+    builder.place_duplicate_at(0, 1, 4.0);
+    seen.clear();
+    for (const Placement& pl : builder.placements(0)) seen.push_back(pl);
+    EXPECT_EQ(seen, (std::vector<Placement>{all.front(), {0, 1, 4.0, 6.0}}));
+}
+
+TEST(Builder, PackedScheduleHoldsConstantHeapBlocks) {
+    for (const std::size_t n : {100u, 10000u}) {
+        SCOPED_TRACE(n);
+        const Problem problem = layered_problem(n);
+        ScheduleBuilder builder(problem);
+        ScheduleDraft draft(problem.num_tasks(), problem.num_procs());
+        commit_sequence(builder, draft, /*speculate=*/false);
+        // Packing allocates the offsets and the placement array, nothing per task.
+        EXPECT_EQ(allocations_during([&] { (void)builder.snapshot(); }), 2u);
+        std::optional<Schedule> built;
+#ifndef TSCHED_DEBUG_CHECKS  // there take() also runs the lint passes
+        EXPECT_EQ(allocations_during([&] { built.emplace(std::move(builder).take()); }), 2u);
+#else
+        built.emplace(std::move(builder).take());
+#endif
+        ASSERT_GT(built->num_duplicates(), 0u);
+        // A copy allocates exactly the blocks a built Schedule holds.
+        EXPECT_EQ(allocations_during([&] { const Schedule copy = *built; }), 2u);
+        // A draft's build is a counting sort: offsets, cursors, placements.
+        EXPECT_EQ(allocations_during([&] { built.emplace(std::move(draft).build()); }), 3u);
     }
 }
 

@@ -29,10 +29,11 @@ Problem fan_problem() {
 
 TEST(Contention, SenderPortSerializesFanOut) {
     const Problem problem = fan_problem();
-    Schedule s(3, 3);
-    s.add(0, 0, 0.0, 1.0);
-    s.add(1, 1, 5.0, 6.0);
-    s.add(2, 2, 5.0, 6.0);
+    ScheduleDraft draft(3, 3);
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(1, 1, 5.0, 6.0);
+    draft.add(2, 2, 5.0, 6.0);
+    const Schedule s = std::move(draft).build();
     EXPECT_DOUBLE_EQ(sim::simulate(s, problem).makespan, 6.0);
     const auto contended = sim::simulate_contended(s, problem);
     // First transfer [1,5] to P1; second queues on P0's send port: [5,9].
@@ -44,10 +45,11 @@ TEST(Contention, SenderPortSerializesFanOut) {
 
 TEST(Contention, LocalDataBypassesPorts) {
     const Problem problem = fan_problem();
-    Schedule s(3, 3);  // everything on P0: no transfers at all
-    s.add(0, 0, 0.0, 1.0);
-    s.add(1, 0, 1.0, 2.0);
-    s.add(2, 0, 2.0, 3.0);
+    ScheduleDraft draft(3, 3);  // everything on P0: no transfers at all
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(1, 0, 1.0, 2.0);
+    draft.add(2, 0, 2.0, 3.0);
+    const Schedule s = std::move(draft).build();
     const auto contended = sim::simulate_contended(s, problem);
     EXPECT_DOUBLE_EQ(contended.makespan, 3.0);
     EXPECT_EQ(contended.transfers, 0u);
@@ -68,10 +70,11 @@ TEST(Contention, ReceiverPortSerializesFanIn) {
     Machine machine = Machine::homogeneous(3, links);
     CostMatrix costs = CostMatrix::uniform(dag, 3);
     const Problem problem(std::move(dag), std::move(machine), std::move(costs));
-    Schedule s(3, 3);
-    s.add(0, 0, 0.0, 1.0);
-    s.add(1, 1, 0.0, 1.0);
-    s.add(2, 2, 5.0, 6.0);
+    ScheduleDraft draft(3, 3);
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(1, 1, 0.0, 1.0);
+    draft.add(2, 2, 5.0, 6.0);
+    const Schedule s = std::move(draft).build();
     // Contention-free: both arrive at 5 -> finish 6.  One-port: second
     // transfer waits for the inbound port [5,9] -> start 9, finish 10.
     EXPECT_DOUBLE_EQ(sim::simulate(s, problem).makespan, 6.0);
@@ -175,10 +178,11 @@ TEST(Contention, ThrowsOnIncompleteOrDeadlocked) {
     Schedule incomplete(3, 3);
     EXPECT_THROW((void)sim::simulate_contended(incomplete, problem), std::invalid_argument);
 
-    Schedule deadlocked(3, 3);  // consumer ordered before producer on one proc
-    deadlocked.add(1, 0, 0.0, 1.0);
-    deadlocked.add(0, 0, 1.0, 2.0);
-    deadlocked.add(2, 0, 2.0, 3.0);
+    ScheduleDraft deadlocked_draft(3, 3);  // consumer ordered before producer on one proc
+    deadlocked_draft.add(1, 0, 0.0, 1.0);
+    deadlocked_draft.add(0, 0, 1.0, 2.0);
+    deadlocked_draft.add(2, 0, 2.0, 3.0);
+    const Schedule deadlocked = std::move(deadlocked_draft).build();
     EXPECT_THROW((void)sim::simulate_contended(deadlocked, problem), std::invalid_argument);
 }
 

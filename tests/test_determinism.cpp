@@ -546,10 +546,11 @@ TEST(Determinism, NetCodecRequestBytesAreGolden) {
 }
 
 TEST(Determinism, NetCodecResponseBytesAreGolden) {
-    Schedule schedule(3, 2);
-    schedule.add(0, 0, 0.0, 1.5);
-    schedule.add(1, 1, 1.5, 3.25);
-    schedule.add(2, 0, 3.25, 4.0);
+    ScheduleDraft schedule_draft(3, 2);
+    schedule_draft.add(0, 0, 0.0, 1.5);
+    schedule_draft.add(1, 1, 1.5, 3.25);
+    schedule_draft.add(2, 0, 3.25, 4.0);
+    const Schedule schedule = std::move(schedule_draft).build();
     net::WireResponse response;
     response.id = 9;
     response.outcome = serve::ServeOutcome::kOk;

@@ -103,9 +103,10 @@ TEST(SimulateFaulty, CrashAfterCompletionIsHarmless) {
 
 TEST(SimulateFaulty, TransientFaultsStretchAndAreCounted) {
     const Problem problem = chain_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 1.0);
-    s.add(1, 0, 1.0, 2.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(1, 0, 1.0, 2.0);
+    const Schedule s = std::move(draft).build();
     sim::FaultPlan plan;
     plan.task_faults.push_back({0, 2});
     const auto policy = make_repair_policy("none");
@@ -125,9 +126,10 @@ TEST(SimulateFaulty, TransientFaultsStretchAndAreCounted) {
 
 TEST(SimulateFaulty, LinkSlowdownDelaysRemoteConsumers) {
     const Problem problem = chain_problem(5.0);
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 1.0);
-    s.add(1, 1, 6.0, 7.0);  // nominal transfer: 5
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(1, 1, 6.0, 7.0);  // nominal transfer: 5
+    const Schedule s = std::move(draft).build();
     sim::FaultPlan plan;
     plan.slowdowns.push_back({0.0, 2.0, 3.0});  // producer finishes at 1.0: slowed
     const auto policy = make_repair_policy("none");
@@ -212,9 +214,10 @@ TEST(SimulateFaulty, CrashAtZeroMigratesEverythingOffTheDeadProc) {
 TEST(SimulateFaulty, ReexecutesAbortedInFlightWork) {
     // One processor pair; task 0 is in flight on p0 when it crashes at 0.5.
     const Problem problem = chain_problem(0.0);
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 1.0);
-    s.add(1, 0, 1.0, 2.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(1, 0, 1.0, 2.0);
+    const Schedule s = std::move(draft).build();
     sim::FaultPlan plan;
     plan.crashes.push_back({0, 0.5});
     const auto policy = make_repair_policy("remap-pending");
@@ -230,10 +233,11 @@ TEST(SimulateFaulty, UseDuplicatesDropsCoveredLostWork) {
     // Task 0 is duplicated on both processors; losing p0's copy needs no
     // replacement, only task 1 is stranded... but task 1 lives on p1 already.
     const Problem problem = chain_problem(100.0);
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 1.0);
-    s.add(0, 1, 0.0, 1.0);
-    s.add(1, 1, 1.0, 2.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(0, 1, 0.0, 1.0);
+    draft.add(1, 1, 1.0, 2.0);
+    const Schedule s = std::move(draft).build();
     sim::FaultPlan plan;
     plan.crashes.push_back({0, 0.5});
     const auto policy = make_repair_policy("use-duplicates");
@@ -249,9 +253,10 @@ TEST(SimulateFaulty, UseDuplicatesDropsCoveredLostWork) {
 TEST(SimulateFaulty, RepairLatencyMeasuresCrashToRestartGap) {
     // Lost task 1 can only restart after its input arrives remotely.
     const Problem problem = chain_problem(5.0);
-    Schedule s(2, 2);
-    s.add(0, 1, 0.0, 1.0);
-    s.add(1, 0, 6.0, 7.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 1, 0.0, 1.0);
+    draft.add(1, 0, 6.0, 7.0);
+    const Schedule s = std::move(draft).build();
     sim::FaultPlan plan;
     plan.crashes.push_back({0, 2.0});
     const auto policy = make_repair_policy("remap-pending");
@@ -264,9 +269,10 @@ TEST(SimulateFaulty, RepairLatencyMeasuresCrashToRestartGap) {
 
 TEST(CrashBusiest, PicksTheProcessorWithTheMostBusyTime) {
     const Problem problem = chain_problem();
-    Schedule s(2, 2);
-    s.add(0, 1, 0.0, 1.0);
-    s.add(1, 1, 1.0, 2.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 1, 0.0, 1.0);
+    draft.add(1, 1, 1.0, 2.0);
+    const Schedule s = std::move(draft).build();
     const sim::FaultPlan plan = sim::crash_busiest(s, 0.5);
     ASSERT_EQ(plan.crashes.size(), 1u);
     EXPECT_EQ(plan.crashes[0].proc, 1);

@@ -60,8 +60,9 @@ TEST(Gantt, DuplicatesRenderedHatched) {
 }
 
 TEST(Gantt, TitleAndEscaping) {
-    Schedule s(1, 1);
-    s.add(0, 0, 0.0, 2.0);
+    ScheduleDraft draft(1, 1);
+    draft.add(0, 0, 0.0, 2.0);
+    const Schedule s = std::move(draft).build();
     DagBuilder builder;
     builder.add_task(2.0, "a<b>&\"c\"");
     Dag dag = std::move(builder).build();
@@ -88,8 +89,9 @@ TEST(Gantt, SaveWritesFile) {
 }
 
 TEST(Gantt, EmptyScheduleStillRenders) {
-    Schedule s(1, 2);
-    s.add(0, 1, 0.0, 1.0);
+    ScheduleDraft draft(1, 2);
+    draft.add(0, 1, 0.0, 1.0);
+    const Schedule s = std::move(draft).build();
     const std::string svg = to_svg(s);
     EXPECT_NE(svg.find("</svg>"), std::string::npos);
 }

@@ -27,9 +27,10 @@ Problem chain2() {
 
 TEST(Metrics, HandComputedValues) {
     const Problem problem = chain2();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 1.0);
-    s.add(1, 0, 1.0, 2.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(1, 0, 1.0, 2.0);
+    const Schedule s = std::move(draft).build();
     // CP lower bound = 2, serial best = 2, makespan = 2.
     EXPECT_DOUBLE_EQ(slr(s, problem), 1.0);
     EXPECT_DOUBLE_EQ(speedup(s, problem), 1.0);
@@ -196,9 +197,10 @@ TEST(Robustness, MonteCarloIsDeterministicAndSane) {
 
 TEST(Robustness, MonteCarloRejectsZeroSamples) {
     const Problem problem = chain2();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 1.0);
-    s.add(1, 0, 1.0, 2.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(1, 0, 1.0, 2.0);
+    const Schedule s = std::move(draft).build();
     RobustnessParams rp;
     rp.samples = 0;
     const auto policy = make_repair_policy("none");
@@ -217,9 +219,10 @@ TEST(Robustness, SlackScoreBoundsAndHandValue) {
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);
     const Problem problem(std::move(dag), std::move(machine), std::move(costs));
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 1.0);
-    s.add(1, 1, 0.0, 2.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(1, 1, 0.0, 2.0);
+    const Schedule s = std::move(draft).build();
     // Slacks: task 0 -> (2 - 1)/2 = 0.5, task 1 -> 0.  Mean = 0.25.
     EXPECT_DOUBLE_EQ(slack_robustness(s, problem), 0.25);
 }

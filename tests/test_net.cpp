@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "analysis/net_lints.hpp"
+#include "core/registry.hpp"
 #include "net/client.hpp"
 #include "net/codec.hpp"
 #include "net/frame.hpp"
@@ -421,9 +422,10 @@ TEST(NetCodec, RequestRoundTripPreservesFingerprint) {
 }
 
 TEST(NetCodec, ResponseRoundTrip) {
-    Schedule schedule(2, 2);
-    schedule.add(0, 1, 0.0, 2.5);
-    schedule.add(1, 0, 2.5, 4.0);
+    ScheduleDraft schedule_draft(2, 2);
+    schedule_draft.add(0, 1, 0.0, 2.5);
+    schedule_draft.add(1, 0, 2.5, 4.0);
+    const Schedule schedule = std::move(schedule_draft).build();
     net::WireResponse response;
     response.id = 9;
     response.outcome = serve::ServeOutcome::kDegraded;
@@ -715,6 +717,42 @@ TEST(NetServer, RepeatedDescriptorAnswersLikeColdAndInProcess) {
               net::encode_response(net::make_response(cold.id, local_cold)));
     EXPECT_EQ(net::encode_response(*warm.response),
               net::encode_response(net::make_response(warm.id, local_hit)));
+    server.stop();
+}
+
+// Differential check: for every registered scheduler, the schedule a client
+// fetches over the wire is byte-identical to the in-process schedule() of the
+// same descriptor (the layout-golden shapes of test_schedule_io.cpp).
+TEST(NetServer, EverySchedulerAnswersOverTheWireAsInProcess) {
+    ThreadPool pool(2);
+    net::ServeServer server(loopback_config(), pool);
+    server.start();
+    net::ClientConfig client_config;
+    client_config.port = server.port();
+    net::ServeClient client(client_config);
+    for (const std::string& algo : scheduler_names()) {
+        for (const auto& [shape, size] :
+             {std::pair{workload::Shape::kLayered, std::size_t{60}},
+              std::pair{workload::Shape::kGauss, std::size_t{9}}}) {
+            for (const workload::Net links : {workload::Net::kUniform, workload::Net::kRing}) {
+                serve::TraceRequest descriptor;
+                descriptor.algo = algo;
+                descriptor.shape = shape;
+                descriptor.size = size;
+                descriptor.procs = 4;
+                descriptor.net = links;
+                descriptor.ccr = 2.0;
+                descriptor.seed = 7;
+                SCOPED_TRACE(algo + " " + workload::shape_name(shape) + " " +
+                             workload::net_name(links));
+                const auto reply = client.call(descriptor);
+                ASSERT_TRUE(reply.ok());
+                const Schedule local =
+                    make_scheduler(algo)->schedule(*serve::materialize(descriptor).problem);
+                EXPECT_EQ(reply.response->schedule_bytes, net::encode_schedule(local));
+            }
+        }
+    }
     server.stop();
 }
 

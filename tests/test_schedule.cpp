@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "platform/problem.hpp"
 #include "sched/schedule.hpp"
@@ -11,10 +12,11 @@ namespace tsched {
 namespace {
 
 TEST(Schedule, AddAndQuery) {
-    Schedule s(3, 2);
-    s.add(0, 0, 0.0, 2.0);
-    s.add(1, 1, 0.0, 3.0);
-    s.add(2, 0, 2.0, 5.0);
+    ScheduleDraft draft(3, 2);
+    draft.add(0, 0, 0.0, 2.0);
+    draft.add(1, 1, 0.0, 3.0);
+    draft.add(2, 0, 2.0, 5.0);
+    const Schedule s = std::move(draft).build();
     EXPECT_TRUE(s.complete());
     EXPECT_EQ(s.num_placements(), 3u);
     EXPECT_EQ(s.num_duplicates(), 0u);
@@ -24,36 +26,76 @@ TEST(Schedule, AddAndQuery) {
 }
 
 TEST(Schedule, IncompleteDetection) {
-    Schedule s(2, 1);
-    s.add(0, 0, 0.0, 1.0);
+    ScheduleDraft draft(2, 1);
+    draft.add(0, 0, 0.0, 1.0);
+    const Schedule s = std::move(draft).build();
     EXPECT_FALSE(s.complete());
     EXPECT_THROW((void)s.primary(1), std::out_of_range);
 }
 
 TEST(Schedule, DuplicatesTracked) {
-    Schedule s(1, 2);
-    s.add(0, 0, 0.0, 2.0);
-    s.add(0, 1, 1.0, 3.5);  // duplicate on another proc
+    ScheduleDraft draft(1, 2);
+    draft.add(0, 0, 0.0, 2.0);
+    draft.add(0, 1, 1.0, 3.5);  // duplicate on another proc
+    const Schedule s = std::move(draft).build();
     EXPECT_EQ(s.placements(0).size(), 2u);
     EXPECT_EQ(s.num_duplicates(), 1u);
     EXPECT_DOUBLE_EQ(s.makespan(), 3.5);
     EXPECT_EQ(s.primary(0).proc, 0);  // first added is primary
 }
 
+TEST(Schedule, DraftPacksByTaskKeepingAddOrder) {
+    ScheduleDraft draft(3, 2);
+    draft.add(2, 0, 4.0, 5.0);
+    draft.add(0, 0, 0.0, 2.0);
+    draft.add(2, 1, 3.0, 4.0);  // duplicate of task 2, added after its primary
+    draft.add(0, 1, 1.0, 3.0);
+    draft.add(2, 1, 5.0, 6.0);
+    const Schedule s = std::move(draft).build();
+    const std::vector<Placement> packed{{0, 0, 0.0, 2.0}, {0, 1, 1.0, 3.0}, {2, 0, 4.0, 5.0},
+                                        {2, 1, 3.0, 4.0}, {2, 1, 5.0, 6.0}};
+    EXPECT_EQ(std::vector<Placement>(s.all_placements().begin(), s.all_placements().end()),
+              packed);
+    EXPECT_TRUE(s.placements(1).empty());
+    EXPECT_EQ(s.placements(2).size(), 3u);
+    EXPECT_EQ(s.primary(2), packed[2]);
+    EXPECT_EQ(s.num_placements(), 5u);
+    EXPECT_EQ(s.num_duplicates(), 3u);
+    EXPECT_FALSE(s.complete());
+    EXPECT_DOUBLE_EQ(s.makespan(), 6.0);
+    EXPECT_THROW((void)s.placements(3), std::out_of_range);
+    EXPECT_THROW((void)s.placements(-1), std::out_of_range);
+}
+
+TEST(Schedule, EmptyScheduleHasNoPlacements) {
+    const Schedule s(4, 2);
+    EXPECT_EQ(s.num_tasks(), 4u);
+    EXPECT_EQ(s.num_placements(), 0u);
+    EXPECT_EQ(s.num_duplicates(), 0u);
+    EXPECT_FALSE(s.complete());
+    EXPECT_TRUE(s.placements(3).empty());
+    EXPECT_DOUBLE_EQ(s.makespan(), 0.0);
+    EXPECT_TRUE(Schedule(0, 1).complete());
+}
+
 TEST(Schedule, RejectsBadAdds) {
-    Schedule s(1, 1);
-    EXPECT_THROW(s.add(5, 0, 0.0, 1.0), std::invalid_argument);
-    EXPECT_THROW(s.add(0, 3, 0.0, 1.0), std::invalid_argument);
-    EXPECT_THROW(s.add(0, 0, -1.0, 1.0), std::invalid_argument);
-    EXPECT_THROW(s.add(0, 0, 2.0, 1.0), std::invalid_argument);  // finish < start
+    ScheduleDraft draft(1, 1);
+    EXPECT_THROW(draft.add(5, 0, 0.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(draft.add(0, 3, 0.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(draft.add(0, 0, -1.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(draft.add(0, 0, 2.0, 1.0), std::invalid_argument);  // finish < start
+    EXPECT_EQ(std::move(draft).build().num_placements(), 0u);  // nothing was recorded
     EXPECT_THROW(Schedule(1, 0), std::invalid_argument);
+    EXPECT_THROW(ScheduleDraft(1, 0), std::invalid_argument);
+    EXPECT_THROW(ScheduleDraft(std::size_t{1} << 40, 1), std::invalid_argument);
 }
 
 TEST(Schedule, ProcessorTimelineSorted) {
-    Schedule s(3, 1);
-    s.add(0, 0, 4.0, 5.0);
-    s.add(1, 0, 0.0, 2.0);
-    s.add(2, 0, 2.0, 4.0);
+    ScheduleDraft draft(3, 1);
+    draft.add(0, 0, 4.0, 5.0);
+    draft.add(1, 0, 0.0, 2.0);
+    draft.add(2, 0, 2.0, 4.0);
+    const Schedule s = std::move(draft).build();
     const auto timeline = s.processor_timeline(0);
     ASSERT_EQ(timeline.size(), 3u);
     EXPECT_EQ(timeline[0].task, 1);
@@ -63,9 +105,10 @@ TEST(Schedule, ProcessorTimelineSorted) {
 
 TEST(Schedule, DataAvailablePicksBestInstance) {
     const UniformLinkModel links(1.0, 1.0);
-    Schedule s(1, 3);
-    s.add(0, 0, 0.0, 10.0);  // remote to p2: 10 + 1 + 4 = 15
-    s.add(0, 2, 0.0, 12.0);  // local to p2: 12
+    ScheduleDraft draft(1, 3);
+    draft.add(0, 0, 0.0, 10.0);  // remote to p2: 10 + 1 + 4 = 15
+    draft.add(0, 2, 0.0, 12.0);  // local to p2: 12
+    const Schedule s = std::move(draft).build();
     EXPECT_DOUBLE_EQ(s.data_available(0, 2, 4.0, links), 12.0);
     EXPECT_DOUBLE_EQ(s.data_available(0, 0, 4.0, links), 10.0);
     // Unplaced task: +inf.
@@ -74,15 +117,17 @@ TEST(Schedule, DataAvailablePicksBestInstance) {
 }
 
 TEST(Schedule, IdleTimeAccounting) {
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 4.0);
-    s.add(1, 1, 2.0, 4.0);  // proc 1 idle for 2
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 4.0);
+    draft.add(1, 1, 2.0, 4.0);  // proc 1 idle for 2
+    const Schedule s = std::move(draft).build();
     EXPECT_DOUBLE_EQ(s.total_idle_time(), 2.0);
 }
 
 TEST(Schedule, ToStringMentionsProcessorsAndMakespan) {
-    Schedule s(1, 2);
-    s.add(0, 1, 0.0, 3.0);
+    ScheduleDraft draft(1, 2);
+    draft.add(0, 1, 0.0, 3.0);
+    const Schedule s = std::move(draft).build();
     const std::string str = s.to_string();
     EXPECT_NE(str.find("makespan=3"), std::string::npos);
     EXPECT_NE(str.find("P1:"), std::string::npos);
@@ -107,25 +152,28 @@ Problem tiny_problem() {
 
 TEST(Validate, AcceptsCorrectSchedule) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(1, 1, 5.0, 8.0);  // data ready at 3 + 2 = 5
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(1, 1, 5.0, 8.0);  // data ready at 3 + 2 = 5
+    const Schedule s = std::move(draft).build();
     const auto result = validate(s, problem);
     EXPECT_TRUE(result.ok) << result.message();
 }
 
 TEST(Validate, AcceptsSameProcBackToBack) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(1, 0, 3.0, 6.0);  // no comm on same proc
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(1, 0, 3.0, 6.0);  // no comm on same proc
+    const Schedule s = std::move(draft).build();
     EXPECT_TRUE(validate(s, problem).ok);
 }
 
 TEST(Validate, CatchesMissingTask) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    const Schedule s = std::move(draft).build();
     const auto result = validate(s, problem);
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.message().find("no placement"), std::string::npos);
@@ -133,9 +181,10 @@ TEST(Validate, CatchesMissingTask) {
 
 TEST(Validate, CatchesWrongDuration) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 4.0);  // cost is 3, duration 4
-    s.add(1, 1, 6.0, 9.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 4.0);  // cost is 3, duration 4
+    draft.add(1, 1, 6.0, 9.0);
+    const Schedule s = std::move(draft).build();
     const auto result = validate(s, problem);
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.message().find("duration"), std::string::npos);
@@ -143,9 +192,10 @@ TEST(Validate, CatchesWrongDuration) {
 
 TEST(Validate, CatchesOverlapOnProcessor) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(1, 0, 2.0, 5.0);  // overlaps task 0 on proc 0
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(1, 0, 2.0, 5.0);  // overlaps task 0 on proc 0
+    const Schedule s = std::move(draft).build();
     const auto result = validate(s, problem);
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.message().find("overlaps"), std::string::npos);
@@ -153,9 +203,10 @@ TEST(Validate, CatchesOverlapOnProcessor) {
 
 TEST(Validate, CatchesPrecedenceViolation) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(1, 1, 4.0, 7.0);  // data arrives at 5, starts at 4
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(1, 1, 4.0, 7.0);  // data arrives at 5, starts at 4
+    const Schedule s = std::move(draft).build();
     const auto result = validate(s, problem);
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.message().find("arrives"), std::string::npos);
@@ -163,10 +214,11 @@ TEST(Validate, CatchesPrecedenceViolation) {
 
 TEST(Validate, DuplicateSatisfiesPrecedence) {
     const Problem problem = tiny_problem();
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 3.0);
-    s.add(0, 1, 0.0, 3.0);  // duplicate on proc 1
-    s.add(1, 1, 3.0, 6.0);  // legal only thanks to the local duplicate
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 3.0);
+    draft.add(0, 1, 0.0, 3.0);  // duplicate on proc 1
+    draft.add(1, 1, 3.0, 6.0);  // legal only thanks to the local duplicate
+    const Schedule s = std::move(draft).build();
     const auto result = validate(s, problem);
     EXPECT_TRUE(result.ok) << result.message();
 }

@@ -68,9 +68,9 @@ serve::ScheduleRequest make_request(std::string algo = "heft") {
 }
 
 std::shared_ptr<const Schedule> make_dummy_schedule(double finish) {
-    auto schedule = std::make_shared<Schedule>(1, 1);
-    schedule->add(0, 0, 0.0, finish);
-    return schedule;
+    ScheduleDraft draft(1, 1);
+    draft.add(0, 0, 0.0, finish);
+    return std::make_shared<const Schedule>(std::move(draft).build());
 }
 
 // ---------------------------------------------------------------------------

@@ -113,16 +113,18 @@ TEST(Simulate, CountsRemoteMessages) {
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);
     const Problem problem(std::move(dag), std::move(machine), std::move(costs));
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 1.0);
-    s.add(1, 1, 6.0, 7.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 1.0);
+    draft.add(1, 1, 6.0, 7.0);
+    const Schedule s = std::move(draft).build();
     const auto result = sim::simulate(s, problem);
     EXPECT_EQ(result.remote_messages, 1u);
     EXPECT_DOUBLE_EQ(result.comm_volume, 5.0);
     // Local version has none.
-    Schedule local(2, 2);
-    local.add(0, 0, 0.0, 1.0);
-    local.add(1, 0, 1.0, 2.0);
+    ScheduleDraft local_draft(2, 2);
+    local_draft.add(0, 0, 0.0, 1.0);
+    local_draft.add(1, 0, 1.0, 2.0);
+    const Schedule local = std::move(local_draft).build();
     EXPECT_EQ(sim::simulate(local, problem).remote_messages, 0u);
 }
 
@@ -144,9 +146,10 @@ TEST(Simulate, DetectsOrderDeadlock) {
     Machine machine = Machine::homogeneous(1, links);
     CostMatrix costs = CostMatrix::uniform(dag, 1);
     const Problem problem(std::move(dag), std::move(machine), std::move(costs));
-    Schedule s(2, 1);
-    s.add(1, 0, 0.0, 1.0);
-    s.add(0, 0, 1.0, 2.0);
+    ScheduleDraft draft(2, 1);
+    draft.add(1, 0, 0.0, 1.0);
+    draft.add(0, 0, 1.0, 2.0);
+    const Schedule s = std::move(draft).build();
     EXPECT_THROW((void)sim::simulate(s, problem), std::invalid_argument);
 }
 
@@ -162,10 +165,11 @@ TEST(Simulate, DuplicateAwareDataRouting) {
     Machine machine = Machine::homogeneous(2, links);
     CostMatrix costs = CostMatrix::uniform(dag, 2);
     const Problem problem(std::move(dag), std::move(machine), std::move(costs));
-    Schedule s(2, 2);
-    s.add(0, 0, 0.0, 2.0);
-    s.add(0, 1, 0.0, 2.0);  // duplicate
-    s.add(1, 1, 2.0, 3.0);
+    ScheduleDraft draft(2, 2);
+    draft.add(0, 0, 0.0, 2.0);
+    draft.add(0, 1, 0.0, 2.0);  // duplicate
+    draft.add(1, 1, 2.0, 3.0);
+    const Schedule s = std::move(draft).build();
     const auto result = sim::simulate(s, problem);
     EXPECT_DOUBLE_EQ(result.makespan, 3.0);
     EXPECT_EQ(result.remote_messages, 0u);  // served locally by the duplicate
