@@ -31,11 +31,14 @@
 //                           request-for-request;
 //                        3. concurrent identical requests coalesce onto one
 //                           computation;
-//                        4. a 50%-repeat stream serves >= 2x the QPS of
-//                           --cache=off at steady state (2 epochs; the ideal
-//                           ratio there is 4x, so the gate has 2x headroom),
-//                           judged on the median ratio of 5 interleaved
-//                           off/on replay pairs;
+//                        4. resubmitting cached problems costs no rehash
+//                           and no recomputation: a second epoch of the
+//                           same materialized 50%-repeat stream is all
+//                           cache hits, moves the problem_content_hashes
+//                           counter by 0, and serve/computed equals the
+//                           number of distinct requests (the cache-on /
+//                           cache-off QPS ratio of 5 interleaved replay
+//                           pairs is printed, not gated);
 //                        5. LatencyHistogram percentiles of the replayed
 //                           stream sit within kMaxRelativeError of the exact
 //                           nearest-rank percentiles of the same latencies
@@ -105,6 +108,7 @@
 #include "serve/chaos.hpp"
 #include "serve/replay.hpp"
 #include "serve/request.hpp"
+#include "trace/counters.hpp"
 #include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -561,22 +565,52 @@ int run_check(const ServeBenchConfig& config) {
                   << stats.coalesced << " coalesced, " << stats.cache_hits << " cache hits)\n";
     }
 
-    // 4. Steady-state QPS on the 50%-repeat stream: cache on vs off.
+    // 4. A cache hit on a resubmitted problem is work-free: no content hash
+    //    (Problem::content_fingerprint memoizes it; before that memo every
+    //    hit re-hashed the whole problem) and no recomputation.  Counted,
+    //    not timed, so a loaded machine cannot fail it.
+    {
+        std::vector<serve::ScheduleRequest> prepared;
+        std::set<std::uint64_t> distinct;
+        for (const serve::TraceRequest& tr : trace) {
+            prepared.push_back(serve::materialize(tr));
+            distinct.insert(serve::fingerprint_request(prepared.back()));
+        }
+        const trace::Counter& hashes = trace::registry().counter("problem_content_hashes");
+        serve::ServeConfig cfg;
+        serve::ServeEngine engine(cfg, pool);
+        (void)engine.run_batch(prepared);
+        const std::uint64_t hashes_before = hashes.value();
+        const std::uint64_t hits_before = engine.stats().cache_hits;
+        (void)engine.run_batch(prepared);
+        const std::uint64_t rehashes = hashes.value() - hashes_before;
+        const auto stats = engine.stats();
+        std::cout << "check: resubmitted " << prepared.size() << " requests: "
+                  << stats.cache_hits - hits_before << " cache hits, " << rehashes
+                  << " content hashes; " << stats.computed << " computations for "
+                  << distinct.size() << " distinct requests\n";
+        if (rehashes != 0)
+            return fail("resubmitted problems were re-hashed " + std::to_string(rehashes) +
+                        " times (want 0)");
+        if (stats.cache_hits - hits_before != prepared.size())
+            return fail("a resubmitted request missed the cache");
+        if (stats.computed != distinct.size())
+            return fail(std::to_string(stats.computed) + " computations for " +
+                        std::to_string(distinct.size()) + " distinct requests");
+    }
+
+    // The throughput view of the same stream, printed for the record:
+    // cache-on vs cache-off QPS, median of kPairs interleaved (off, on)
+    // replays.  One replay lasts a few milliseconds, so the ratio swings with
+    // machine load, and it shrinks whenever cold answers get cheaper; the
+    // throughput benchmark is perfbench's wire-hot workload, not this check.
     {
         serve::ReplayOptions on;
         on.epochs = 2;
         on.batch = 16;
         serve::ReplayOptions off = on;
         off.config.enable_cache = false;
-        // Warm-up replay so first-touch effects (allocator, pool) hit
-        // neither measured run.
-        (void)serve::replay_trace(trace, off, pool);
-        // One replay lasts a few milliseconds, shorter than an OS time
-        // slice, so on a loaded machine (a parallel ctest) one preemption
-        // can swing a single pair's ratio several-fold either way.  The gate
-        // reads the pair with the median ratio out of kPairs interleaved
-        // (off, on) pairs: noise in a minority of pairs cannot move it,
-        // while a true ratio under 2x still fails every time.
+        (void)serve::replay_trace(trace, off, pool);  // warm-up
         constexpr std::size_t kPairs = 5;
         struct Pair {
             serve::ReplayReport off;
@@ -594,18 +628,16 @@ int run_check(const ServeBenchConfig& config) {
         std::sort(pairs.begin(), pairs.end(),
                   [](const Pair& a, const Pair& b) { return a.ratio < b.ratio; });
         const Pair& median = pairs[kPairs / 2];
-        const double ratio = median.ratio;
         std::cout.precision(1);
         std::cout << std::fixed;
         std::cout << "check: 50%-repeat stream, " << on.epochs << " epochs: cache-on "
                   << median.on.qps << " qps (hit rate "
                   << median.on.stats.hit_rate() * 100 << "%), cache-off "
-                  << median.off.qps << " qps -> " << ratio << "x (median of " << kPairs
+                  << median.off.qps << " qps -> " << median.ratio << "x (median of " << kPairs
                   << " pairs; min " << pairs.front().ratio << "x, max " << pairs.back().ratio
-                  << "x)\n";
+                  << "x; not gated)\n";
         if (median.on.stats.hit_rate() < 0.70)
             return fail("steady-state hit rate below 70% on a 50%-repeat stream");
-        if (ratio < 2.0) return fail("cache-on QPS is below 2x cache-off");
     }
 
     // 5. Histogram error bound on live data: push every replayed latency

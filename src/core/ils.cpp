@@ -170,6 +170,10 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
     std::vector<double> eft_of(procs, kInf);
     std::vector<double> start_of(procs, 0.0);  // earliest start behind eft_of
     std::vector<std::size_t> cand(procs);
+    // ILS-D: every processor's trial duplicates for the current task, in one
+    // flat buffer; trial pi's are [dup_off[pi], dup_off[pi + 1]).
+    std::vector<Placement> trial_dups;
+    std::vector<std::size_t> dup_off(procs + 1, 0);
     // EFT evaluations are tallied locally and flushed once after the loop —
     // one relaxed atomic add per (task, proc) eval was measurable at big n.
     std::size_t eft_evals = 0;
@@ -185,7 +189,9 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
         // Per-processor first-level evaluation.  For ILS-D the duplication
         // pass speculates on the one builder and is rolled back after the
         // EFT is measured, so every candidate is judged with its duplicates
-        // in place without cloning the schedule state per processor.
+        // in place without cloning the schedule state per processor; the
+        // duplicates are copied out first so the winner's can be re-committed.
+        trial_dups.clear();
         for (std::size_t pi = 0; pi < procs; ++pi) {
             const auto p = static_cast<ProcId>(pi);
             const double w = problem.exec_time(v, p);
@@ -198,7 +204,11 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
             ++eft_evals;
             start_of[pi] = builder.earliest_start(p, ready, w, config_.insertion);
             eft_of[pi] = start_of[pi] + w;
-            if (config_.duplication) builder.rollback(mark);
+            if (config_.duplication) {
+                builder.duplicates_since(mark, trial_dups);
+                dup_off[pi + 1] = trial_dups.size();
+                builder.rollback(mark);
+            }
         }
         // Candidate set: the top-k processors by plain EFT (k = all by
         // default); among them the downstream-aware score decides.  The
@@ -266,18 +276,19 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
             }
         }
 
-        // Commit: re-apply the winner's duplication (deterministic, so it
-        // reproduces the speculated state exactly), then place at the start
-        // already computed during evaluation — data_ready and the insertion
-        // scan are not recomputed.
+        // Commit: re-commit the winner's trial duplicates in their commit
+        // order (rebuilding the speculated state exactly), then place at the
+        // start already computed during evaluation — neither the duplication
+        // pass, data_ready nor the insertion scan is re-run.
         const double select_end_ms = loop_watch.elapsed_ms();
         selection_ms += select_end_ms - boundary_ms;
-        const auto best_p = static_cast<ProcId>(best_pi);
         if (config_.duplication) {
-            duplicate_parents(builder, v, best_p, config_.max_dups_per_task,
-                              builder.data_ready(v, best_p));
+            for (std::size_t d = dup_off[best_pi]; d < dup_off[best_pi + 1]; ++d) {
+                const Placement& dup = trial_dups[d];
+                builder.place_duplicate_at(dup.task, dup.proc, dup.start);
+            }
         }
-        const Placement pl = builder.place_at(v, best_p, start_of[best_pi]);
+        const Placement pl = builder.place_at(v, static_cast<ProcId>(best_pi), start_of[best_pi]);
         boundary_ms = loop_watch.elapsed_ms();
         placement_ms += boundary_ms - select_end_ms;
         if (sink != nullptr) {

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "graph/algorithms.hpp"
+#include "trace/trace.hpp"
 #include "util/fingerprint.hpp"
 
 namespace tsched {
@@ -156,6 +157,7 @@ std::vector<TaskId> Problem::mean_critical_path() const {
 std::uint64_t Problem::content_fingerprint() const {
     if (const std::uint64_t memo = fingerprint_memo_.value.load(std::memory_order_relaxed))
         return memo;
+    TSCHED_COUNT("problem_content_hashes");
     Fnv1a h;
     absorb_dag(h, *dag_);
     absorb_costs(h, *costs_);

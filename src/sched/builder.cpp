@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #ifdef TSCHED_DEBUG_CHECKS
 #include "analysis/schedule_lints.hpp"
@@ -27,7 +28,7 @@ ScheduleBuilder::ScheduleBuilder(const Problem& problem)
       task_modified_(problem.num_tasks(), 0),
       preds_modified_(problem.num_tasks(), 0),
       ready_cache_(problem.num_tasks() * problem.num_procs(), 0.0),
-      ready_stamp_(problem.num_tasks() * problem.num_procs(), 0),
+      ready_stamp_(problem.num_tasks(), 0),
       ready_binding_(problem.num_tasks() * problem.num_procs(), kInvalidTask),
       primary_start_(problem.num_tasks(), 0.0),
       primary_finish_(problem.num_tasks(), 0.0),
@@ -91,14 +92,27 @@ double ScheduleBuilder::data_available(TaskId u, ProcId p, double data) const {
     return best;
 }
 
-double ScheduleBuilder::data_ready(TaskId v, ProcId p) const {
+void ScheduleBuilder::check_task_proc(TaskId v, ProcId p, const char* what) const {
     if (v < 0 || static_cast<std::size_t>(v) >= placed_.size()) {
-        throw std::out_of_range("ScheduleBuilder::data_ready: task out of range");
+        throw std::out_of_range(std::string("ScheduleBuilder::") + what + ": task out of range");
     }
+    if (p < 0 || static_cast<std::size_t>(p) >= procs_) {
+        throw std::out_of_range(std::string("ScheduleBuilder::") + what +
+                                ": processor out of range");
+    }
+}
+
+bool ScheduleBuilder::ready_row_valid(TaskId v) const noexcept {
+    const auto i = static_cast<std::size_t>(v);
+    const std::uint64_t stamp = ready_stamp_[i];
+    return stamp != 0 && preds_modified_[i] <= stamp;
+}
+
+double ScheduleBuilder::data_ready(TaskId v, ProcId p) const {
+    check_task_proc(v, p, "data_ready");
     const std::size_t idx =
         static_cast<std::size_t>(v) * procs_ + static_cast<std::size_t>(p);
-    const std::uint64_t stamp = ready_stamp_.at(idx);
-    if (stamp != 0 && preds_modified_[static_cast<std::size_t>(v)] <= stamp) {
+    if (ready_row_valid(v)) {
         cache_hits_pending_ += 1;
         return ready_cache_[idx];
     }
@@ -186,31 +200,22 @@ void ScheduleBuilder::fill_ready_row(TaskId v) const {
             row[q] = kInf;
         }
     }
-    for (std::size_t q = 0; q < procs_; ++q) {
-        ready_stamp_[base + q] = epoch_;
-        ready_log_.push_back(base + q);
-    }
+    ready_stamp_[static_cast<std::size_t>(v)] = epoch_;
+    ready_log_.push_back(static_cast<std::size_t>(v));
 }
 
 double ScheduleBuilder::data_ready_peek(TaskId v, ProcId p) const {
-    if (v < 0 || static_cast<std::size_t>(v) >= placed_.size()) {
-        throw std::out_of_range("ScheduleBuilder::data_ready_peek: task out of range");
-    }
-    const std::size_t idx =
-        static_cast<std::size_t>(v) * procs_ + static_cast<std::size_t>(p);
-    const std::uint64_t stamp = ready_stamp_.at(idx);
-    if (stamp != 0 && preds_modified_[static_cast<std::size_t>(v)] <= stamp) {
+    check_task_proc(v, p, "data_ready_peek");
+    if (ready_row_valid(v)) {
         cache_hits_pending_ += 1;
-        return ready_cache_[idx];
+        return ready_cache_[static_cast<std::size_t>(v) * procs_ + static_cast<std::size_t>(p)];
     }
     cache_misses_pending_ += 1;
     return ready_entry(v, p, /*skip_unplaced=*/false);
 }
 
 double ScheduleBuilder::data_ready_partial(TaskId v, ProcId p) const {
-    if (v < 0 || static_cast<std::size_t>(v) >= placed_.size()) {
-        throw std::out_of_range("ScheduleBuilder::data_ready_partial: task out of range");
-    }
+    check_task_proc(v, p, "data_ready_partial");
     return ready_entry(v, p, /*skip_unplaced=*/true);
 }
 
@@ -254,6 +259,7 @@ double ScheduleBuilder::ready_entry(TaskId v, ProcId p, bool skip_unplaced) cons
 }
 
 TaskId ScheduleBuilder::binding_remote_pred(TaskId v, ProcId p, double eps) const {
+    check_task_proc(v, p, "binding_remote_pred");
     const auto preds = csr_->pred_tasks(v);
     const auto pred_data = csr_->pred_data(v);
     TaskId binding = kInvalidTask;
@@ -265,9 +271,7 @@ TaskId ScheduleBuilder::binding_remote_pred(TaskId v, ProcId p, double eps) cons
     // makes its argmax diverge from the full scan's.
     const std::size_t idx =
         static_cast<std::size_t>(v) * procs_ + static_cast<std::size_t>(p);
-    const std::uint64_t stamp = ready_stamp_[idx];
-    if (stamp != 0 && preds_modified_[static_cast<std::size_t>(v)] <= stamp &&
-        std::isfinite(ready_cache_[idx])) {
+    if (ready_row_valid(v) && std::isfinite(ready_cache_[idx])) {
         binding = ready_binding_[idx];
         worst = ready_cache_[idx];
     } else if (uniform_links_) {
@@ -445,6 +449,19 @@ void ScheduleBuilder::rollback(Checkpoint mark) {
         makespan_ = entry.prev_makespan;
         --num_placements_;
     }
+}
+
+void ScheduleBuilder::duplicates_since(Checkpoint mark, std::vector<Placement>& out) const {
+    if (mark > undo_log_.size()) {
+        throw std::logic_error("ScheduleBuilder::duplicates_since: invalid checkpoint");
+    }
+    // Rollback is LIFO, so the duplicates still in place from the commits
+    // since `mark` are exactly the tail of dups_, one per duplicate entry.
+    std::size_t count = 0;
+    for (std::size_t e = mark; e < undo_log_.size(); ++e) {
+        if (undo_log_[e].duplicate) ++count;
+    }
+    for (std::size_t d = dups_.size() - count; d < dups_.size(); ++d) out.push_back(dups_[d].pl);
 }
 
 Schedule ScheduleBuilder::snapshot() const {

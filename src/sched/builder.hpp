@@ -113,6 +113,8 @@ public:
     /// Earliest time all of v's inputs are available on processor p, taking
     /// the best placement (original or duplicate) of each predecessor.
     /// Unplaced predecessors yield +inf.  Tasks without predecessors: 0.
+    /// Like every (task, processor) query below, throws std::out_of_range
+    /// for an out-of-range task or processor.
     [[nodiscard]] double data_ready(TaskId v, ProcId p) const;
 
     /// data_ready(v, p) without touching the cache: a valid cached entry is
@@ -203,6 +205,15 @@ public:
     /// checkpoint of this builder.
     void rollback(Checkpoint mark);
 
+    /// Append to `out`, in commit order, every duplicate committed since
+    /// `mark` that is still in place (nested rollbacks since `mark` already
+    /// removed theirs).  A trial loop keeps its winner this way: copy the
+    /// trial's duplicates before rolling it back, then re-commit them with
+    /// place_duplicate_at in the same order, which rebuilds the trial's
+    /// placement state exactly without re-running the trial.  Throws
+    /// std::logic_error when `mark` is not a prior checkpoint.
+    void duplicates_since(Checkpoint mark, std::vector<Placement>& out) const;
+
     /// Pack the finished schedule; the builder must not be used after.
     [[nodiscard]] Schedule take() &&;
 
@@ -229,6 +240,12 @@ private:
     };
 
     Placement commit(TaskId v, ProcId p, double start, bool duplicate);
+
+    /// Throws std::out_of_range naming `what` for a bad task or processor.
+    void check_task_proc(TaskId v, ProcId p, const char* what) const;
+
+    /// True when v's cached data-ready row is current (see ready_stamp_).
+    [[nodiscard]] bool ready_row_valid(TaskId v) const noexcept;
 
     /// Schedule::data_available over the placements committed so far.
     [[nodiscard]] double data_available(TaskId u, ProcId p, double data) const;
@@ -286,7 +303,9 @@ private:
     // are the exception (they reflect the rolled-back state); every cache
     // write is appended to ready_log_, and rollback zero-stamps the suffix
     // written after the restored checkpoint.  Stamp 0 means "never computed"
-    // (the epoch counter starts at 1).
+    // (the epoch counter starts at 1).  fill_ready_row is the only cache
+    // writer and always writes a whole row at one epoch, so the stamp and
+    // the log are per row (task), not per entry.
     // Validation is O(1), not O(in-degree): preds_modified_[v] caches
     // max over v's predecessors of task_modified_ (the only quantity the
     // per-predecessor walk ever compared against the stamp), maintained by
@@ -298,8 +317,8 @@ private:
     std::vector<std::uint64_t> task_modified_;        // per task
     std::vector<std::uint64_t> preds_modified_;       // per task (see above)
     mutable std::vector<double> ready_cache_;         // task-major, procs_ wide
-    mutable std::vector<std::uint64_t> ready_stamp_;  // parallel to ready_cache_
-    mutable std::vector<std::size_t> ready_log_;      // cache-write order
+    mutable std::vector<std::uint64_t> ready_stamp_;  // per task: its row's epoch
+    mutable std::vector<std::size_t> ready_log_;      // rows (tasks) in write order
     // Argmax sibling of ready_cache_: the first predecessor whose arrival
     // achieves the cached ready time (kInvalidTask when none exceeds 0) —
     // exactly the candidate binding_remote_pred would recompute.  Guarded by

@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "sched/builder.hpp"
@@ -71,11 +72,14 @@ void duplicate_chain(ScheduleBuilder& trial, TaskId v, ProcId p, std::size_t max
 
 /// Shared outer loop: decreasing static level (a topological order since all
 /// execution costs are positive); per task, speculate every processor's
-/// duplication + placement on the one builder, roll each trial back, then
-/// re-apply the winner (the strategies are deterministic, so the replay
-/// reproduces the winning trial state exactly).  `duplicate` leaves its
-/// copies on the builder and returns v's earliest start on p with them in
-/// place (ScheduleBuilder::est), which the winner's replay commits as is.
+/// duplication + placement on the one builder and roll each trial back,
+/// keeping a copy of the best trial's surviving duplicates; then re-commit
+/// that copy and place v.  `duplicate` leaves its copies on the builder and
+/// returns v's earliest start on p with them in place
+/// (ScheduleBuilder::est), which the commit uses as is.  Every trial commit
+/// is a duplicate, so the copy holds the whole trial state, and
+/// re-committing it in order rebuilds exactly what re-running the winning
+/// trial would.
 template <typename DuplicateFn>
 Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
     // One sample per scheduler run: the whole speculate/rollback/commit loop
@@ -89,8 +93,9 @@ Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
         order = order_by_decreasing(sl);
     }
     ScheduleBuilder builder(problem);
-    // Selection (per-proc speculative trials) and placement (winner replay
-    // + commit) accumulate across the run into one histogram sample each —
+    std::vector<Placement> best_dups;  // the best trial's duplicates, per task
+    // Selection (per-proc speculative trials) and placement (winner
+    // re-commit) accumulate across the run into one histogram sample each —
     // the boundary-timestamp pattern HEFT uses, two clock reads per task.
     double selection_ms = 0.0;
     double placement_ms = 0.0;
@@ -98,6 +103,7 @@ Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
     double boundary_ms = 0.0;
     for (const TaskId v : order) {
         ProcId best_proc = 0;
+        double best_start = std::numeric_limits<double>::infinity();
         double best_finish = std::numeric_limits<double>::infinity();
         for (std::size_t p = 0; p < problem.num_procs(); ++p) {
             const auto proc = static_cast<ProcId>(p);
@@ -107,20 +113,24 @@ Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
             // (instead of placing v and reading back the finish) spares
             // every trial one timeline insert/erase pair without changing a
             // single compared value.
-            const double finish = duplicate(builder, v, proc) + problem.exec_time(v, proc);
+            const double start = duplicate(builder, v, proc);
+            const double finish = start + problem.exec_time(v, proc);
             if (finish < best_finish) {
+                best_start = start;
                 best_finish = finish;
                 best_proc = proc;
+                best_dups.clear();
+                builder.duplicates_since(mark, best_dups);
             }
             builder.rollback(mark);
         }
         const double select_end_ms = loop_watch.elapsed_ms();
         selection_ms += select_end_ms - boundary_ms;
-        const double start = duplicate(builder, v, best_proc);
-        if (!std::isfinite(start)) {
+        if (!std::isfinite(best_start)) {
             throw std::logic_error("duplication_schedule: a predecessor is unplaced");
         }
-        builder.place_at(v, best_proc, start);
+        for (const Placement& d : best_dups) builder.place_duplicate_at(d.task, d.proc, d.start);
+        builder.place_at(v, best_proc, best_start);
         boundary_ms = loop_watch.elapsed_ms();
         placement_ms += boundary_ms - select_end_ms;
     }

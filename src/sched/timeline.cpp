@@ -119,19 +119,37 @@ double BusyTimeline::earliest_start(double ready, double duration) const {
         bi = static_cast<std::size_t>(b0_it - blocks_.begin());
     }
 
-    // In-block lower_bound: the cut lands strictly inside the block because
-    // a feasible block's max_finish is its last interval's finish and the
-    // partition point guaranteed max_finish > ready.
-    const std::vector<BusyInterval>& head = blocks_[bi].iv;
-    const auto cut = std::lower_bound(
-        head.begin(), head.end(), ready,
-        [](const BusyInterval& a, double t) { return a.finish <= t; });
-    std::size_t idx = static_cast<std::size_t>(cut - head.begin());
-    double gap_start;
-    if (idx == 0) {
-        gap_start = bi == 0 ? 0.0 : blocks_[bi - 1].iv.back().finish;
-    } else {
-        gap_start = head[idx - 1].finish;
+    // Decide the cut block on its summary first: the in-block lower_bound
+    // only pays off when the max_gap screen admits a fit.  When the screen
+    // rejects, only the boundary gap before the block can host the task, and
+    // only when the cut is the block's first interval (on a feasible
+    // timeline, exactly when iv.front().finish > ready, i.e. the
+    // lower_bound would return 0).  A cut past the first interval starts its
+    // candidate at c ≥ finish_{i−1} of an internal gap, and rounded addition
+    // is monotone, fl(c + d) ≥ fl(finish_{i−1} + d), so the screen's no-fit
+    // proof still covers that candidate: the walk moves on to the next block
+    // exactly as the probe-then-skip would have.
+    const auto screen_admits = [duration](const Block& b) {
+        return duration <= b.max_gap + screen_slack(b.max_finish, b.max_gap);
+    };
+    double gap_start = bi == 0 ? 0.0 : blocks_[bi - 1].iv.back().finish;
+    std::size_t idx = 0;
+    const Block& cut_blk = blocks_[bi];
+    if (screen_admits(cut_blk)) {
+        // In-block lower_bound: the cut lands strictly inside the block
+        // because a feasible block's max_finish is its last interval's
+        // finish and the partition point guaranteed max_finish > ready.
+        const std::vector<BusyInterval>& head = cut_blk.iv;
+        const auto cut = std::lower_bound(
+            head.begin(), head.end(), ready,
+            [](const BusyInterval& a, double t) { return a.finish <= t; });
+        idx = static_cast<std::size_t>(cut - head.begin());
+        if (idx > 0) gap_start = head[idx - 1].finish;
+    } else if (cut_blk.iv.front().finish <= ready) {
+        ++blocks_skipped_pending_;
+        intervals_skipped_pending_ += cut_blk.iv.size();
+        gap_start = cut_blk.max_finish;
+        ++bi;
     }
 
     // Walk blocks from the cut.  Each iteration first decides the *boundary*
@@ -145,17 +163,17 @@ double BusyTimeline::earliest_start(double ready, double duration) const {
     // On a feasible timeline a skipped block's last finish equals its
     // max_finish and its first interval's start is the cached first_start,
     // so the skip path below touches only the 3-double summary — never the
-    // block's interval storage.  (idx > 0 only in the first iteration, whose
-    // interval vector is already hot from the lower_bound.)
+    // block's interval storage.  idx > 0 only on a cut block the screen
+    // admitted above, so a screen-rejected block is always entered at its
+    // first interval.
     for (; bi < blocks_.size(); ++bi, idx = 0) {
         const Block& blk = blocks_[bi];
-        if (duration > blk.max_gap + screen_slack(blk.max_finish, blk.max_gap)) {
+        if (!screen_admits(blk)) {
             ++probes_pending_;
-            const double boundary = idx == 0 ? blk.first_start : blk.iv[idx].start;
             const double candidate = std::max(gap_start, ready);
-            if (candidate + duration <= boundary) return candidate;
+            if (candidate + duration <= blk.first_start) return candidate;
             ++blocks_skipped_pending_;
-            intervals_skipped_pending_ += blk.iv.size() - idx;
+            intervals_skipped_pending_ += blk.iv.size();
             gap_start = blk.max_finish;
             continue;
         }

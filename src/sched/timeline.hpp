@@ -23,6 +23,15 @@
 // block's max_finish) — so a skipped block provably contains no fit, and a
 // block that might contain one is scanned with the exact per-interval test.
 //
+// The screen is applied *first*, to the block holding the data-ready cut as
+// well: the in-block binary search for the cut runs only when the screen
+// admits a fit.  A rejected cut block answers without it — by the exact test
+// on the boundary gap before the block when the cut is the block's first
+// interval, and otherwise by moving on to the next block.  The second case
+// is exact because rounded addition is monotone: the cut's candidate c is at
+// least the finish f of the interval before it, so fl(c + d) ≥ fl(f + d) and
+// the screen's no-fit proof for the internal gap at f covers c too.
+//
 // Like the linear scan's binary-search cut, the query assumes a *feasible*
 // timeline (sorted, non-overlapping intervals, hence non-decreasing
 // finishes).  insert/erase make no such assumption — speculative duplication

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
@@ -124,6 +125,79 @@ TEST(Timeline, EarliestStartExactFitAndBoundaryGaps) {
     EXPECT_EQ(t.earliest_start(5.0, 1.0), 6.0);   // ready inside an interval
     EXPECT_EQ(t.earliest_start(25.0, 1.0), 25.0); // ready past the end
     EXPECT_EQ(t.earliest_start(0.0, 0.0), 0.0);   // zero duration fits at 0
+}
+
+TEST(Timeline, SummaryFirstQueryMatchesLinearScanDifferentially) {
+    // earliest_start decides the data-ready cut's block on its max_gap
+    // screen before any in-block binary search: a rejected block answers by
+    // the exact test on the boundary gap before it when the cut is its first
+    // interval, and is skipped otherwise.  Pin that decision against the
+    // linear scan on random feasible timelines at several block capacities
+    // and insertion orders, with ready before, inside and after the last
+    // block and exactly on every interval finish, and durations at and one
+    // or two ulps around every gap — boundary gaps the next block's screen
+    // rejects, and internal gaps that fit only through rounding
+    // (fl(finish + d) <= start although d > fl(start - finish)), which the
+    // screen's slack must admit.
+    Rng rng(2310);
+    std::size_t queries = 0;
+    std::size_t rounding_fits = 0;
+    for (const std::size_t capacity : {1u, 2u, 4u, 64u}) {
+        for (int trial = 0; trial < 24; ++trial) {
+            const std::size_t count = static_cast<std::size_t>(
+                capacity == 64 ? rng.uniform_int(130, 400) : rng.uniform_int(1, 60));
+            const auto busy = random_busy(rng, count);
+            std::vector<BusyInterval> order = busy;
+            if (trial % 2 == 1) rng.shuffle(order);  // other block layouts
+            BusyTimeline timeline(capacity);
+            for (const BusyInterval& iv : order) timeline.insert(iv);
+            const auto check = [&](double ready, double duration) {
+                ++queries;
+                ASSERT_EQ(timeline.earliest_start(ready, duration),
+                          brute_force_earliest(busy, ready, duration))
+                    << "capacity " << capacity << " trial " << trial << " count " << count
+                    << " ready " << ready << " duration " << duration;
+            };
+            const double end = busy.back().finish;
+            for (int q = 0; q < 16; ++q) {
+                const double ready = q < 4    ? rng.uniform(-5.0, busy.front().start)
+                                     : q < 12 ? rng.uniform(0.0, end)
+                                              : rng.uniform(end, end + 10.0);
+                check(ready, rng.uniform(0.0, 3.0));
+                check(ready, rng.uniform(0.0, 40.0));
+            }
+            for (std::size_t i = 0; i < busy.size(); ++i) {
+                const double finish = busy[i].finish;
+                const double next_start = i + 1 < busy.size() ? busy[i + 1].start : end + 5.0;
+                const double gap = next_start - finish;
+                double duration = std::nextafter(gap, 0.0);
+                for (int k = 0; k < 4; ++k, duration = std::nextafter(duration, 1e300)) {
+                    if (i + 1 < busy.size() && duration > gap && finish + duration <= next_start) {
+                        ++rounding_fits;
+                    }
+                    check(finish, duration);
+                    check(busy[i].start, duration);
+                    check(std::nextafter(finish, 0.0), duration);
+                }
+            }
+        }
+    }
+    EXPECT_GT(queries, 10000u);
+    EXPECT_GT(rounding_fits, 0u);  // the slack-only fits really occur
+
+    // The two rejected-cut answers, by hand.  Capacity 1 packs sorted
+    // inserts as [0,1] [5,6] [7,8] [9,10] [12,13 | 13,14]: every block but
+    // the last is one interval, and each screen admits only tiny durations.
+    BusyTimeline t(1);
+    const std::vector<BusyInterval> busy = {{0.0, 1.0},  {5.0, 6.0},   {7.0, 8.0},
+                                            {9.0, 10.0}, {12.0, 13.0}, {13.0, 14.0}};
+    for (const BusyInterval& iv : busy) t.insert(iv);
+    ASSERT_EQ(t.num_blocks(), 5u);
+    EXPECT_EQ(t.earliest_start(10.5, 1.0), 10.5);  // last block's boundary gap
+    EXPECT_EQ(t.earliest_start(13.5, 0.5), 14.0);  // cut past the last block's first
+    EXPECT_EQ(t.earliest_start(2.0, 3.0), 2.0);    // binary-searched block's boundary gap
+    EXPECT_EQ(t.earliest_start(6.0, 1.0), 6.0);    // the same, ready on a finish
+    EXPECT_EQ(t.earliest_start(2.0, 3.5), 14.0);   // no gap fits anywhere
 }
 
 TEST(Timeline, InsertEraseFlattenMatchReferenceUnderRandomOps) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <optional>
 #include <vector>
@@ -159,6 +160,39 @@ TEST(Builder, DuplicateRequiresOriginal) {
     // Duplicate feeds consumers on its processor without comm.
     EXPECT_DOUBLE_EQ(builder.data_ready(1, 1), 2.0);
     EXPECT_EQ(builder.snapshot().num_duplicates(), 1u);
+}
+
+TEST(Builder, DataReadyRejectsProcessorOutOfRange) {
+    // A processor index past P used to read the next task's cached row.
+    const Problem problem = fork_problem();
+    ScheduleBuilder builder(problem);
+    builder.place(0, 0, true);
+    EXPECT_THROW((void)builder.data_ready(0, 2), std::out_of_range);
+    EXPECT_THROW((void)builder.data_ready(1, -1), std::out_of_range);
+    EXPECT_THROW((void)builder.data_ready(3, 0), std::out_of_range);
+    EXPECT_THROW((void)builder.data_ready_partial(1, 2), std::out_of_range);
+    EXPECT_DOUBLE_EQ(builder.data_ready(1, 1), 6.0);  // the valid row is intact
+}
+
+TEST(Builder, DataReadyPeekRejectsProcessorOutOfRange) {
+    const Problem problem = fork_problem();
+    ScheduleBuilder builder(problem);
+    builder.place(0, 0, true);
+    (void)builder.data_ready(1, 0);  // a cached row, so a bad index would hit it
+    EXPECT_THROW((void)builder.data_ready_peek(1, 2), std::out_of_range);
+    EXPECT_THROW((void)builder.data_ready_peek(0, 2), std::out_of_range);
+    EXPECT_THROW((void)builder.data_ready_peek(-1, 0), std::out_of_range);
+}
+
+TEST(Builder, BindingRemotePredRejectsTaskOrProcessorOutOfRange) {
+    const Problem problem = fork_problem();
+    ScheduleBuilder builder(problem);
+    builder.place(0, 0, true);
+    EXPECT_EQ(builder.binding_remote_pred(1, 1, 1e-12), 0);
+    EXPECT_THROW((void)builder.binding_remote_pred(1, 2, 1e-12), std::out_of_range);
+    EXPECT_THROW((void)builder.binding_remote_pred(1, -1, 1e-12), std::out_of_range);
+    EXPECT_THROW((void)builder.binding_remote_pred(3, 0, 1e-12), std::out_of_range);
+    EXPECT_THROW((void)builder.binding_remote_pred(-1, 0, 1e-12), std::out_of_range);
 }
 
 TEST(Builder, CopySemanticsGiveIndependentTrials) {
@@ -485,6 +519,112 @@ TEST(Builder, PlacementsViewFollowsCommitsAndRollbacks) {
     seen.clear();
     for (const Placement& pl : builder.placements(0)) seen.push_back(pl);
     EXPECT_EQ(seen, (std::vector<Placement>{all.front(), {0, 1, 4.0, 6.0}}));
+}
+
+TEST(Builder, DuplicatesSinceListsSurvivorsInCommitOrder) {
+    const Problem problem = fork_problem();
+    ScheduleBuilder builder(problem);
+    builder.place(0, 0, true);
+    builder.place_duplicate_at(0, 1, 0.0);  // before the mark: not listed
+    const auto mark = builder.checkpoint();
+    builder.place(1, 0, true);  // a primary: not listed
+    builder.place_duplicate_at(0, 1, 2.0);
+    const auto inner = builder.checkpoint();
+    builder.place_duplicate_at(0, 1, 4.0);
+    builder.place_duplicate_at(1, 1, 6.0);
+    builder.rollback(inner);
+    builder.place_duplicate_at(1, 1, 4.0);
+    std::vector<Placement> out{{2, 1, 9.0, 11.0}};  // appended to, not cleared
+    builder.duplicates_since(mark, out);
+    EXPECT_EQ(out, (std::vector<Placement>{
+                       {2, 1, 9.0, 11.0}, {0, 1, 2.0, 4.0}, {1, 1, 4.0, 6.0}}));
+    out.clear();
+    builder.duplicates_since(builder.checkpoint(), out);
+    EXPECT_TRUE(out.empty());
+    EXPECT_THROW(builder.duplicates_since(builder.checkpoint() + 1, out), std::logic_error);
+}
+
+/// A BTDH-shaped trial of v on q: copy v's first input, then under a nested
+/// checkpoint copy it again along with every input (and, one level deeper,
+/// the first input once more), roll the nested part back, and copy the
+/// first input a third time — so that task's duplicate chain loses a link
+/// in the middle.  Copies append after q's last interval once their inputs
+/// have arrived.  Returns v's earliest start on q with the copies in place.
+double nested_trial(ScheduleBuilder& builder, TaskId v, ProcId q) {
+    const Problem& problem = builder.problem();
+    const auto preds = problem.dag().csr().pred_tasks(v);
+    const auto duplicate = [&](TaskId u) {
+        const double start = builder.earliest_start(q, builder.data_ready(u, q),
+                                                    problem.exec_time(u, q), /*insertion=*/false);
+        builder.place_duplicate_at(u, q, start);
+    };
+    if (!preds.empty()) {
+        duplicate(preds.front());
+        const auto inner = builder.checkpoint();
+        for (const TaskId u : preds) duplicate(u);
+        const auto innermost = builder.checkpoint();
+        duplicate(preds.front());
+        if (static_cast<std::size_t>(v) % 2 == 0) builder.rollback(innermost);
+        builder.rollback(inner);
+        if (static_cast<std::size_t>(v) % 3 != 0) duplicate(preds.front());
+    }
+    return builder.est(v, q, /*insertion=*/true);
+}
+
+TEST(Builder, RecommittedTrialPacksLikeReplayedTrial) {
+    // DSH/BTDH and ILS-D keep the best trial by copying its surviving
+    // duplicates before the rollback and re-committing them; re-running the
+    // trial on the restored state is the reference.  Both must leave the
+    // same placement state: same packed bytes, same data-ready values.
+    const Problem problem = layered_problem(60);
+    const std::size_t procs = problem.num_procs();
+    ScheduleBuilder replayed(problem);
+    ScheduleBuilder reused(problem);
+    std::vector<Placement> best_dups;
+    std::size_t recommitted = 0;
+    for (const TaskId v : topological_order(problem.dag())) {
+        ProcId best = 0;
+        double best_start = 0.0;
+        double best_finish = std::numeric_limits<double>::infinity();
+        for (std::size_t pi = 0; pi < procs; ++pi) {
+            const auto p = static_cast<ProcId>(pi);
+            const auto mark_r = replayed.checkpoint();
+            const double start_r = nested_trial(replayed, v, p);
+            replayed.rollback(mark_r);
+            const auto mark_c = reused.checkpoint();
+            const double start_c = nested_trial(reused, v, p);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(start_c), std::bit_cast<std::uint64_t>(start_r));
+            if (start_c + problem.exec_time(v, p) < best_finish) {
+                best = p;
+                best_start = start_c;
+                best_finish = start_c + problem.exec_time(v, p);
+                best_dups.clear();
+                reused.duplicates_since(mark_c, best_dups);
+            }
+            reused.rollback(mark_c);
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(nested_trial(replayed, v, best)),
+                  std::bit_cast<std::uint64_t>(best_start));
+        replayed.place_at(v, best, best_start);
+        for (const Placement& d : best_dups) reused.place_duplicate_at(d.task, d.proc, d.start);
+        recommitted += best_dups.size();
+        reused.place_at(v, best, best_start);
+        ASSERT_EQ(reused.num_placements(), replayed.num_placements()) << "task " << v;
+    }
+    EXPECT_GT(recommitted, problem.num_tasks());
+    for (std::size_t v = 0; v < problem.num_tasks(); ++v) {
+        for (std::size_t q = 0; q < procs; ++q) {
+            const auto t = static_cast<TaskId>(v);
+            const auto p = static_cast<ProcId>(q);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.data_ready(t, p)),
+                      std::bit_cast<std::uint64_t>(replayed.data_ready(t, p)));
+        }
+    }
+    const Schedule snapshot = reused.snapshot();
+    EXPECT_GT(snapshot.num_duplicates(), 0u);
+    EXPECT_EQ(net::encode_schedule(snapshot), net::encode_schedule(replayed.snapshot()));
+    EXPECT_EQ(net::encode_schedule(std::move(reused).take()),
+              net::encode_schedule(std::move(replayed).take()));
 }
 
 TEST(Builder, PackedScheduleHoldsConstantHeapBlocks) {
