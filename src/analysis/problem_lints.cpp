@@ -96,7 +96,7 @@ void lint_dag(const Dag& dag, Diagnostics& diags, std::size_t redundancy_task_li
     // Transitively redundant edges: u -> v with a longer path u ->* v.  Only
     // meaningful (and only safe to compute) on acyclic graphs.
     if (stuck.empty() && n <= redundancy_task_limit) {
-        const std::vector<bool> closure = transitive_closure(dag);
+        const Closure closure = transitive_closure(dag);
         for (std::size_t ui = 0; ui < n; ++ui) {
             const auto u = static_cast<TaskId>(ui);
             for (const AdjEdge& e : dag.successors(u)) {
@@ -104,8 +104,7 @@ void lint_dag(const Dag& dag, Diagnostics& diags, std::size_t redundancy_task_li
                 bool redundant = false;
                 for (const AdjEdge& mid : dag.successors(u)) {
                     if (mid.task == e.task || mid.task == u) continue;
-                    if (closure[static_cast<std::size_t>(mid.task) * n +
-                                static_cast<std::size_t>(e.task)]) {
+                    if (closure.reaches(mid.task, e.task)) {
                         redundant = true;
                         break;
                     }

@@ -192,13 +192,13 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
         // in place without cloning the schedule state per processor; the
         // duplicates are copied out first so the winner's can be re-committed.
         trial_dups.clear();
+        ScheduleBuilder::Checkpoint mark = 0;  // every trial rolls back to it
+        if (config_.duplication) mark = builder.checkpoint();
         for (std::size_t pi = 0; pi < procs; ++pi) {
             const auto p = static_cast<ProcId>(pi);
             const double w = problem.exec_time(v, p);
             double ready = builder.data_ready(v, p);
-            ScheduleBuilder::Checkpoint mark = 0;
             if (config_.duplication) {
-                mark = builder.checkpoint();
                 ready = duplicate_parents(builder, v, p, config_.max_dups_per_task, ready);
             }
             ++eft_evals;
@@ -210,6 +210,7 @@ Schedule IlsScheduler::run_pass(const Problem& problem, bool use_oct,
                 builder.rollback(mark);
             }
         }
+        if (config_.duplication) builder.release(mark);  // no trial is revisited
         // Candidate set: the top-k processors by plain EFT (k = all by
         // default); among them the downstream-aware score decides.  The
         // greedy pass (k = 1) is plain argmin EFT, lowest index on ties —

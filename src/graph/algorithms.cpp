@@ -113,12 +113,15 @@ std::vector<TaskId> critical_path(const Dag& dag, bool include_edge_data) {
     return path;
 }
 
-std::vector<bool> transitive_closure(const Dag& dag) {
+Closure transitive_closure(const Dag& dag) {
     const std::size_t n = dag.num_tasks();
     // Row-per-task bitset over 64-bit words; process in reverse topological
     // order so each row is the union of successor rows.
     const std::size_t words = (n + 63) / 64;
-    std::vector<std::uint64_t> bits(n * words, 0);
+    Closure closure;
+    closure.words_ = words;
+    std::vector<std::uint64_t>& bits = closure.bits_;
+    bits.assign(n * words, 0);
     const auto order = topological_order(dag);
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
         const auto v = static_cast<std::size_t>(*it);
@@ -128,27 +131,21 @@ std::vector<bool> transitive_closure(const Dag& dag) {
             for (std::size_t w = 0; w < words; ++w) bits[v * words + w] |= bits[s * words + w];
         }
     }
-    std::vector<bool> out(n * n, false);
-    for (std::size_t u = 0; u < n; ++u) {
-        for (std::size_t v = 0; v < n; ++v) {
-            out[u * n + v] = (bits[u * words + v / 64] >> (v % 64)) & 1ULL;
-        }
-    }
-    return out;
+    return closure;
 }
 
 bool reaches(const Dag& dag, TaskId u, TaskId v) {
     if (u == v) return false;
-    std::vector<bool> seen(dag.num_tasks(), false);
+    std::vector<std::uint8_t> seen(dag.num_tasks(), 0);
     std::vector<TaskId> stack{u};
-    seen[static_cast<std::size_t>(u)] = true;
+    seen[static_cast<std::size_t>(u)] = 1;
     while (!stack.empty()) {
         const TaskId cur = stack.back();
         stack.pop_back();
         for (const AdjEdge& e : dag.successors(cur)) {
             if (e.task == v) return true;
             if (!seen[static_cast<std::size_t>(e.task)]) {
-                seen[static_cast<std::size_t>(e.task)] = true;
+                seen[static_cast<std::size_t>(e.task)] = 1;
                 stack.push_back(e.task);
             }
         }
@@ -170,8 +167,7 @@ Dag transitive_reduction(const Dag& dag) {
             bool redundant = false;
             for (const AdjEdge& other : dag.successors(static_cast<TaskId>(u))) {
                 if (other.task == e.task) continue;
-                if (closure[static_cast<std::size_t>(other.task) * n +
-                            static_cast<std::size_t>(e.task)]) {
+                if (closure.reaches(other.task, e.task)) {
                     redundant = true;
                     break;
                 }
@@ -184,20 +180,20 @@ Dag transitive_reduction(const Dag& dag) {
 
 std::size_t weakly_connected_components(const Dag& dag) {
     const std::size_t n = dag.num_tasks();
-    std::vector<bool> seen(n, false);
+    std::vector<std::uint8_t> seen(n, 0);
     std::size_t components = 0;
     std::vector<TaskId> stack;
     for (std::size_t start = 0; start < n; ++start) {
         if (seen[start]) continue;
         ++components;
-        seen[start] = true;
+        seen[start] = 1;
         stack.push_back(static_cast<TaskId>(start));
         while (!stack.empty()) {
             const TaskId v = stack.back();
             stack.pop_back();
             auto visit = [&](TaskId w) {
                 if (!seen[static_cast<std::size_t>(w)]) {
-                    seen[static_cast<std::size_t>(w)] = true;
+                    seen[static_cast<std::size_t>(w)] = 1;
                     stack.push_back(w);
                 }
             };
@@ -210,7 +206,7 @@ std::size_t weakly_connected_components(const Dag& dag) {
 
 namespace {
 std::vector<TaskId> closure_from(const Dag& dag, TaskId v, bool forward) {
-    std::vector<bool> seen(dag.num_tasks(), false);
+    std::vector<std::uint8_t> seen(dag.num_tasks(), 0);
     std::vector<TaskId> stack{v};
     std::vector<TaskId> out;
     while (!stack.empty()) {
@@ -219,7 +215,7 @@ std::vector<TaskId> closure_from(const Dag& dag, TaskId v, bool forward) {
         const auto adj = forward ? dag.successors(cur) : dag.predecessors(cur);
         for (const AdjEdge& e : adj) {
             if (!seen[static_cast<std::size_t>(e.task)]) {
-                seen[static_cast<std::size_t>(e.task)] = true;
+                seen[static_cast<std::size_t>(e.task)] = 1;
                 out.push_back(e.task);
                 stack.push_back(e.task);
             }

@@ -5,6 +5,7 @@
 // live in sched/ and metrics/.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/dag.hpp"
@@ -34,9 +35,27 @@ namespace tsched {
 /// Tasks of one longest (work + optional data) path, source to sink order.
 [[nodiscard]] std::vector<TaskId> critical_path(const Dag& dag, bool include_edge_data);
 
-/// reachable[u*n + v] == true iff there is a directed path u ->* v (u != v).
+/// Transitive closure of a Dag, one bit per ordered task pair (a row of
+/// 64-bit words per task).
+class Closure {
+public:
+    /// True iff there is a directed path u ->* v (u != v).
+    [[nodiscard]] bool reaches(TaskId u, TaskId v) const noexcept {
+        const auto vi = static_cast<std::size_t>(v);
+        return ((bits_[static_cast<std::size_t>(u) * words_ + vi / 64] >> (vi % 64)) & 1U) != 0;
+    }
+
+    friend bool operator==(const Closure&, const Closure&) = default;
+
+private:
+    friend Closure transitive_closure(const Dag& dag);
+
+    std::size_t words_ = 0;            // per row: ceil(n / 64)
+    std::vector<std::uint64_t> bits_;  // n rows
+};
+
 /// Bit-packed transitive closure; O(n * m / 64).
-[[nodiscard]] std::vector<bool> transitive_closure(const Dag& dag);
+[[nodiscard]] Closure transitive_closure(const Dag& dag);
 
 /// True iff there is a directed path u ->* v (u != v) — one-off query,
 /// O(n + m) DFS; use transitive_closure for many queries.

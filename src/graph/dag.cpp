@@ -9,8 +9,6 @@
 namespace tsched {
 
 namespace {
-const std::string kNoName;
-
 std::size_t checked_index(TaskId v, std::size_t num_tasks) {
     if (v < 0 || static_cast<std::size_t>(v) >= num_tasks) {
         throw std::out_of_range("Dag: invalid TaskId " + std::to_string(v));
@@ -21,18 +19,28 @@ std::size_t checked_index(TaskId v, std::size_t num_tasks) {
 
 std::size_t Dag::check(TaskId v) const { return checked_index(v, work_.size()); }
 
-const std::string& Dag::name(TaskId v) const {
+std::string_view Dag::name(TaskId v) const {
     const std::size_t vi = check(v);
-    return names_.empty() ? kNoName : names_[vi];
+    if (name_off_.empty()) return {};
+    return std::string_view(name_chars_).substr(name_off_[vi], name_off_[vi + 1] - name_off_[vi]);
 }
 
-void Dag::set_name(TaskId v, std::string name) {
+void Dag::set_name(TaskId v, std::string_view name) {
     const std::size_t vi = check(v);
-    if (names_.empty()) {
+    if (name_off_.empty()) {
         if (name.empty()) return;
-        names_.resize(work_.size());
+        name_off_.assign(work_.size() + 1, 0);
     }
-    names_[vi] = std::move(name);
+    const std::size_t begin = name_off_[vi];
+    const std::size_t old_len = name_off_[vi + 1] - begin;
+    if (name_chars_.size() - old_len + name.size() > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::length_error("Dag::set_name: names exceed 2^32 - 1 bytes");
+    }
+    // `name` may view this Dag's own buffer, so copy it before the splice.
+    name_chars_.replace(begin, old_len, std::string(name));
+    for (std::size_t i = vi + 1; i < name_off_.size(); ++i) {
+        name_off_[i] = static_cast<std::uint32_t>(name_off_[i] - old_len + name.size());
+    }
 }
 
 bool Dag::has_edge(TaskId u, TaskId v) const {
@@ -53,24 +61,18 @@ double Dag::edge_data(TaskId u, TaskId v) const {
 
 void Dag::set_edge_data(TaskId u, TaskId v, double data) {
     const std::size_t ui = check(u);
-    const std::size_t vi = check(v);
+    (void)check(v);
     if (!(data >= 0.0) || !std::isfinite(data)) {
         throw std::invalid_argument("Dag::set_edge_data: data must be finite and non-negative");
     }
-    // Index of `want` in row `row` of a CSR direction; the end offset if absent.
-    const auto find = [](const std::vector<std::size_t>& off, const std::vector<TaskId>& task,
-                         std::size_t row, TaskId want) {
-        std::size_t i = off[row];
-        while (i < off[row + 1] && task[i] != want) ++i;
-        return i;
-    };
-    const std::size_t s = find(csr_.succ_off_, csr_.succ_task_, ui, v);
-    if (s == csr_.succ_off_[ui + 1]) {
-        throw std::out_of_range("Dag::set_edge_data: no edge " + std::to_string(u) + " -> " +
-                                std::to_string(v));
+    for (std::size_t s = csr_.succ_off_[ui]; s < csr_.succ_off_[ui + 1]; ++s) {
+        if (csr_.succ_task_[s] == v) {
+            csr_.succ_data_[s] = data;  // the edge's only copy
+            return;
+        }
     }
-    csr_.succ_data_[s] = data;
-    csr_.pred_data_[find(csr_.pred_off_, csr_.pred_task_, vi, u)] = data;
+    throw std::out_of_range("Dag::set_edge_data: no edge " + std::to_string(u) + " -> " +
+                            std::to_string(v));
 }
 
 void Dag::scale_edge_data(double factor) {
@@ -82,10 +84,7 @@ void Dag::scale_edge_data(double factor) {
         throw std::invalid_argument(
             "Dag::scale_edge_data: factor must keep every data volume finite and non-negative");
     }
-    // Each edge's two copies hold the same volume, so scaling both in place
-    // stores the one product set_edge_data would write to both.
     for (double& d : csr_.succ_data_) d *= factor;
-    for (double& d : csr_.pred_data_) d *= factor;
 }
 
 std::vector<TaskId> Dag::sources() const {
@@ -168,7 +167,7 @@ bool operator==(const Dag& a, const Dag& b) {
 
 std::size_t DagBuilder::check(TaskId v) const { return checked_index(v, work_.size()); }
 
-TaskId DagBuilder::add_task(double work, std::string name) {
+TaskId DagBuilder::add_task(double work, std::string_view name) {
     if (!(work >= 0.0) || !std::isfinite(work)) {
         throw std::invalid_argument("Dag::add_task: work must be finite and non-negative");
     }
@@ -180,10 +179,15 @@ TaskId DagBuilder::add_task(double work, std::string name) {
     out_head_.push_back(kNoEdge);
     out_deg_.push_back(0);
     in_deg_.push_back(0);
-    if (!name.empty()) {
-        names_.resize(id + 1);
-        names_[id] = std::move(name);
+    if (name_off_.empty()) {
+        if (name.empty()) return static_cast<TaskId>(id);
+        name_off_.assign(id + 1, 0);  // every earlier task is unnamed
     }
+    if (name_chars_.size() + name.size() > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::length_error("Dag::add_task: names exceed 2^32 - 1 bytes");
+    }
+    name_chars_ += name;
+    name_off_.push_back(static_cast<std::uint32_t>(name_chars_.size()));
     return static_cast<TaskId>(id);
 }
 
@@ -214,21 +218,30 @@ bool DagBuilder::has_edge(TaskId u, TaskId v) const {
     return false;
 }
 
+void DagBuilder::check_edge_count(std::size_t num_edges) {
+    if (num_edges > kMaxEdges) {
+        throw std::length_error("DagBuilder::build: " + std::to_string(num_edges) +
+                                " edges exceed the 32-bit CSR limit of " +
+                                std::to_string(kMaxEdges));
+    }
+}
+
 Dag DagBuilder::build() && {
+    const std::size_t m = edges_.size();
+    check_edge_count(m);
     const std::size_t n = work_.size();
     Dag dag;
     CsrAdjacency& c = dag.csr_;
     c.succ_off_.assign(n + 1, 0);
     c.pred_off_.assign(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
-        c.succ_off_[i + 1] = c.succ_off_[i] + out_deg_[i];
-        c.pred_off_[i + 1] = c.pred_off_[i] + in_deg_[i];
+        c.succ_off_[i + 1] = c.succ_off_[i] + static_cast<std::uint32_t>(out_deg_[i]);
+        c.pred_off_[i + 1] = c.pred_off_[i] + static_cast<std::uint32_t>(in_deg_[i]);
     }
-    const std::size_t m = edges_.size();
     c.succ_task_.resize(m);
     c.succ_data_.resize(m);
     c.pred_task_.resize(m);
-    c.pred_data_.resize(m);
+    c.pred_edge_.resize(m);
     // Stable counting sort: walking the edges in insertion order and
     // filling each row front to back keeps every row in insertion order.
     // The degree arrays become the per-row fill cursors.
@@ -240,15 +253,16 @@ Dag DagBuilder::build() && {
         c.succ_data_[s] = e.data;
         const std::size_t p = in_deg_[static_cast<std::size_t>(e.to)]++;
         c.pred_task_[p] = e.from;
-        c.pred_data_[p] = e.data;
+        c.pred_edge_[p] = static_cast<std::uint32_t>(s);
     }
     // The task arrays grew by doubling; a Dag lives long, so trim them.
     dag.work_ = std::move(work_);
     dag.work_.shrink_to_fit();
-    if (!names_.empty()) {
-        names_.resize(n);
-        names_.shrink_to_fit();
-        dag.names_ = std::move(names_);
+    if (!name_off_.empty()) {
+        name_off_.shrink_to_fit();
+        name_chars_.shrink_to_fit();
+        dag.name_off_ = std::move(name_off_);
+        dag.name_chars_ = std::move(name_chars_);
     }
     *this = DagBuilder();
     return dag;

@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace tsched {
 
@@ -148,7 +149,7 @@ Dag load_tsg(const std::string& path) {
 }
 
 namespace {
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
     std::string out;
     out.reserve(s.size());
     for (char ch : s) {

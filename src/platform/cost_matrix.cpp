@@ -18,7 +18,6 @@ CostMatrix::CostMatrix(std::size_t num_tasks, std::size_t num_procs, std::vector
             throw std::invalid_argument("CostMatrix: costs must be finite and > 0");
         }
     }
-    recompute_row_stats();
 }
 
 CostMatrix CostMatrix::from_speeds(const Dag& dag, const Machine& machine) {
@@ -46,74 +45,75 @@ CostMatrix CostMatrix::uniform(const Dag& dag, std::size_t num_procs) {
     return CostMatrix(n, num_procs, std::move(costs));
 }
 
+namespace {
+// The row statistics keep the accumulation order of the per-row pass the
+// matrix once cached them with: a running sum / min / max from +-inf in
+// processor order, then the two-pass sample variance around the mean.
+double row_sum(const double* row, std::size_t procs) {
+    double sum = 0.0;
+    for (std::size_t p = 0; p < procs; ++p) sum += row[p];
+    return sum;
+}
+
+double row_min(const double* row, std::size_t procs) {
+    double lo = std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < procs; ++p) lo = std::min(lo, row[p]);
+    return lo;
+}
+
+double row_max(const double* row, std::size_t procs) {
+    double hi = -std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < procs; ++p) hi = std::max(hi, row[p]);
+    return hi;
+}
+}  // namespace
+
 void CostMatrix::set(TaskId v, ProcId p, double cost) {
     if (!(cost > 0.0) || !std::isfinite(cost)) {
         throw std::invalid_argument("CostMatrix::set: cost must be finite and > 0");
     }
     costs_[index(v, p)] = cost;
-    recompute_row_stats();
 }
 
-void CostMatrix::recompute_row_stats() {
-    row_mean_.assign(num_tasks_, 0.0);
-    row_min_.assign(num_tasks_, 0.0);
-    row_max_.assign(num_tasks_, 0.0);
-    row_stddev_.assign(num_tasks_, 0.0);
-    for (std::size_t v = 0; v < num_tasks_; ++v) {
-        double sum = 0.0;
-        double lo = std::numeric_limits<double>::infinity();
-        double hi = -std::numeric_limits<double>::infinity();
-        for (std::size_t p = 0; p < num_procs_; ++p) {
-            const double c = costs_[v * num_procs_ + p];
-            sum += c;
-            lo = std::min(lo, c);
-            hi = std::max(hi, c);
-        }
-        const double mean = sum / static_cast<double>(num_procs_);
-        double m2 = 0.0;
-        for (std::size_t p = 0; p < num_procs_; ++p) {
-            const double d = costs_[v * num_procs_ + p] - mean;
-            m2 += d * d;
-        }
-        row_mean_[v] = mean;
-        row_min_[v] = lo;
-        row_max_[v] = hi;
-        row_stddev_[v] =
-            num_procs_ > 1 ? std::sqrt(m2 / static_cast<double>(num_procs_ - 1)) : 0.0;
-    }
-}
-
-namespace {
-std::size_t check_task(TaskId v, std::size_t num_tasks) {
-    if (v < 0 || static_cast<std::size_t>(v) >= num_tasks) {
+const double* CostMatrix::row(TaskId v) const {
+    if (v < 0 || static_cast<std::size_t>(v) >= num_tasks_) {
         throw std::out_of_range("CostMatrix: task out of range");
     }
-    return static_cast<std::size_t>(v);
+    return costs_.data() + static_cast<std::size_t>(v) * num_procs_;
 }
-}  // namespace
 
-double CostMatrix::mean(TaskId v) const { return row_mean_[check_task(v, num_tasks_)]; }
-double CostMatrix::min(TaskId v) const { return row_min_[check_task(v, num_tasks_)]; }
-double CostMatrix::max(TaskId v) const { return row_max_[check_task(v, num_tasks_)]; }
-double CostMatrix::stddev(TaskId v) const { return row_stddev_[check_task(v, num_tasks_)]; }
+double CostMatrix::mean(TaskId v) const {
+    return row_sum(row(v), num_procs_) / static_cast<double>(num_procs_);
+}
+
+double CostMatrix::min(TaskId v) const { return row_min(row(v), num_procs_); }
+
+double CostMatrix::max(TaskId v) const { return row_max(row(v), num_procs_); }
+
+double CostMatrix::stddev(TaskId v) const {
+    const double* r = row(v);
+    const double mean = row_sum(r, num_procs_) / static_cast<double>(num_procs_);
+    double m2 = 0.0;
+    for (std::size_t p = 0; p < num_procs_; ++p) {
+        const double d = r[p] - mean;
+        m2 += d * d;
+    }
+    return num_procs_ > 1 ? std::sqrt(m2 / static_cast<double>(num_procs_ - 1)) : 0.0;
+}
 
 double CostMatrix::median(TaskId v) const {
-    const std::size_t row = check_task(v, num_tasks_);
-    std::vector<double> vals(costs_.begin() + static_cast<std::ptrdiff_t>(row * num_procs_),
-                             costs_.begin() + static_cast<std::ptrdiff_t>((row + 1) * num_procs_));
+    const double* r = row(v);
+    std::vector<double> vals(r, r + num_procs_);
     std::sort(vals.begin(), vals.end());
     const std::size_t mid = vals.size() / 2;
     return vals.size() % 2 == 1 ? vals[mid] : 0.5 * (vals[mid - 1] + vals[mid]);
 }
 
 ProcId CostMatrix::fastest_proc(TaskId v) const {
-    const std::size_t row = check_task(v, num_tasks_);
+    const double* r = row(v);
     ProcId best = 0;
     for (std::size_t p = 1; p < num_procs_; ++p) {
-        if (costs_[row * num_procs_ + p] <
-            costs_[row * num_procs_ + static_cast<std::size_t>(best)]) {
-            best = static_cast<ProcId>(p);
-        }
+        if (r[p] < r[static_cast<std::size_t>(best)]) best = static_cast<ProcId>(p);
     }
     return best;
 }
@@ -139,7 +139,8 @@ double CostMatrix::best_serial_time() const {
 
 bool CostMatrix::is_homogeneous() const noexcept {
     for (std::size_t v = 0; v < num_tasks_; ++v) {
-        if (row_min_[v] != row_max_[v]) return false;
+        const double* r = costs_.data() + v * num_procs_;
+        if (row_min(r, num_procs_) != row_max(r, num_procs_)) return false;
     }
     return true;
 }

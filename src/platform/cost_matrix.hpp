@@ -34,7 +34,8 @@ public:
     }
     void set(TaskId v, ProcId p, double cost);
 
-    /// Mean / min / max of row v across processors (precomputed).
+    /// Mean / min / max of row v across processors, computed from the row on
+    /// each call (O(P)); the matrix stores nothing but its costs.
     [[nodiscard]] double mean(TaskId v) const;
     [[nodiscard]] double min(TaskId v) const;
     [[nodiscard]] double max(TaskId v) const;
@@ -52,6 +53,7 @@ public:
     [[nodiscard]] double best_serial_time() const;
 
     /// True when every row is constant (homogeneous execution behaviour).
+    /// O(n * P).
     [[nodiscard]] bool is_homogeneous() const noexcept;
 
 private:
@@ -67,15 +69,12 @@ private:
         }
         return static_cast<std::size_t>(v) * num_procs_ + static_cast<std::size_t>(p);
     }
-    void recompute_row_stats();
+    /// Row v's P costs; throws std::out_of_range for a bad task.
+    [[nodiscard]] const double* row(TaskId v) const;
 
     std::size_t num_tasks_;
     std::size_t num_procs_;
-    std::vector<double> costs_;        // row-major
-    std::vector<double> row_mean_;
-    std::vector<double> row_min_;
-    std::vector<double> row_max_;
-    std::vector<double> row_stddev_;
+    std::vector<double> costs_;  // row-major
 };
 
 }  // namespace tsched

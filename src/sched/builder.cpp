@@ -24,7 +24,6 @@ ScheduleBuilder::ScheduleBuilder(const Problem& problem)
       csr_(&problem.dag().csr()),
       links_(&problem.machine().links()),
       procs_(problem.num_procs()),
-      placed_(problem.num_tasks(), false),
       task_modified_(problem.num_tasks(), 0),
       preds_modified_(problem.num_tasks(), 0),
       ready_cache_(problem.num_tasks() * problem.num_procs(), 0.0),
@@ -41,17 +40,13 @@ ScheduleBuilder::ScheduleBuilder(const Problem& problem)
     // path: every transfer is local there anyway).
     if (procs_ >= 2 && dynamic_cast<const UniformLinkModel*>(links_) != nullptr) {
         uniform_links_ = true;
-        const std::size_t n = problem.num_tasks();
-        pred_remote_off_.resize(n + 1, 0);
-        for (std::size_t v = 0; v < n; ++v) {
-            pred_remote_off_[v + 1] =
-                pred_remote_off_[v] + csr_->in_degree(static_cast<TaskId>(v));
-        }
-        pred_remote_.resize(pred_remote_off_[n]);
-        for (std::size_t v = 0; v < n; ++v) {
-            const auto data = csr_->pred_data(static_cast<TaskId>(v));
-            for (std::size_t i = 0; i < data.size(); ++i) {
-                pred_remote_[pred_remote_off_[v] + i] = links_->comm_time(data[i], 0, 1);
+        const auto data = csr_->edge_data();
+        pred_remote_.resize(csr_->num_edges());
+        for (std::size_t v = 0; v < problem.num_tasks(); ++v) {
+            const auto edges = csr_->pred_edges(static_cast<TaskId>(v));
+            double* remote = pred_remote_.data() + csr_->pred_begin(static_cast<TaskId>(v));
+            for (std::size_t i = 0; i < edges.size(); ++i) {
+                remote[i] = links_->comm_time(data[edges[i]], 0, 1);
             }
         }
     }
@@ -68,10 +63,10 @@ ScheduleBuilder::~ScheduleBuilder() {
 }
 
 bool ScheduleBuilder::is_placed(TaskId v) const {
-    if (v < 0 || static_cast<std::size_t>(v) >= placed_.size()) {
+    if (v < 0 || static_cast<std::size_t>(v) >= primary_proc_.size()) {
         throw std::out_of_range("ScheduleBuilder::is_placed: task out of range");
     }
-    return placed_[static_cast<std::size_t>(v)];
+    return primary_proc_[static_cast<std::size_t>(v)] != kInvalidProc;
 }
 
 double ScheduleBuilder::finish_time(TaskId v) const {
@@ -93,7 +88,7 @@ double ScheduleBuilder::data_available(TaskId u, ProcId p, double data) const {
 }
 
 void ScheduleBuilder::check_task_proc(TaskId v, ProcId p, const char* what) const {
-    if (v < 0 || static_cast<std::size_t>(v) >= placed_.size()) {
+    if (v < 0 || static_cast<std::size_t>(v) >= primary_proc_.size()) {
         throw std::out_of_range(std::string("ScheduleBuilder::") + what + ": task out of range");
     }
     if (p < 0 || static_cast<std::size_t>(p) >= procs_) {
@@ -123,7 +118,6 @@ double ScheduleBuilder::data_ready(TaskId v, ProcId p) const {
 
 void ScheduleBuilder::fill_ready_row(TaskId v) const {
     const auto preds = csr_->pred_tasks(v);
-    const auto pred_data = csr_->pred_data(v);
     const std::size_t base = static_cast<std::size_t>(v) * procs_;
     double* row = ready_cache_.data() + base;
     TaskId* args = ready_binding_.data() + base;
@@ -143,10 +137,10 @@ void ScheduleBuilder::fill_ready_row(TaskId v) const {
     // once instead of once per processor.
     bool blocked = false;
     if (uniform_links_) {
-        const double* remote = pred_remote_.data() + pred_remote_off_[static_cast<std::size_t>(v)];
+        const double* remote = pred_remote_.data() + csr_->pred_begin(v);
         for (std::size_t i = 0; i < preds.size(); ++i) {
             const std::size_t u = static_cast<std::size_t>(preds[i]);
-            if (!placed_[u]) {
+            if (primary_proc_[u] == kInvalidProc) {
                 blocked = true;
                 break;
             }
@@ -176,14 +170,16 @@ void ScheduleBuilder::fill_ready_row(TaskId v) const {
             }
         }
     } else {
+        const auto edges = csr_->pred_edges(v);
+        const auto data = csr_->edge_data();
         for (std::size_t i = 0; i < preds.size(); ++i) {
-            if (!placed_[static_cast<std::size_t>(preds[i])]) {
+            if (primary_proc_[static_cast<std::size_t>(preds[i])] == kInvalidProc) {
                 blocked = true;
                 break;
             }
             for (std::size_t q = 0; q < procs_; ++q) {
                 const double avail =
-                    data_available(preds[i], static_cast<ProcId>(q), pred_data[i]);
+                    data_available(preds[i], static_cast<ProcId>(q), data[edges[i]]);
                 if (avail > row[q]) {
                     row[q] = avail;
                     args[q] = preds[i];
@@ -201,7 +197,7 @@ void ScheduleBuilder::fill_ready_row(TaskId v) const {
         }
     }
     ready_stamp_[static_cast<std::size_t>(v)] = epoch_;
-    ready_log_.push_back(static_cast<std::size_t>(v));
+    if (speculating()) ready_log_.push_back(static_cast<std::size_t>(v));
 }
 
 double ScheduleBuilder::data_ready_peek(TaskId v, ProcId p) const {
@@ -225,10 +221,10 @@ double ScheduleBuilder::ready_entry(TaskId v, ProcId p, bool skip_unplaced) cons
     const auto preds = csr_->pred_tasks(v);
     double ready = 0.0;
     if (uniform_links_) {
-        const double* remote = pred_remote_.data() + pred_remote_off_[static_cast<std::size_t>(v)];
+        const double* remote = pred_remote_.data() + csr_->pred_begin(v);
         for (std::size_t i = 0; i < preds.size(); ++i) {
             const std::size_t u = static_cast<std::size_t>(preds[i]);
-            if (!placed_[u]) {
+            if (primary_proc_[u] == kInvalidProc) {
                 if (skip_unplaced) continue;
                 return kInf;
             }
@@ -245,13 +241,14 @@ double ScheduleBuilder::ready_entry(TaskId v, ProcId p, bool skip_unplaced) cons
             if (best > ready) ready = best;
         }
     } else {
-        const auto pred_data = csr_->pred_data(v);
+        const auto edges = csr_->pred_edges(v);
+        const auto data = csr_->edge_data();
         for (std::size_t i = 0; i < preds.size(); ++i) {
-            if (!placed_[static_cast<std::size_t>(preds[i])]) {
+            if (primary_proc_[static_cast<std::size_t>(preds[i])] == kInvalidProc) {
                 if (skip_unplaced) continue;
                 return kInf;
             }
-            const double avail = data_available(preds[i], p, pred_data[i]);
+            const double avail = data_available(preds[i], p, data[edges[i]]);
             if (avail > ready) ready = avail;
         }
     }
@@ -261,7 +258,6 @@ double ScheduleBuilder::ready_entry(TaskId v, ProcId p, bool skip_unplaced) cons
 TaskId ScheduleBuilder::binding_remote_pred(TaskId v, ProcId p, double eps) const {
     check_task_proc(v, p, "binding_remote_pred");
     const auto preds = csr_->pred_tasks(v);
-    const auto pred_data = csr_->pred_data(v);
     TaskId binding = kInvalidTask;
     double worst = -1.0;
     // A valid data_ready cache entry already holds the argmax this walk
@@ -275,12 +271,11 @@ TaskId ScheduleBuilder::binding_remote_pred(TaskId v, ProcId p, double eps) cons
         binding = ready_binding_[idx];
         worst = ready_cache_[idx];
     } else if (uniform_links_) {
-        const double* remote =
-            pred_remote_.data() + pred_remote_off_[static_cast<std::size_t>(v)];
+        const double* remote = pred_remote_.data() + csr_->pred_begin(v);
         for (std::size_t i = 0; i < preds.size(); ++i) {
             const std::size_t u = static_cast<std::size_t>(preds[i]);
             double avail;
-            if (placed_[u] && first_dup_[u] == kNoDup) {
+            if (primary_proc_[u] != kInvalidProc && first_dup_[u] == kNoDup) {
                 avail = primary_finish_[u] + (primary_proc_[u] == p ? 0.0 : remote[i]);
             } else {
                 avail = kInf;
@@ -294,8 +289,10 @@ TaskId ScheduleBuilder::binding_remote_pred(TaskId v, ProcId p, double eps) cons
             }
         }
     } else {
+        const auto edges = csr_->pred_edges(v);
+        const auto data = csr_->edge_data();
         for (std::size_t i = 0; i < preds.size(); ++i) {
-            const double avail = data_available(preds[i], p, pred_data[i]);
+            const double avail = data_available(preds[i], p, data[edges[i]]);
             if (avail > worst) {
                 worst = avail;
                 binding = preds[i];
@@ -304,7 +301,7 @@ TaskId ScheduleBuilder::binding_remote_pred(TaskId v, ProcId p, double eps) cons
     }
     if (binding == kInvalidTask || worst <= 0.0) return kInvalidTask;
     const auto b = static_cast<std::size_t>(binding);
-    if (placed_[b] && first_dup_[b] == kNoDup) {
+    if (primary_proc_[b] != kInvalidProc && first_dup_[b] == kNoDup) {
         if (primary_proc_[b] == p && primary_finish_[b] <= worst + eps) return kInvalidTask;
     } else {
         for (const Placement& pl : placements(binding)) {
@@ -377,13 +374,14 @@ Placement ScheduleBuilder::place_duplicate_at(TaskId v, ProcId p, double start) 
 Placement ScheduleBuilder::commit(TaskId v, ProcId p, double start, bool duplicate) {
     const double w = problem_->exec_time(v, p);
     const Placement pl{v, p, start, start + w};
-    check_placement(pl, placed_.size(), procs_);
+    check_placement(pl, primary_proc_.size(), procs_);
     busy_[static_cast<std::size_t>(p)].insert({pl.start, pl.finish});
-    undo_log_.push_back({v, makespan_, task_modified_[static_cast<std::size_t>(v)],
-                         ready_log_.size(), succ_log_.size(), duplicate});
+    if (speculating()) {
+        undo_log_.push_back({v, makespan_, task_modified_[static_cast<std::size_t>(v)],
+                             ready_log_.size(), succ_log_.size(), duplicate});
+    }
     const auto i = static_cast<std::size_t>(v);
     if (!duplicate) {
-        placed_[i] = true;
         primary_start_[i] = pl.start;
         primary_finish_[i] = pl.finish;
         primary_proc_[i] = p;
@@ -403,20 +401,43 @@ Placement ScheduleBuilder::commit(TaskId v, ProcId p, double start, bool duplica
     return pl;
 }
 
-void ScheduleBuilder::rollback(Checkpoint mark) {
-    if (mark > undo_log_.size()) {
-        throw std::logic_error("ScheduleBuilder::rollback: invalid checkpoint");
+ScheduleBuilder::Checkpoint ScheduleBuilder::checkpoint() {
+    if (open_marks_.empty() || open_marks_.back() != num_placements_) {
+        open_marks_.push_back(num_placements_);
     }
-    if (mark == undo_log_.size()) return;
+    return num_placements_;
+}
+
+std::size_t ScheduleBuilder::log_index(Checkpoint mark, const char* what) const {
+    const std::size_t oldest = num_placements_ - undo_log_.size();
+    if (mark > num_placements_ || mark < oldest) {
+        throw std::logic_error(std::string("ScheduleBuilder::") + what + ": invalid checkpoint");
+    }
+    return mark - oldest;
+}
+
+void ScheduleBuilder::release(Checkpoint mark) {
+    while (!open_marks_.empty() && open_marks_.back() >= mark) open_marks_.pop_back();
+    if (!speculating()) {
+        undo_log_.clear();
+        succ_log_.clear();
+        ready_log_.clear();
+    }
+}
+
+void ScheduleBuilder::rollback(Checkpoint mark) {
+    const std::size_t keep = log_index(mark, "rollback");
+    while (!open_marks_.empty() && open_marks_.back() > mark) open_marks_.pop_back();
+    if (keep == undo_log_.size()) return;
     TSCHED_COUNT("speculative_rollbacks");
-    TSCHED_COUNT_ADD("rolled_back_placements", undo_log_.size() - mark);
-    while (undo_log_.size() > mark) {
+    TSCHED_COUNT_ADD("rolled_back_placements", undo_log_.size() - keep);
+    while (undo_log_.size() > keep) {
         const UndoEntry entry = undo_log_.back();
         undo_log_.pop_back();
         const auto i = static_cast<std::size_t>(entry.task);
         Placement pl{entry.task, primary_proc_[i], primary_start_[i], primary_finish_[i]};
         if (!entry.duplicate) {
-            placed_[i] = false;
+            primary_proc_[i] = kInvalidProc;
         } else {
             // LIFO: the newest duplicate overall is this task's last one.
             const Duplicate dup = dups_.back();
@@ -452,13 +473,10 @@ void ScheduleBuilder::rollback(Checkpoint mark) {
 }
 
 void ScheduleBuilder::duplicates_since(Checkpoint mark, std::vector<Placement>& out) const {
-    if (mark > undo_log_.size()) {
-        throw std::logic_error("ScheduleBuilder::duplicates_since: invalid checkpoint");
-    }
     // Rollback is LIFO, so the duplicates still in place from the commits
     // since `mark` are exactly the tail of dups_, one per duplicate entry.
     std::size_t count = 0;
-    for (std::size_t e = mark; e < undo_log_.size(); ++e) {
+    for (std::size_t e = log_index(mark, "duplicates_since"); e < undo_log_.size(); ++e) {
         if (undo_log_[e].duplicate) ++count;
     }
     for (std::size_t d = dups_.size() - count; d < dups_.size(); ++d) out.push_back(dups_[d].pl);
@@ -467,7 +485,7 @@ void ScheduleBuilder::duplicates_since(Checkpoint mark, std::vector<Placement>& 
 Schedule ScheduleBuilder::snapshot() const {
     // Each task's group is its primary, then its duplicate chain: commit
     // order, as a ScheduleDraft fed the same commits would pack it.
-    const std::size_t n = placed_.size();
+    const std::size_t n = primary_proc_.size();
     std::vector<std::uint32_t> offsets(n + 1, 0);
     std::vector<Placement> packed;
     packed.reserve(num_placements_);

@@ -84,7 +84,7 @@ public:
             : builder_(builder), v_(v) {}
 
         [[nodiscard]] bool empty() const noexcept {
-            return !builder_->placed_[static_cast<std::size_t>(v_)];
+            return builder_->primary_proc_[static_cast<std::size_t>(v_)] == kInvalidProc;
         }
         [[nodiscard]] iterator begin() const noexcept {
             return {builder_, v_, empty() ? kNoDup : kPrimarySlot};
@@ -184,26 +184,38 @@ public:
     /// Number of placements committed so far (duplicates included).
     [[nodiscard]] std::size_t num_placements() const noexcept { return num_placements_; }
 
-    // ---- speculation (checkpoint / rollback) -------------------------------
+    // ---- speculation (checkpoint / rollback / release) ----------------------
     //
     // Trial-placement loops (ILS-D's duplication probes, Lookahead-HEFT's
     // child probes, DSH/BTDH's per-processor trials) speculate directly on
     // this builder and roll back, instead of deep-copying the whole state
-    // once per candidate.  Every commit is recorded in an undo log; a
-    // checkpoint is just the log length, so checkpoints nest freely and cost
-    // nothing to take.
+    // once per candidate.  While a checkpoint is open every commit is
+    // recorded in an undo log; a checkpoint is just the placement count at
+    // the time it was taken, so checkpoints nest freely and cost nothing to
+    // take.  With no checkpoint open (HEFT, ILS, and every trial loop
+    // between tasks) commits record nothing, and the history of a released
+    // speculation is dropped.
 
-    /// Opaque marker for the current state; restore with rollback().
+    /// Opaque marker for the current state; restore with rollback().  The
+    /// mark stays open (commits after it are logged) until release().
     using Checkpoint = std::size_t;
 
-    [[nodiscard]] Checkpoint checkpoint() const noexcept { return undo_log_.size(); }
+    [[nodiscard]] Checkpoint checkpoint();
 
     /// Undo every placement (primary or duplicate) committed since `mark`,
     /// restoring per-processor timelines, placed flags, the makespan, and
-    /// the placement count to their values at checkpoint time.  Throws
-    /// std::logic_error when `mark` does not correspond to a prior
-    /// checkpoint of this builder.
+    /// the placement count to their values at checkpoint time.  `mark`
+    /// stays open (it can be rolled back to again); every checkpoint taken
+    /// after it is closed.  Throws std::logic_error when `mark` is ahead of
+    /// the current state or older than the history kept (a released mark).
     void rollback(Checkpoint mark);
+
+    /// Close `mark` and every checkpoint taken after it: the caller keeps
+    /// what was committed since and will not roll back to them.  Once no
+    /// checkpoint is open the undo history is dropped.  Checkpoints are
+    /// positions, so two marks taken at one state are one mark: releasing
+    /// either closes both.
+    void release(Checkpoint mark);
 
     /// Append to `out`, in commit order, every duplicate committed since
     /// `mark` that is still in place (nested rollbacks since `mark` already
@@ -244,6 +256,13 @@ private:
     /// Throws std::out_of_range naming `what` for a bad task or processor.
     void check_task_proc(TaskId v, ProcId p, const char* what) const;
 
+    /// undo_log_ index of the commit that made placement count `mark`;
+    /// throws std::logic_error naming `what` when the log does not reach it.
+    [[nodiscard]] std::size_t log_index(Checkpoint mark, const char* what) const;
+
+    /// True while some checkpoint is open, i.e. commits must be undoable.
+    [[nodiscard]] bool speculating() const noexcept { return !open_marks_.empty(); }
+
     /// True when v's cached data-ready row is current (see ready_stamp_).
     [[nodiscard]] bool ready_row_valid(TaskId v) const noexcept;
 
@@ -268,14 +287,15 @@ private:
     /// Record that v's placement set changed (a commit): advances the
     /// builder epoch, invalidating every cached data-ready value that
     /// depends on v.  Each successor's preds_modified_ watermark is raised
-    /// to the new epoch, with its prior value pushed onto succ_log_ so
-    /// rollback can restore the watermarks exactly.
+    /// to the new epoch; while speculating, its prior value is pushed onto
+    /// succ_log_ so rollback can restore the watermarks exactly.
     void touch(TaskId v) {
         const std::uint64_t e = ++epoch_;
         task_modified_[static_cast<std::size_t>(v)] = e;
+        const bool log = speculating();
         for (const TaskId w : csr_->succ_tasks(v)) {
             const auto wi = static_cast<std::size_t>(w);
-            succ_log_.emplace_back(wi, preds_modified_[wi]);
+            if (log) succ_log_.emplace_back(wi, preds_modified_[wi]);
             preds_modified_[wi] = e;
         }
     }
@@ -285,8 +305,12 @@ private:
     const LinkModel* links_;
     std::size_t procs_;
     std::vector<BusyTimeline> busy_;  // per proc, flat-order by start
-    std::vector<bool> placed_;
-    std::vector<UndoEntry> undo_log_;  // one entry per commit, in order
+    // One entry per commit since the oldest open checkpoint, in order, so
+    // entry i undoes the commit that made the placement count
+    // num_placements_ - undo_log_.size() + i + 1.  Empty, with succ_log_
+    // and ready_log_, while no checkpoint is open.
+    std::vector<UndoEntry> undo_log_;
+    std::vector<Checkpoint> open_marks_;  // strictly increasing
     double makespan_ = 0.0;
     std::size_t num_placements_ = 0;
 
@@ -301,8 +325,10 @@ private:
     // the surviving cache entries were computed from, so they become valid
     // again.  The entries written while speculative commits were in effect
     // are the exception (they reflect the rolled-back state); every cache
-    // write is appended to ready_log_, and rollback zero-stamps the suffix
-    // written after the restored checkpoint.  Stamp 0 means "never computed"
+    // write made while a checkpoint is open is appended to ready_log_, and
+    // rollback zero-stamps the suffix written after the restored checkpoint
+    // (a row written with no checkpoint open predates every later mark, like
+    // a row written before a mark).  Stamp 0 means "never computed"
     // (the epoch counter starts at 1).  fill_ready_row is the only cache
     // writer and always writes a whole row at one epoch, so the stamp and
     // the log are per row (task), not per entry.
@@ -330,13 +356,13 @@ private:
 
     // Uniform-links fast path: with a UniformLinkModel the remote transfer
     // cost of an edge is the same for every distinct processor pair, so it
-    // is precomputed once per predecessor edge (CSR pred order) and the hot
-    // data_ready loops skip the virtual comm_time call and its division.
-    // The cached value is exactly comm_time(data, src, dst) for src != dst,
-    // so the fast path is bit-identical to the generic one.
+    // is precomputed once per predecessor edge (CSR pred order, row v from
+    // csr_->pred_begin(v)) and the hot data_ready loops skip the virtual
+    // comm_time call, its division and the edge-index indirection.  The
+    // cached value is exactly comm_time(data, src, dst) for src != dst, so
+    // the fast path is bit-identical to the generic one.
     bool uniform_links_ = false;
-    std::vector<double> pred_remote_;            // per pred edge, CSR order
-    std::vector<std::size_t> pred_remote_off_;   // per task offsets into it
+    std::vector<double> pred_remote_;  // per pred edge, CSR order
 
     // The placements themselves, with no per-task heap block: each task's
     // primary in flat per-task arrays (the data_ready loops read a
@@ -344,10 +370,11 @@ private:
     // duplicate in one commit-ordered list chained per task.  take() packs
     // both into the Schedule once.  first_dup_[v] == kNoDup (the common
     // case: duplication heuristics are the only source of extras) keeps a
-    // predecessor on the primary-only fast path.
-    std::vector<double> primary_start_;        // valid while placed_[v]
-    std::vector<double> primary_finish_;       // valid while placed_[v]
-    std::vector<ProcId> primary_proc_;         // valid while placed_[v]
+    // predecessor on the primary-only fast path.  A task is placed exactly
+    // when primary_proc_[v] != kInvalidProc.
+    std::vector<double> primary_start_;        // valid while v is placed
+    std::vector<double> primary_finish_;       // valid while v is placed
+    std::vector<ProcId> primary_proc_;         // kInvalidProc while v is unplaced
     std::vector<Duplicate> dups_;              // commit order
     std::vector<std::uint32_t> first_dup_;     // per task, kNoDup when none
     std::vector<std::uint32_t> last_dup_;      // per task, kNoDup when none

@@ -1,6 +1,7 @@
 #include "sched/clustering.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -15,7 +16,7 @@ namespace {
 /// Longest path over the unclustered subgraph (mean exec on nodes, mean
 /// comm on edges), returned source-to-sink; empty when all tasks clustered.
 std::vector<TaskId> critical_path_of_remainder(const Problem& problem,
-                                               const std::vector<bool>& clustered,
+                                               const std::vector<std::uint8_t>& clustered,
                                                const std::vector<TaskId>& topo) {
     const Dag& dag = problem.dag();
     const std::size_t n = dag.num_tasks();
@@ -59,12 +60,12 @@ Schedule LinearClusteringScheduler::schedule(const Problem& problem) const {
     const auto topo = topological_order(problem.dag());
 
     // Phase 1: linear clustering by repeated critical-path extraction.
-    std::vector<bool> clustered(n, false);
+    std::vector<std::uint8_t> clustered(n, 0);
     std::vector<std::vector<TaskId>> clusters;
     for (;;) {
         const auto path = critical_path_of_remainder(problem, clustered, topo);
         if (path.empty()) break;
-        for (const TaskId v : path) clustered[static_cast<std::size_t>(v)] = true;
+        for (const TaskId v : path) clustered[static_cast<std::size_t>(v)] = 1;
         clusters.push_back(path);
     }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <queue>
 #include <vector>
@@ -32,7 +33,7 @@ Schedule CpopScheduler::run(const Problem& problem, trace::TraceSink* sink) cons
     const double eps = 1e-9 * std::max(1.0, cp_len);
 
     // Walk one critical path from an entry task whose priority equals |CP|.
-    std::vector<bool> on_cp(n, false);
+    std::vector<std::uint8_t> on_cp(n, 0);
     TaskId cur = kInvalidTask;
     for (const TaskId v : dag.sources()) {
         if (std::abs(priority[static_cast<std::size_t>(v)] - cp_len) <= eps) {
@@ -41,7 +42,7 @@ Schedule CpopScheduler::run(const Problem& problem, trace::TraceSink* sink) cons
         }
     }
     while (cur != kInvalidTask) {
-        on_cp[static_cast<std::size_t>(cur)] = true;
+        on_cp[static_cast<std::size_t>(cur)] = 1;
         TaskId next = kInvalidTask;
         for (const AdjEdge& e : dag.successors(cur)) {
             if (std::abs(priority[static_cast<std::size_t>(e.task)] - cp_len) <= eps) {

@@ -105,9 +105,10 @@ Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
         ProcId best_proc = 0;
         double best_start = std::numeric_limits<double>::infinity();
         double best_finish = std::numeric_limits<double>::infinity();
+        // Every trial starts from this mark and is rolled back to it.
+        const ScheduleBuilder::Checkpoint mark = builder.checkpoint();
         for (std::size_t p = 0; p < problem.num_procs(); ++p) {
             const auto proc = static_cast<ProcId>(p);
-            const ScheduleBuilder::Checkpoint mark = builder.checkpoint();
             // start + w is the same data_ready + earliest_start + w
             // computation eft() and commit run, so judging the trial by it
             // (instead of placing v and reading back the finish) spares
@@ -124,6 +125,7 @@ Schedule duplication_schedule(const Problem& problem, DuplicateFn&& duplicate) {
             }
             builder.rollback(mark);
         }
+        builder.release(mark);  // the winner's commits need no undo history
         const double select_end_ms = loop_watch.elapsed_ms();
         selection_ms += select_end_ms - boundary_ms;
         if (!std::isfinite(best_start)) {
@@ -159,7 +161,7 @@ Schedule BtdhScheduler::schedule(const Problem& problem) const {
         const double plain_start = trial.est(v, p, true);
         const ScheduleBuilder::Checkpoint mark = trial.checkpoint();
         duplicate_chain(trial, v, p, max_dups_, max_depth_);
-        if (trial.checkpoint() == mark) return plain_start;
+        if (trial.num_placements() == mark) return plain_start;
         const double chain_start = trial.est(v, p, true);
         if (chain_start + w < plain_start + w) return chain_start;  // compare EFTs
         trial.rollback(mark);

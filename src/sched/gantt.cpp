@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace tsched {
 
@@ -29,7 +30,7 @@ double tick_step(double span, int max_ticks) {
     return step;
 }
 
-std::string xml_escape(const std::string& s) {
+std::string xml_escape(std::string_view s) {
     std::string out;
     for (const char ch : s) {
         switch (ch) {
@@ -85,7 +86,7 @@ std::string to_svg(const Schedule& schedule, const Dag* dag, const GanttOptions&
             svg << " [" << pl.start << ", " << pl.finish << ")</title></rect>\n";
             if (options.show_labels && w > 18.0) {
                 std::string label = dag != nullptr && !dag->name(pl.task).empty()
-                                        ? dag->name(pl.task)
+                                        ? std::string(dag->name(pl.task))
                                         : std::to_string(pl.task);
                 if (static_cast<double>(label.size()) * 6.0 > w) {
                     label = label.substr(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -64,7 +65,7 @@ Schedule HcptScheduler::schedule(const Problem& problem) const {
 
     std::vector<TaskId> listing;
     listing.reserve(n);
-    std::vector<bool> listed(n, false);
+    std::vector<std::uint8_t> listed(n, 0);
     std::vector<TaskId> stack(critical.begin(), critical.end());
     auto unlisted_parent = [&](TaskId v) -> TaskId {
         TaskId best = kInvalidTask;
@@ -89,7 +90,7 @@ Schedule HcptScheduler::schedule(const Problem& problem) const {
         if (parent != kInvalidTask) {
             stack.push_back(parent);
         } else {
-            listed[static_cast<std::size_t>(top)] = true;
+            listed[static_cast<std::size_t>(top)] = 1;
             listing.push_back(top);
             stack.pop_back();
         }

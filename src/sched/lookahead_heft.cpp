@@ -63,11 +63,11 @@ Schedule LookaheadHeftScheduler::run(const Problem& problem, trace::TraceSink* s
         ProcId best_proc = 0;
         double best_score = std::numeric_limits<double>::infinity();
         double best_eft = std::numeric_limits<double>::infinity();
+        // Tentatively commit v on each p, probe the children, roll back to
+        // this mark — no per-candidate clone of the schedule state.
+        const ScheduleBuilder::Checkpoint mark = builder.checkpoint();
         for (std::size_t pi = 0; pi < procs; ++pi) {
             const auto p = static_cast<ProcId>(pi);
-            // Tentatively commit v on p, probe the children, roll back —
-            // no per-candidate clone of the schedule state.
-            const ScheduleBuilder::Checkpoint mark = builder.checkpoint();
             const Placement pl = builder.place(v, p, /*insertion=*/true);
             // Score: the worst over v's children of their best achievable
             // EFT given this tentative placement; childless tasks score by
@@ -99,6 +99,7 @@ Schedule LookaheadHeftScheduler::run(const Problem& problem, trace::TraceSink* s
                 best_proc = p;
             }
         }
+        builder.release(mark);
         const double select_end_ms = loop_watch.elapsed_ms();
         selection_ms += select_end_ms - boundary_ms;
         const Placement pl = builder.place(v, best_proc, true);

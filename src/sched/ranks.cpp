@@ -1,9 +1,12 @@
 #include "sched/ranks.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "platform/link_model.hpp"
@@ -165,14 +168,15 @@ void downward_rank(const Problem& problem, RankCost rc, RankWorkspace& ws,
     const CsrAdjacency& csr = problem.dag().csr();
     out.assign(csr.num_tasks(), 0.0);
     topo_order_csr(csr, ws.indeg, ws.topo);
+    const auto data = csr.edge_data();
     for (const TaskId v : ws.topo) {
         const auto preds = csr.pred_tasks(v);
-        const auto data = csr.pred_data(v);
+        const auto edges = csr.pred_edges(v);
         double best = 0.0;
         for (std::size_t i = 0; i < preds.size(); ++i) {
             best = std::max(best, out[static_cast<std::size_t>(preds[i])] +
                                       scalar_cost(problem, preds[i], rc) +
-                                      problem.mean_comm_data(data[i]));
+                                      problem.mean_comm_data(data[edges[i]]));
         }
         out[static_cast<std::size_t>(v)] = best;
     }
@@ -317,15 +321,56 @@ std::vector<double> optimistic_cost_table(const Problem& problem, ThreadPool& po
 }
 
 namespace {
+/// Order-preserving unsigned image of a key: comparing images as integers
+/// compares the doubles, with -0.0 mapped onto +0.0 (the two compare equal)
+/// and -inf / +inf at the ends.  Keys are never NaN (ranks are sums and
+/// maxima of finite costs), which have no place in a total order.
+std::uint64_t order_bits(double x) noexcept {
+    const auto b = std::bit_cast<std::uint64_t>(x == 0.0 ? 0.0 : x);
+    return (b >> 63) != 0 ? ~b : b | (std::uint64_t{1} << 63);
+}
+
+/// Below this many keys one comparison sort beats the radix passes' fixed
+/// cost (eight 256-bucket histograms).
+constexpr std::size_t kRadixCutoff = 64;
+
+/// The ascending-id stable sort by key, as (key image, id) pairs: the
+/// comparator (key, then id) is a total order, so no stability is needed
+/// from a small-n std::sort, and an LSD radix sort — stable per byte, fed
+/// in id order — lands on the same permutation.
 std::vector<TaskId> ordered(const std::vector<double>& key, bool decreasing) {
-    std::vector<TaskId> order(key.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-        const double ka = key[static_cast<std::size_t>(a)];
-        const double kb = key[static_cast<std::size_t>(b)];
-        if (ka != kb) return decreasing ? ka > kb : ka < kb;
-        return a < b;
-    });
+    struct Item {
+        std::uint64_t bits;
+        TaskId id;
+    };
+    const std::size_t n = key.size();
+    std::vector<Item> items(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t b = order_bits(key[i]);
+        items[i] = {decreasing ? ~b : b, static_cast<TaskId>(i)};
+    }
+    if (n < kRadixCutoff) {
+        std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+            return a.bits != b.bits ? a.bits < b.bits : a.id < b.id;
+        });
+    } else {
+        std::array<std::array<std::size_t, 256>, 8> count{};
+        for (const Item& it : items) {
+            for (std::size_t d = 0; d < 8; ++d) ++count[d][(it.bits >> (8 * d)) & 0xFF];
+        }
+        std::vector<Item> scratch(n);
+        for (std::size_t d = 0; d < 8; ++d) {
+            auto& bucket = count[d];
+            // A byte every key shares leaves the order as it is.
+            if (bucket[(items[0].bits >> (8 * d)) & 0xFF] == n) continue;
+            std::size_t sum = 0;
+            for (std::size_t& c : bucket) sum += std::exchange(c, sum);
+            for (const Item& it : items) scratch[bucket[(it.bits >> (8 * d)) & 0xFF]++] = it;
+            items.swap(scratch);
+        }
+    }
+    std::vector<TaskId> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = items[i].id;
     return order;
 }
 }  // namespace

@@ -20,15 +20,15 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// (original insertion order, packed like any Schedule), and per task
 /// whether some instance executed and how many instances were lost.
 struct TaskSplit {
-    std::vector<bool> ran;
+    std::vector<std::uint8_t> ran;
     Schedule pending;
     std::vector<std::size_t> lost;
 
     explicit TaskSplit(const RepairContext& ctx)
-        : ran(ctx.problem->num_tasks(), false),
+        : ran(ctx.problem->num_tasks(), 0),
           pending(pack_pending(ctx)),
           lost(ctx.problem->num_tasks(), 0) {
-        for (const FrozenPlacement& f : ctx.frozen) ran[static_cast<std::size_t>(f.task)] = true;
+        for (const FrozenPlacement& f : ctx.frozen) ran[static_cast<std::size_t>(f.task)] = 1;
         for (const Placement& pl : ctx.lost) ++lost[static_cast<std::size_t>(pl.task)];
     }
 
@@ -38,7 +38,7 @@ struct TaskSplit {
         return std::move(draft).build();
     }
 
-    [[nodiscard]] bool executed(TaskId v) const { return ran[static_cast<std::size_t>(v)]; }
+    [[nodiscard]] bool executed(TaskId v) const { return ran[static_cast<std::size_t>(v)] != 0; }
     /// No instance left anywhere: neither executed nor pending on a live proc.
     [[nodiscard]] bool stranded(TaskId v) const {
         return !executed(v) && pending.placements(v).empty();
@@ -96,10 +96,10 @@ Placement place_best_live(ScheduleBuilder& builder, const RepairContext& ctx, Ta
                           bool insertion) {
     ProcId best_proc = kInvalidProc;
     double best_finish = kInf;
+    const ScheduleBuilder::Checkpoint mark = builder.checkpoint();  // each trial's start
     for (std::size_t p = 0; p < ctx.num_procs(); ++p) {
         if (ctx.dead[p]) continue;
         const auto q = static_cast<ProcId>(p);
-        const ScheduleBuilder::Checkpoint mark = builder.checkpoint();
         TSCHED_COUNT("repair_trial_placements");
         const Placement trial = place_floored(builder, v, q, ctx.crash_time, insertion);
         const double finish = trial.finish;
@@ -109,6 +109,7 @@ Placement place_best_live(ScheduleBuilder& builder, const RepairContext& ctx, Ta
             best_proc = q;
         }
     }
+    builder.release(mark);
     if (best_proc == kInvalidProc) {
         throw std::runtime_error("repair: no live processor left to place task " +
                                  std::to_string(v));
@@ -206,8 +207,8 @@ public:
 
 std::size_t RepairContext::live_procs() const {
     std::size_t live = 0;
-    for (const bool d : dead) {
-        if (!d) ++live;
+    for (const std::uint8_t d : dead) {
+        if (d == 0) ++live;
     }
     return live;
 }

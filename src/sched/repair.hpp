@@ -29,6 +29,7 @@
 //                     stranded with no instance get a new best-EFT placement
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,8 +56,8 @@ struct RepairContext {
     const Problem* problem = nullptr;
     ProcId crashed_proc = kInvalidProc;
     double crash_time = 0.0;
-    /// Dead processors, *including* the one that just crashed.
-    std::vector<bool> dead;
+    /// Per processor, nonzero when dead, *including* the one that just crashed.
+    std::vector<std::uint8_t> dead;
     /// Executed prefix at realised times, task-major.
     std::vector<FrozenPlacement> frozen;
     /// Placements killed by this crash (planned values): everything

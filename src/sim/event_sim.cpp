@@ -98,13 +98,13 @@ SimResult run(const Schedule& schedule, const Problem& problem, DurationFn&& dur
     for (std::size_t v = 0; v < schedule.num_tasks(); ++v) {
         const Placement& consumer = schedule.primary(static_cast<TaskId>(v));
         const auto preds = csr.pred_tasks(static_cast<TaskId>(v));
-        const auto pred_data = csr.pred_data(static_cast<TaskId>(v));
+        const auto edges = csr.pred_edges(static_cast<TaskId>(v));
         for (std::size_t i = 0; i < preds.size(); ++i) {
+            const double data = csr.edge_data()[edges[i]];
             double best = kInf;
             ProcId best_from = consumer.proc;
             for (const auto& [finish, from] : done[static_cast<std::size_t>(preds[i])]) {
-                const double avail =
-                    finish + links.comm_time(pred_data[i], from, consumer.proc);
+                const double avail = finish + links.comm_time(data, from, consumer.proc);
                 if (avail < best) {
                     best = avail;
                     best_from = from;
@@ -112,7 +112,7 @@ SimResult run(const Schedule& schedule, const Problem& problem, DurationFn&& dur
             }
             if (best_from != consumer.proc) {
                 ++result.remote_messages;
-                result.comm_volume += pred_data[i];
+                result.comm_volume += data;
             }
         }
     }
@@ -135,7 +135,7 @@ SimResult simulate(const Schedule& schedule, const Problem& problem) {
             return problem.exec_time(entry.planned.task, entry.planned.proc);
         },
         [&](TaskId v, std::size_t pred_idx, ProcId from, ProcId to) {
-            return links.comm_time(csr.pred_data(v)[pred_idx], from, to);
+            return links.comm_time(csr.edge_data()[csr.pred_edges(v)[pred_idx]], from, to);
         });
 }
 
@@ -169,7 +169,7 @@ SimResult simulate_noisy(const Schedule& schedule, const Problem& problem, doubl
                    dur_factor[entry.global_index];
         },
         [&](TaskId v, std::size_t pred_idx, ProcId from, ProcId to) {
-            return links.comm_time(csr.pred_data(v)[pred_idx], from, to) *
+            return links.comm_time(csr.edge_data()[csr.pred_edges(v)[pred_idx]], from, to) *
                    comm_factor[static_cast<std::size_t>(v)][pred_idx];
         });
 }

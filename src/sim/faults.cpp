@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -75,7 +76,7 @@ struct LatencyProbe {
 /// lose the prefix, resurrect dead processors, or schedule before the crash
 /// (all TS0602).
 RunState rebuild(Schedule&& repaired, const std::vector<FrozenInfo>& frozen,
-                 const std::vector<bool>& dead, double crash_time,
+                 const std::vector<std::uint8_t>& dead, double crash_time,
                  const RepairPolicy& policy, ProcId crashed_proc) {
     RunState st{repaired};
     analysis::Diagnostics diags;
@@ -233,7 +234,7 @@ FaultReport simulate_faulty(const Schedule& schedule, const Problem& problem,
     });
 
     RunState st{schedule};
-    std::vector<bool> dead(problem.num_procs(), false);
+    std::vector<std::uint8_t> dead(problem.num_procs(), 0);
     std::vector<LatencyProbe> probes;
     std::size_t crash_idx = 0;
     double time_floor = 0.0;
@@ -257,7 +258,7 @@ FaultReport simulate_faulty(const Schedule& schedule, const Problem& problem,
 
     auto apply_crash = [&](const ProcCrash& crash) {
         TSCHED_COUNT("fault_crashes");
-        dead[static_cast<std::size_t>(crash.proc)] = true;
+        dead[static_cast<std::size_t>(crash.proc)] = 1;
         report.events.push_back(
             {FaultEventKind::kCrash, crash.time, kInvalidTask, crash.proc});
 

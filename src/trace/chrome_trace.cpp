@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/contention.hpp"
@@ -25,7 +26,7 @@ std::string num(double v) {
 
 /// Escape task names coming from user-supplied DAGs for embedding in JSON
 /// string literals.
-std::string esc(const std::string& s) {
+std::string esc(std::string_view s) {
     std::string out;
     out.reserve(s.size());
     for (const char c : s) {

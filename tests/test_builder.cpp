@@ -414,6 +414,165 @@ TEST(Builder, DataReadyPeekMatchesDataReadyUnderSpeculation) {
     }
 }
 
+TEST(Builder, KeepsUndoHistoryOnlyWhileACheckpointIsOpen) {
+    const Problem problem = fork_problem();
+    ScheduleBuilder builder(problem);
+    builder.place(0, 0, true);  // no checkpoint open: nothing is recorded
+    EXPECT_THROW(builder.rollback(0), std::logic_error);
+    const ScheduleBuilder::Checkpoint mark = builder.checkpoint();
+    EXPECT_EQ(mark, 1u);  // a checkpoint is the placement count
+    builder.place(1, 0, true);
+    const ScheduleBuilder::Checkpoint inner = builder.checkpoint();
+    builder.place_duplicate_at(0, 1, 0.0);
+    builder.release(inner);  // closes the inner mark only
+    builder.rollback(mark);  // the outer one still undoes both commits
+    EXPECT_FALSE(builder.is_placed(1));
+    EXPECT_EQ(builder.num_placements(), 1u);
+    EXPECT_EQ(builder.snapshot().num_duplicates(), 0u);
+    builder.place(1, 0, true);
+    builder.release(mark);  // the last open mark: the history is dropped
+    EXPECT_THROW(builder.rollback(mark), std::logic_error);
+    std::vector<Placement> out;
+    EXPECT_THROW(builder.duplicates_since(mark, out), std::logic_error);
+    EXPECT_TRUE(builder.is_placed(1));  // released commits stay
+    EXPECT_EQ(builder.num_placements(), 2u);
+    const auto again = builder.checkpoint();
+    builder.place(2, 1, true);
+    builder.rollback(again);
+    EXPECT_FALSE(builder.is_placed(2));
+    EXPECT_DOUBLE_EQ(builder.current_makespan(), 4.0);
+}
+
+TEST(Builder, ReleasedSpeculationMatchesNeverSpeculatedBuilder) {
+    // Random nested speculation on one builder — commits, duplicates,
+    // rollbacks and releases, with stretches where no checkpoint is open and
+    // nothing is logged — against a plain builder that receives only the
+    // commits that were kept, in the same order.  Both must hold the same
+    // placements and the same data-ready values bit for bit throughout.
+    for (const workload::Net net : {workload::Net::kUniform, workload::Net::kRing}) {
+        workload::InstanceParams params;
+        params.size = 60;
+        params.num_procs = 4;
+        params.net = net;
+        params.latency = 0.25;
+        params.ccr = 2.0;
+        const Problem problem = workload::make_instance(params, 91);
+        const std::size_t n = problem.num_tasks();
+        const std::size_t procs = problem.num_procs();
+        ScheduleBuilder spec(problem);
+        ScheduleBuilder plain(problem);
+        Rng rng(4242);
+        const auto pick = [&](std::size_t count) {
+            return static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+        };
+        struct Op {
+            bool duplicate;
+            Placement pl;
+        };
+        const auto apply = [&](const Op& op) {
+            if (op.duplicate) {
+                plain.place_duplicate_at(op.pl.task, op.pl.proc, op.pl.start);
+            } else {
+                plain.place_at(op.pl.task, op.pl.proc, op.pl.start);
+            }
+        };
+        // One frame per open checkpoint (strictly increasing, as the
+        // builder keeps them): the commits made since it, not yet kept.
+        std::vector<ScheduleBuilder::Checkpoint> marks;
+        std::vector<std::vector<Op>> frames;
+        const auto record = [&](const Op& op) {
+            if (frames.empty()) {
+                apply(op);
+            } else {
+                frames.back().push_back(op);
+            }
+        };
+        std::size_t rollbacks = 0;
+        std::size_t releases = 0;
+        std::size_t unlogged_commits = 0;
+        for (int step = 0; step < 500; ++step) {
+            std::vector<TaskId> ready;
+            for (std::size_t v = 0; v < n; ++v) {
+                const auto t = static_cast<TaskId>(v);
+                if (!spec.is_placed(t) && std::isfinite(spec.data_ready(t, 0))) ready.push_back(t);
+            }
+            if (ready.empty()) break;
+            const TaskId v = ready[pick(ready.size())];
+            const auto p = static_cast<ProcId>(pick(procs));
+            const double action = rng.uniform();
+            if (action < 0.35) {
+                if (frames.empty()) ++unlogged_commits;
+                record({false, spec.place(v, p, true)});
+            } else if (action < 0.5) {
+                const auto mark = spec.checkpoint();
+                if (marks.empty() || marks.back() != mark) {
+                    marks.push_back(mark);
+                    frames.emplace_back();
+                }
+            } else if (action < 0.65) {
+                const auto preds = problem.dag().csr().pred_tasks(v);
+                if (!preds.empty()) {
+                    const TaskId u = preds[pick(preds.size())];
+                    record({true, spec.place_duplicate_at(u, p, spec.proc_available(p) + 1.0)});
+                }
+            } else if (action < 0.8 && !marks.empty()) {
+                const std::size_t k = pick(marks.size());
+                spec.rollback(marks[k]);  // mark k stays open, later ones close
+                marks.resize(k + 1);
+                frames.resize(k + 1);
+                frames[k].clear();
+                ++rollbacks;
+            } else if (!marks.empty()) {
+                const std::size_t k = pick(marks.size());
+                spec.release(marks[k]);  // closes mark k and every later one
+                std::vector<Op> kept;
+                for (std::size_t f = k; f < frames.size(); ++f) {
+                    kept.insert(kept.end(), frames[f].begin(), frames[f].end());
+                }
+                marks.resize(k);
+                frames.resize(k);
+                for (const Op& op : kept) record(op);
+                ++releases;
+                if (marks.empty() && spec.num_placements() > 0) {
+                    EXPECT_THROW(spec.rollback(0), std::logic_error);  // history dropped
+                }
+            }
+            // Compare against the plain builder as if every open frame
+            // were released now: copy both and settle the copy.
+            ScheduleBuilder settled = spec;
+            ScheduleBuilder expected = plain;
+            for (const auto& frame : frames) {
+                for (const Op& op : frame) {
+                    if (op.duplicate) {
+                        expected.place_duplicate_at(op.pl.task, op.pl.proc, op.pl.start);
+                    } else {
+                        expected.place_at(op.pl.task, op.pl.proc, op.pl.start);
+                    }
+                }
+            }
+            ASSERT_EQ(settled.num_placements(), expected.num_placements()) << "step " << step;
+            EXPECT_EQ(settled.current_makespan(), expected.current_makespan());
+            for (std::size_t t = 0; t < n; ++t) {
+                for (std::size_t q = 0; q < procs; ++q) {
+                    const auto task = static_cast<TaskId>(t);
+                    const auto proc = static_cast<ProcId>(q);
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(settled.data_ready(task, proc)),
+                              std::bit_cast<std::uint64_t>(expected.data_ready(task, proc)))
+                        << workload::net_name(net) << " step " << step << " task " << t
+                        << " proc " << q;
+                }
+            }
+            ASSERT_EQ(net::encode_schedule(settled.snapshot()),
+                      net::encode_schedule(expected.snapshot()))
+                << "step " << step;
+        }
+        EXPECT_GT(rollbacks, 0u);
+        EXPECT_GT(releases, 0u);
+        EXPECT_GT(unlogged_commits, 0u);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Packed output: take() must pack exactly what a ScheduleDraft fed the same
 // commits packs (each task's primary, then its duplicates in commit order),

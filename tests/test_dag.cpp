@@ -1,6 +1,7 @@
 // Unit tests for the DAG container and its builder (graph/dag.hpp).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include "graph/dag.hpp"
 #include "graph/serialize.hpp"
 #include "util/fingerprint.hpp"
+#include "util/rng.hpp"
 #include "workload/instance.hpp"
 
 namespace tsched {
@@ -240,6 +242,11 @@ TEST(Dag, AllUnnamedDagStoresNoNames) {
     EXPECT_EQ(partly.name(2), "");
 }
 
+/// Volume of v's i-th predecessor edge, read through the CSR's edge index.
+double pred_volume(const CsrAdjacency& csr, TaskId v, std::size_t i) {
+    return csr.edge_data()[csr.pred_edges(v)[i]];
+}
+
 TEST(Csr, MirrorsAdjacencyInInsertionOrder) {
     // Edge insertion order is what the FP folds in the rank kernels see, so
     // the CSR must reproduce it exactly in both directions.  Task 3's
@@ -273,7 +280,6 @@ TEST(Csr, MirrorsAdjacencyInInsertionOrder) {
         }
         const auto padj = dag.predecessors(v);
         const auto ptasks = csr.pred_tasks(v);
-        const auto pdata = csr.pred_data(v);
         ASSERT_EQ(padj.size(), preds[vi].size()) << "task " << v;
         ASSERT_EQ(ptasks.size(), padj.size()) << "task " << v;
         ASSERT_EQ(csr.in_degree(v), padj.size());
@@ -281,7 +287,7 @@ TEST(Csr, MirrorsAdjacencyInInsertionOrder) {
         for (const AdjEdge& e : padj) {  // the range-for walk sees the same row
             EXPECT_EQ(e, preds[vi][i]) << "task " << v << " edge " << i;
             EXPECT_EQ(ptasks[i], e.task) << "task " << v << " edge " << i;
-            EXPECT_EQ(pdata[i], e.data) << "task " << v << " edge " << i;
+            EXPECT_EQ(pred_volume(csr, v, i), e.data) << "task " << v << " edge " << i;
             ++i;
         }
     }
@@ -295,13 +301,13 @@ TEST(Csr, ValueMutationsAreVisibleInBothDirections) {
     const CsrAdjacency& csr = dag.csr();
     dag.set_edge_data(2, 1, 4.0);
     EXPECT_DOUBLE_EQ(csr.succ_data(2)[0], 4.0);
-    EXPECT_DOUBLE_EQ(csr.pred_data(1)[1], 4.0);
-    EXPECT_DOUBLE_EQ(csr.pred_data(1)[0], 1.0);  // the other edge into 1 untouched
+    EXPECT_DOUBLE_EQ(pred_volume(csr, 1, 1), 4.0);
+    EXPECT_DOUBLE_EQ(pred_volume(csr, 1, 0), 1.0);  // the other edge into 1 untouched
     dag.scale_edge_data(0.5);
     EXPECT_DOUBLE_EQ(csr.succ_data(0)[0], 0.5);
-    EXPECT_DOUBLE_EQ(csr.pred_data(1)[0], 0.5);
+    EXPECT_DOUBLE_EQ(pred_volume(csr, 1, 0), 0.5);
     EXPECT_DOUBLE_EQ(csr.succ_data(2)[0], 2.0);
-    EXPECT_DOUBLE_EQ(csr.pred_data(1)[1], 2.0);
+    EXPECT_DOUBLE_EQ(pred_volume(csr, 1, 1), 2.0);
     dag.set_work(1, 6.0);
     EXPECT_DOUBLE_EQ(dag.work(1), 6.0);
     EXPECT_EQ(&dag.csr(), &csr);  // mutators write in place; no rebuild
@@ -319,10 +325,10 @@ TEST(Csr, CopyAndAssignmentRebuildIndependentSnapshots) {
     b.set_work(0, 7.0);
     b.set_name(3, "renamed");
     EXPECT_DOUBLE_EQ(a.csr().succ_data(0)[0], 1.0);
-    EXPECT_DOUBLE_EQ(a.csr().pred_data(1)[0], 1.0);
+    EXPECT_DOUBLE_EQ(pred_volume(a.csr(), 1, 0), 1.0);
     EXPECT_DOUBLE_EQ(a.work(0), 1.0);
     EXPECT_EQ(a.name(3), "named");
-    EXPECT_DOUBLE_EQ(b.csr().pred_data(1)[0], 5.0);
+    EXPECT_DOUBLE_EQ(pred_volume(b.csr(), 1, 0), 5.0);
     Dag c = DagBuilder(1).build();
     c = a;
     EXPECT_EQ(c.csr().num_tasks(), 4u);
@@ -332,6 +338,140 @@ TEST(Csr, CopyAndAssignmentRebuildIndependentSnapshots) {
     Dag d(std::move(c));
     EXPECT_EQ(d.csr().out_degree(0), 1u);
     EXPECT_EQ(d.name(3), "named");
+}
+
+/// Every predecessor entry of `dag` read both ways: through the CSR's edge
+/// index and from the source task's successor row.
+void expect_pred_side_matches_succ_side(const Dag& dag) {
+    const CsrAdjacency& csr = dag.csr();
+    ASSERT_EQ(csr.edge_data().size(), dag.num_edges());
+    std::size_t pred_entries = 0;
+    for (TaskId v = 0; v < static_cast<TaskId>(dag.num_tasks()); ++v) {
+        const auto preds = csr.pred_tasks(v);
+        const auto edges = csr.pred_edges(v);
+        const auto padj = dag.predecessors(v);
+        ASSERT_EQ(edges.size(), preds.size());
+        for (std::size_t i = 0; i < preds.size(); ++i) {
+            const TaskId u = preds[i];
+            // The index names an entry of u's successor row, and it is v's.
+            const auto row = csr.succ_tasks(u);
+            const std::size_t e = edges[i];
+            const auto first = static_cast<std::size_t>(row.data() - csr.succ_tasks(0).data());
+            ASSERT_GE(e, first) << u << " -> " << v;
+            ASSERT_LT(e, first + row.size()) << u << " -> " << v;
+            EXPECT_EQ(row[e - first], v);
+            const double succ_side = csr.succ_data(u)[e - first];
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(csr.edge_data()[e]),
+                      std::bit_cast<std::uint64_t>(succ_side));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(padj[i].data),
+                      std::bit_cast<std::uint64_t>(succ_side));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(dag.edge_data(u, v)),
+                      std::bit_cast<std::uint64_t>(succ_side));
+            ++pred_entries;
+        }
+    }
+    EXPECT_EQ(pred_entries, dag.num_edges());
+}
+
+TEST(Csr, PredecessorDataMatchesSuccessorData) {
+    workload::InstanceParams params;
+    params.size = 300;
+    Rng rng(13);
+    Dag dag = workload::make_dag(params, rng);
+    ASSERT_GT(dag.num_edges(), 300u);
+    expect_pred_side_matches_succ_side(dag);
+    // Rewrite a spread of edges one at a time: the predecessor side sees
+    // each new volume, and the other edges keep theirs.
+    std::size_t rewritten = 0;
+    for (TaskId u = 0; u < static_cast<TaskId>(dag.num_tasks()); u += 7) {
+        for (const AdjEdge& e : dag.successors(u)) {
+            dag.set_edge_data(u, e.task, 0.125 * static_cast<double>(u) + 1.0 / 3.0);
+            ++rewritten;
+        }
+    }
+    ASSERT_GT(rewritten, 0u);
+    expect_pred_side_matches_succ_side(dag);
+    for (TaskId u = 0; u < static_cast<TaskId>(dag.num_tasks()); u += 7) {
+        for (const AdjEdge& e : dag.successors(u)) {
+            EXPECT_EQ(e.data, 0.125 * static_cast<double>(u) + 1.0 / 3.0);
+        }
+    }
+    dag.scale_edge_data(2.75);
+    expect_pred_side_matches_succ_side(dag);
+    dag.scale_edge_data(0.0);
+    expect_pred_side_matches_succ_side(dag);
+    EXPECT_EQ(dag.total_data(), 0.0);
+}
+
+TEST(DagBuilder, RejectsMoreEdgesThanThe32BitCsrIndexes) {
+    // The guard build() runs, exercised by its size check alone: 2^32 edges
+    // would take ~100 GB to add.
+    static_assert(kMaxEdges == 0xFFFFFFFFull);
+    EXPECT_NO_THROW(DagBuilder::check_edge_count(0));
+    EXPECT_NO_THROW(DagBuilder::check_edge_count(kMaxEdges));
+    EXPECT_THROW(DagBuilder::check_edge_count(kMaxEdges + 1), std::length_error);
+    EXPECT_THROW(DagBuilder::check_edge_count(std::numeric_limits<std::size_t>::max()),
+                 std::length_error);
+}
+
+TEST(Dag, PackedNamesRoundTrip) {
+    DagBuilder builder;
+    builder.add_task(1.0);                    // unnamed before the first name
+    builder.add_task(2.0, "load input");      // spaces survive .tsg
+    builder.add_task(3.0, "");                // empty in the middle
+    builder.add_task(4.0, "quote\"back\\slash");
+    builder.add_task(5.0);                    // unnamed after the last name
+    builder.add_edge(0, 1, 1.0);
+    builder.add_edge(1, 3, 2.0);
+    builder.add_edge(2, 3, 3.0);
+    Dag dag = std::move(builder).build();
+    ASSERT_TRUE(dag.has_names());
+    const std::vector<std::string> names{"", "load input", "", "quote\"back\\slash", ""};
+    for (TaskId v = 0; v < 5; ++v) EXPECT_EQ(dag.name(v), names[static_cast<std::size_t>(v)]);
+
+    // .tsg keeps every name (the reader takes the rest of the record line).
+    const Dag back = read_tsg_string(to_tsg(dag));
+    EXPECT_EQ(back, dag);
+    for (TaskId v = 0; v < 5; ++v) EXPECT_EQ(back.name(v), dag.name(v));
+    // JSON escapes them.
+    const std::string json = to_json(dag);
+    EXPECT_NE(json.find("\"name\":\"load input\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"quote\\\"back\\\\slash\""), std::string::npos);
+    EXPECT_NE(json.find("{\"id\":0,\"work\":1,\"name\":\"\"}"), std::string::npos);
+
+    // set_name splices one name; every other name stays where it was.
+    Dag renamed = dag;
+    renamed.set_name(1, "x");                      // shorter
+    renamed.set_name(2, "a much longer name");     // empty -> long
+    renamed.set_name(3, "");                       // to empty
+    renamed.set_name(0, renamed.name(2));          // a view into its own buffer
+    EXPECT_EQ(renamed.name(0), "a much longer name");
+    EXPECT_EQ(renamed.name(1), "x");
+    EXPECT_EQ(renamed.name(2), "a much longer name");
+    EXPECT_EQ(renamed.name(3), "");
+    EXPECT_EQ(renamed.name(4), "");
+    EXPECT_EQ(read_tsg_string(to_tsg(renamed)), renamed);
+
+    // operator== compares names: a rename differs, renaming back restores.
+    EXPECT_FALSE(renamed == dag);
+    Dag one_off = dag;
+    one_off.set_name(4, "tail");
+    EXPECT_FALSE(one_off == dag);
+    one_off.set_name(4, "");
+    EXPECT_EQ(one_off, dag);
+    // Names that are all empty equal no names at all.
+    Dag cleared = dag;
+    cleared.set_name(1, "");
+    cleared.set_name(3, "");
+    DagBuilder same_edges(5);
+    same_edges.add_edge(0, 1, 1.0);
+    same_edges.add_edge(1, 3, 2.0);
+    same_edges.add_edge(2, 3, 3.0);
+    Dag unnamed = std::move(same_edges).build();
+    for (TaskId v = 0; v < 5; ++v) unnamed.set_work(v, dag.work(v));
+    EXPECT_FALSE(unnamed.has_names());
+    EXPECT_TRUE(cleared.has_names());
+    EXPECT_EQ(cleared, unnamed);
 }
 
 TEST(Csr, EmptyDagYieldsEmptySnapshot) {

@@ -90,13 +90,12 @@ TEST(CriticalPath, SingleNode) {
 TEST(Reachability, ClosureMatchesHandCase) {
     const Dag dag = diamond_with_arm();
     const auto closure = transitive_closure(dag);
-    const std::size_t n = dag.num_tasks();
-    EXPECT_TRUE(closure[0 * n + 3]);
-    EXPECT_TRUE(closure[0 * n + 4]);
-    EXPECT_TRUE(closure[4 * n + 3]);
-    EXPECT_FALSE(closure[1 * n + 2]);
-    EXPECT_FALSE(closure[3 * n + 0]);
-    EXPECT_FALSE(closure[0 * n + 0]);  // no self-reachability reported
+    EXPECT_TRUE(closure.reaches(0, 3));
+    EXPECT_TRUE(closure.reaches(0, 4));
+    EXPECT_TRUE(closure.reaches(4, 3));
+    EXPECT_FALSE(closure.reaches(1, 2));
+    EXPECT_FALSE(closure.reaches(3, 0));
+    EXPECT_FALSE(closure.reaches(0, 0));  // no self-reachability reported
 }
 
 TEST(Reachability, ReachesAgrees) {
@@ -166,7 +165,7 @@ TEST_P(GraphPropertyTest, InvariantsHoldOnRandomDags) {
         const auto u = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n - 1)));
         const auto v = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n - 1)));
         if (u == v) continue;
-        EXPECT_EQ(closure[u * n + v],
+        EXPECT_EQ(closure.reaches(static_cast<TaskId>(u), static_cast<TaskId>(v)),
                   reaches(dag, static_cast<TaskId>(u), static_cast<TaskId>(v)));
     }
 

@@ -2,9 +2,15 @@
 // matrices, and the Problem aggregate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "platform/problem.hpp"
+#include "util/rng.hpp"
 #include "workload/structured.hpp"
 
 namespace tsched {
@@ -131,6 +137,74 @@ TEST(CostMatrix, SetUpdatesStats) {
     EXPECT_DOUBLE_EQ(w.mean(0), 2.0);
     EXPECT_FALSE(w.is_homogeneous());
     EXPECT_THROW(w.set(0, 0, 0.0), std::invalid_argument);
+}
+
+/// The per-row pass the matrix once cached its statistics with, kept as
+/// the bit-level reference for the on-demand accessors.
+struct ReferenceRowStats {
+    double mean, min, max, stddev;
+};
+
+ReferenceRowStats reference_row_stats(const std::vector<double>& costs, std::size_t row,
+                                      std::size_t procs) {
+    double sum = 0.0;
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < procs; ++p) {
+        const double c = costs[row * procs + p];
+        sum += c;
+        lo = std::min(lo, c);
+        hi = std::max(hi, c);
+    }
+    const double mean = sum / static_cast<double>(procs);
+    double m2 = 0.0;
+    for (std::size_t p = 0; p < procs; ++p) {
+        const double d = costs[row * procs + p] - mean;
+        m2 += d * d;
+    }
+    return {mean, lo, hi, procs > 1 ? std::sqrt(m2 / static_cast<double>(procs - 1)) : 0.0};
+}
+
+void expect_stats_match(const CostMatrix& w, const std::vector<double>& costs) {
+    const std::size_t procs = w.num_procs();
+    bool homogeneous = true;
+    for (std::size_t v = 0; v < w.num_tasks(); ++v) {
+        const auto t = static_cast<TaskId>(v);
+        const ReferenceRowStats ref = reference_row_stats(costs, v, procs);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(w.mean(t)), std::bit_cast<std::uint64_t>(ref.mean))
+            << "row " << v;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(w.min(t)), std::bit_cast<std::uint64_t>(ref.min));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(w.max(t)), std::bit_cast<std::uint64_t>(ref.max));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(w.stddev(t)),
+                  std::bit_cast<std::uint64_t>(ref.stddev))
+            << "row " << v;
+        homogeneous = homogeneous && ref.min == ref.max;
+    }
+    EXPECT_EQ(w.is_homogeneous(), homogeneous);
+}
+
+TEST(CostMatrix, RowStatsMatchTwoPassReference) {
+    // Rows of awkward magnitudes, where the accumulation order shows in the
+    // last bits: the accessors must reproduce the cached pass exactly.
+    Rng rng(29);
+    for (const std::size_t procs : {1u, 2u, 8u}) {
+        SCOPED_TRACE(procs);
+        const std::size_t n = 64;
+        std::vector<double> costs(n * procs);
+        for (double& c : costs) c = std::exp(rng.uniform(-30.0, 30.0)) * (1.0 + 1e-9);
+        for (std::size_t p = 0; p < procs; ++p) costs[p] = 0.1;  // a constant row
+        CostMatrix w(n, procs, costs);
+        expect_stats_match(w, costs);
+        // set() rewrites one cost; every statistic follows the new row.
+        w.set(0, static_cast<ProcId>(procs - 1), 0.3);
+        costs[procs - 1] = 0.3;
+        w.set(5, 0, 7.25);
+        costs[5 * procs] = 7.25;
+        expect_stats_match(w, costs);
+        // A matrix whose rows are all constant is homogeneous (P = 1 always is).
+        const CostMatrix flat(3, procs, std::vector<double>(3 * procs, 2.5));
+        EXPECT_TRUE(flat.is_homogeneous());
+    }
 }
 
 TEST(CostMatrix, RejectsBadConstruction) {

@@ -4,13 +4,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "core/ils.hpp"
 #include "sched/ranks.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/instance.hpp"
 
@@ -88,6 +92,61 @@ TEST(OrderBy, DeterministicTieBreaks) {
     const std::vector<double> key{3.0, 1.0, 3.0, 2.0};
     EXPECT_EQ(order_by_decreasing(key), (std::vector<TaskId>{0, 2, 3, 1}));
     EXPECT_EQ(order_by_increasing(key), (std::vector<TaskId>{1, 3, 0, 2}));
+}
+
+/// The stable_sort the rank orders were once computed with: by key, ties
+/// by ascending id.
+std::vector<TaskId> stable_sort_reference(const std::vector<double>& key, bool decreasing) {
+    std::vector<TaskId> order(key.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+        const double ka = key[static_cast<std::size_t>(a)];
+        const double kb = key[static_cast<std::size_t>(b)];
+        if (ka != kb) return decreasing ? ka > kb : ka < kb;
+        return a < b;
+    });
+    return order;
+}
+
+TEST(OrderBy, MatchesStableSortReference) {
+    // Both sides of the comparison-sort / radix cutoff, with ties, signed
+    // zeros (which tie), infinities, subnormals and keys that differ only
+    // in their low bytes.
+    Rng rng(71);
+    const double special[] = {0.0,
+                              -0.0,
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::denorm_min(),
+                              -std::numeric_limits<double>::denorm_min(),
+                              1.0,
+                              std::nextafter(1.0, 2.0),
+                              -1.0,
+                              std::numeric_limits<double>::max(),
+                              -std::numeric_limits<double>::max()};
+    for (const std::size_t n : {0u, 1u, 2u, 63u, 64u, 65u, 1000u, 20000u}) {
+        for (int variant = 0; variant < 3; ++variant) {
+            std::vector<double> key(n);
+            for (double& k : key) {
+                const double pick = rng.uniform();
+                if (variant == 0) {
+                    k = rng.uniform(-1e6, 1e6);  // nearly all distinct
+                } else if (variant == 1) {
+                    k = static_cast<double>(rng.uniform_int(0, 7));  // heavy ties
+                } else {
+                    const auto last = static_cast<std::int64_t>(std::size(special)) - 1;
+                    k = pick < 0.5 ? special[static_cast<std::size_t>(rng.uniform_int(0, last))]
+                                   : rng.uniform(-3.0, 3.0);
+                }
+            }
+            SCOPED_TRACE(testing::Message() << "n=" << n << " variant=" << variant);
+            EXPECT_EQ(order_by_decreasing(key), stable_sort_reference(key, true));
+            EXPECT_EQ(order_by_increasing(key), stable_sort_reference(key, false));
+        }
+    }
+    // Signed zeros tie, so ids decide: -0.0 at id 0 and +0.0 at id 1.
+    EXPECT_EQ(order_by_decreasing({-0.0, 0.0}), (std::vector<TaskId>{0, 1}));
+    EXPECT_EQ(order_by_increasing({0.0, -0.0}), (std::vector<TaskId>{0, 1}));
 }
 
 TEST(UpwardRank, DecreasingOrderIsTopological) {
