@@ -16,6 +16,7 @@ namespace {
 /// Longest path over the unclustered subgraph (mean exec on nodes, mean
 /// comm on edges), returned source-to-sink; empty when all tasks clustered.
 std::vector<TaskId> critical_path_of_remainder(const Problem& problem,
+                                               const std::vector<double>& mean_w,
                                                const std::vector<std::uint8_t>& clustered,
                                                const std::vector<TaskId>& topo) {
     const Dag& dag = problem.dag();
@@ -39,7 +40,7 @@ std::vector<TaskId> critical_path_of_remainder(const Problem& problem,
                 succ_next = e.task;
             }
         }
-        dist[vi] = problem.mean_exec(v) + succ_best;
+        dist[vi] = mean_w[vi] + succ_best;
         next[vi] = succ_next;
         if (dist[vi] > best) {
             best = dist[vi];
@@ -58,12 +59,16 @@ Schedule LinearClusteringScheduler::schedule(const Problem& problem) const {
     const std::size_t n = problem.num_tasks();
     const std::size_t procs = problem.num_procs();
     const auto topo = topological_order(problem.dag());
+    // Each task's mean execution cost, folded once (mean_exec is O(P)) for
+    // the repeated critical-path passes and the cluster weights.
+    std::vector<double> mean_w(n);
+    for (std::size_t v = 0; v < n; ++v) mean_w[v] = problem.mean_exec(static_cast<TaskId>(v));
 
     // Phase 1: linear clustering by repeated critical-path extraction.
     std::vector<std::uint8_t> clustered(n, 0);
     std::vector<std::vector<TaskId>> clusters;
     for (;;) {
-        const auto path = critical_path_of_remainder(problem, clustered, topo);
+        const auto path = critical_path_of_remainder(problem, mean_w, clustered, topo);
         if (path.empty()) break;
         for (const TaskId v : path) clustered[static_cast<std::size_t>(v)] = 1;
         clusters.push_back(path);
@@ -72,7 +77,7 @@ Schedule LinearClusteringScheduler::schedule(const Problem& problem) const {
     // Phase 2: LPT mapping of clusters onto processors by mean work.
     std::vector<double> cluster_work(clusters.size(), 0.0);
     for (std::size_t c = 0; c < clusters.size(); ++c) {
-        for (const TaskId v : clusters[c]) cluster_work[c] += problem.mean_exec(v);
+        for (const TaskId v : clusters[c]) cluster_work[c] += mean_w[static_cast<std::size_t>(v)];
     }
     std::vector<std::size_t> cluster_order(clusters.size());
     std::iota(cluster_order.begin(), cluster_order.end(), 0);

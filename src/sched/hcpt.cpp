@@ -16,6 +16,10 @@ Schedule HcptScheduler::schedule(const Problem& problem) const {
     const Dag& dag = problem.dag();
     const std::size_t n = problem.num_tasks();
 
+    // Each task's mean execution cost, folded once: mean_exec is O(P).
+    std::vector<double> mean_w(n);
+    for (std::size_t v = 0; v < n; ++v) mean_w[v] = problem.mean_exec(static_cast<TaskId>(v));
+
     // AEST: earliest start under mean execution + mean communication costs.
     std::vector<double> aest(n, 0.0);
     const auto topo = topological_order(dag);
@@ -23,7 +27,7 @@ Schedule HcptScheduler::schedule(const Problem& problem) const {
         double start = 0.0;
         for (const AdjEdge& e : dag.predecessors(v)) {
             start = std::max(start, aest[static_cast<std::size_t>(e.task)] +
-                                        problem.mean_exec(e.task) +
+                                        mean_w[static_cast<std::size_t>(e.task)] +
                                         problem.mean_comm_data(e.data));
         }
         aest[static_cast<std::size_t>(v)] = start;
@@ -31,13 +35,14 @@ Schedule HcptScheduler::schedule(const Problem& problem) const {
     // ALST: latest start that keeps the mean-cost critical length.
     double horizon = 0.0;
     for (const TaskId v : dag.sinks()) {
-        horizon = std::max(horizon, aest[static_cast<std::size_t>(v)] + problem.mean_exec(v));
+        horizon = std::max(horizon, aest[static_cast<std::size_t>(v)] +
+                                         mean_w[static_cast<std::size_t>(v)]);
     }
     std::vector<double> alst(n, 0.0);
     for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
         const TaskId v = *it;
         if (dag.out_degree(v) == 0) {
-            alst[static_cast<std::size_t>(v)] = horizon - problem.mean_exec(v);
+            alst[static_cast<std::size_t>(v)] = horizon - mean_w[static_cast<std::size_t>(v)];
             continue;
         }
         double latest = std::numeric_limits<double>::infinity();
@@ -45,7 +50,7 @@ Schedule HcptScheduler::schedule(const Problem& problem) const {
             latest = std::min(latest, alst[static_cast<std::size_t>(e.task)] -
                                           problem.mean_comm_data(e.data));
         }
-        alst[static_cast<std::size_t>(v)] = latest - problem.mean_exec(v);
+        alst[static_cast<std::size_t>(v)] = latest - mean_w[static_cast<std::size_t>(v)];
     }
 
     // Critical tasks: zero slack (up to numeric noise).

@@ -1,12 +1,10 @@
 #include "sched/ranks.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 #include "obs/obs.hpp"
 #include "platform/link_model.hpp"
@@ -168,17 +166,22 @@ void downward_rank(const Problem& problem, RankCost rc, RankWorkspace& ws,
     const CsrAdjacency& csr = problem.dag().csr();
     out.assign(csr.num_tasks(), 0.0);
     topo_order_csr(csr, ws.indeg, ws.topo);
+    // rank_d(u) + w(u) once per task, not once per out-edge: the row
+    // statistic behind w(u) is an O(P) fold.  The per-edge sum keeps its
+    // (rank_d(u) + w(u)) + c(u, v) association, so the ranks are unchanged.
+    ws.finish.resize(csr.num_tasks());
     const auto data = csr.edge_data();
     for (const TaskId v : ws.topo) {
+        const auto vi = static_cast<std::size_t>(v);
         const auto preds = csr.pred_tasks(v);
         const auto edges = csr.pred_edges(v);
         double best = 0.0;
         for (std::size_t i = 0; i < preds.size(); ++i) {
-            best = std::max(best, out[static_cast<std::size_t>(preds[i])] +
-                                      scalar_cost(problem, preds[i], rc) +
+            best = std::max(best, ws.finish[static_cast<std::size_t>(preds[i])] +
                                       problem.mean_comm_data(data[edges[i]]));
         }
-        out[static_cast<std::size_t>(v)] = best;
+        out[vi] = best;
+        ws.finish[vi] = best + scalar_cost(problem, v, rc);
     }
 }
 
@@ -330,14 +333,9 @@ std::uint64_t order_bits(double x) noexcept {
     return (b >> 63) != 0 ? ~b : b | (std::uint64_t{1} << 63);
 }
 
-/// Below this many keys one comparison sort beats the radix passes' fixed
-/// cost (eight 256-bucket histograms).
-constexpr std::size_t kRadixCutoff = 64;
-
-/// The ascending-id stable sort by key, as (key image, id) pairs: the
-/// comparator (key, then id) is a total order, so no stability is needed
-/// from a small-n std::sort, and an LSD radix sort — stable per byte, fed
-/// in id order — lands on the same permutation.
+/// The ascending-id stable sort by key, as one std::sort over (key image,
+/// id) pairs: the comparator (key, then id) is a total order, so the sort
+/// needs no stability to land on the same permutation.
 std::vector<TaskId> ordered(const std::vector<double>& key, bool decreasing) {
     struct Item {
         std::uint64_t bits;
@@ -349,26 +347,9 @@ std::vector<TaskId> ordered(const std::vector<double>& key, bool decreasing) {
         const std::uint64_t b = order_bits(key[i]);
         items[i] = {decreasing ? ~b : b, static_cast<TaskId>(i)};
     }
-    if (n < kRadixCutoff) {
-        std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-            return a.bits != b.bits ? a.bits < b.bits : a.id < b.id;
-        });
-    } else {
-        std::array<std::array<std::size_t, 256>, 8> count{};
-        for (const Item& it : items) {
-            for (std::size_t d = 0; d < 8; ++d) ++count[d][(it.bits >> (8 * d)) & 0xFF];
-        }
-        std::vector<Item> scratch(n);
-        for (std::size_t d = 0; d < 8; ++d) {
-            auto& bucket = count[d];
-            // A byte every key shares leaves the order as it is.
-            if (bucket[(items[0].bits >> (8 * d)) & 0xFF] == n) continue;
-            std::size_t sum = 0;
-            for (std::size_t& c : bucket) sum += std::exchange(c, sum);
-            for (const Item& it : items) scratch[bucket[(it.bits >> (8 * d)) & 0xFF]++] = it;
-            items.swap(scratch);
-        }
-    }
+    std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+        return a.bits != b.bits ? a.bits < b.bits : a.id < b.id;
+    });
     std::vector<TaskId> order(n);
     for (std::size_t i = 0; i < n; ++i) order[i] = items[i].id;
     return order;

@@ -24,6 +24,7 @@ struct RankWorkspace {
     std::vector<std::size_t> level;  ///< per-task level (parallel overloads)
     std::vector<TaskId> level_tasks;  ///< tasks bucketed by level
     std::vector<std::size_t> level_off;  ///< level bucket offsets
+    std::vector<double> finish;  ///< downward rank + scalar cost of each finished task
 };
 
 /// How to collapse w(v, *) into the scalar used by a rank.

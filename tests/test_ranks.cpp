@@ -109,9 +109,8 @@ std::vector<TaskId> stable_sort_reference(const std::vector<double>& key, bool d
 }
 
 TEST(OrderBy, MatchesStableSortReference) {
-    // Both sides of the comparison-sort / radix cutoff, with ties, signed
-    // zeros (which tie), infinities, subnormals and keys that differ only
-    // in their low bytes.
+    // Sizes from empty to 20000, with ties, signed zeros (which tie),
+    // infinities, subnormals and keys that differ only in their low bytes.
     Rng rng(71);
     const double special[] = {0.0,
                               -0.0,
