@@ -40,8 +40,8 @@ std::string stat_cell(const RunningStats& stats) {
 
 int main(int argc, char** argv) {
     const Args args(argc, argv);
-    const auto n = static_cast<std::size_t>(args.get_int("n", 100));
-    const auto procs = static_cast<std::size_t>(args.get_int("procs", 8));
+    const auto n = args.get_size("n", 100);
+    const auto procs = args.get_size("procs", 8);
     const double ccr = args.get_double("ccr", 1.0);
     const double beta = args.get_double("beta", 0.5);
     const bool check = args.get_bool("check", false);

@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
     apply_common_flags(config, args);
     print_banner(config);
 
-    const auto max_nodes =
-        static_cast<std::size_t>(args.get_int("max-nodes", 3'000'000));
+    const auto max_nodes = args.get_size("max-nodes", 3'000'000);
     const BnbScheduler bnb(max_nodes);
     const auto schedulers = make_schedulers(config.algos);
 

@@ -13,8 +13,8 @@ using namespace tsched::bench;
 
 int main(int argc, char** argv) {
     const Args args(argc, argv);
-    const auto n = static_cast<std::size_t>(args.get_int("n", 100));
-    const auto procs = static_cast<std::size_t>(args.get_int("procs", 8));
+    const auto n = args.get_size("n", 100);
+    const auto procs = args.get_size("procs", 8);
     const double ccr = args.get_double("ccr", 1.0);
     const double beta = args.get_double("beta", 0.5);
 
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     print_banner(config);
 
     const auto noises = args.get_double_list("noise", {0.05, 0.1, 0.2, 0.3});
-    const std::size_t replays = static_cast<std::size_t>(args.get_int("replays", 10));
+    const std::size_t replays = args.get_size("replays", 10);
     const auto schedulers = make_schedulers(config.algos);
 
     std::vector<std::string> headers{config.axis};

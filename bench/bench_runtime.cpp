@@ -109,7 +109,7 @@ double measure_mean_ms(const Scheduler& scheduler, const Problem& problem, doubl
 
 int run_json_mode(const Args& args) {
     const std::string path = args.get_string("json", "");
-    const auto max_n = static_cast<std::size_t>(args.get_int("max-n", 50000));
+    const auto max_n = args.get_size("max-n", 50000);
     const double min_time_ms = args.get_double("min-time-ms", 200.0);
     const auto algos = args.get_string_list("algos", perf_algos());
 

@@ -29,14 +29,12 @@ const char* metric_name(Metric metric) noexcept {
 }
 
 void apply_common_flags(BenchConfig& config, const Args& args) {
-    config.trials = static_cast<std::size_t>(
-        args.get_int("trials", static_cast<std::int64_t>(config.trials)));
+    config.trials = args.get_size("trials", config.trials);
     config.seed = static_cast<std::uint64_t>(
         args.get_int("seed", static_cast<std::int64_t>(config.seed)));
     config.algos = args.get_string_list("algos", config.algos);
     config.csv_path = args.get_string("csv", config.csv_path);
-    config.jobs =
-        static_cast<std::size_t>(args.get_int("jobs", static_cast<std::int64_t>(config.jobs)));
+    config.jobs = args.get_size("jobs", config.jobs);
     config.lint = args.get_bool("lint", config.lint);
     config.trace_dir = args.get_string("trace-dir", config.trace_dir);
 }

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     using namespace tsched;
     const Args args(argc, argv);
 
-    const auto procs = static_cast<std::size_t>(args.get_int("procs", 8));
+    const auto procs = args.get_size("procs", 8);
     const double ccr = args.get_double("ccr", 1.0);
     const double beta = args.get_double("beta", 0.5);
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
         }
         workload::InstanceParams params;
         params.shape = workload::shape_from_name(args.get_string("shape", "layered"));
-        params.size = static_cast<std::size_t>(args.get_int("size", 100));
+        params.size = args.get_size("size", 100);
         params.num_procs = procs;
         params.ccr = ccr;
         params.beta = beta;

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
 
     workload::InstanceParams params;
     params.shape = workload::shape_from_name(args.get_string("shape", "gauss"));
-    params.size = static_cast<std::size_t>(args.get_int("size", 8));
-    params.num_procs = static_cast<std::size_t>(args.get_int("procs", 4));
+    params.size = args.get_size("size", 8);
+    params.num_procs = args.get_size("procs", 4);
     params.ccr = args.get_double("ccr", 3.0);
     params.beta = args.get_double("beta", 0.75);
     const Problem problem =

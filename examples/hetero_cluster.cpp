@@ -28,8 +28,8 @@
 int main(int argc, char** argv) {
     using namespace tsched;
     const Args args(argc, argv);
-    const auto width = static_cast<std::size_t>(args.get_int("width", 12));
-    const auto procs = static_cast<std::size_t>(args.get_int("procs", 6));
+    const auto width = args.get_size("width", 12);
+    const auto procs = args.get_size("procs", 6);
     const double ccr = args.get_double("ccr", 2.0);
 
     // The workflow: `width` input images through projection, overlap fitting,

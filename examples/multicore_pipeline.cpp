@@ -19,8 +19,8 @@
 int main(int argc, char** argv) {
     using namespace tsched;
     const Args args(argc, argv);
-    const auto tiles = static_cast<std::size_t>(args.get_int("tiles", 6));
-    const auto threads = static_cast<std::size_t>(args.get_int("threads", 4));
+    const auto tiles = args.get_size("tiles", 6);
+    const auto threads = args.get_size("threads", 4);
 
     // The application DAG: tiled Cholesky (POTRF / TRSM / SYRK / GEMM).
     const Dag dag = workload::cholesky(tiles);

@@ -1,6 +1,6 @@
 // Deterministic chaos injection for the serving plane.
 //
-// The overload battery (bench_serve --chaos, tests/test_serve.cpp) needs to
+// The overload battery (the ServeEngine* suites in tests/test_serve.cpp) needs to
 // push the ServeEngine into the failure modes production traffic produces —
 // schedulers that stall, schedulers that throw, a pool that refuses work —
 // *reproducibly*, so the same seed yields the same outcome accounting on

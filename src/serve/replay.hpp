@@ -75,7 +75,8 @@ struct ReplayReport {
     // The same latencies pushed through an obs::LatencyHistogram — what a
     // live collector would see instead of the exact vector.  Each hist_*
     // percentile must sit within LatencyHistogram::kMaxRelativeError of the
-    // exact nearest-rank value (bench_serve --check asserts this every run).
+    // exact nearest-rank value (test_serve asserts this on live serving
+    // latencies, ServeEngine.LatencyHistogramTracksNearestRankOnLiveLatencies).
     double hist_p50_ms = 0.0;
     double hist_p95_ms = 0.0;
     double hist_p99_ms = 0.0;

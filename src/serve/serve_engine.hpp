@@ -123,7 +123,8 @@ struct EngineStats {
     // Outcome accounting: every promise resolves with exactly one of these
     // (ok / shed / degraded / timed_out / draining) or fails (failed), so
     // once all futures are resolved the six sum to `requests`.  The
-    // bench_serve --check accounting gate asserts exactly that.
+    // overload, deadline, drain and fault-storm tests in
+    // tests/test_serve.cpp assert exactly that.
     std::uint64_t ok = 0;
     std::uint64_t shed = 0;
     std::uint64_t degraded = 0;

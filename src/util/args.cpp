@@ -1,10 +1,45 @@
 #include "util/args.hpp"
 
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 namespace tsched {
+
+namespace {
+
+// std::stoll/std::stod stop at the first character they cannot use; a token
+// with anything left over ("7abc", "1.5x") is rejected, not truncated.
+std::int64_t parse_int(const std::string& key, const std::string& text) {
+    std::size_t used = 0;
+    try {
+        const std::int64_t value = std::stoll(text, &used);
+        if (used == text.size()) return value;
+    } catch (const std::exception&) {
+    }
+    throw std::invalid_argument("--" + key + " expects an integer, got '" + text + "'");
+}
+
+double parse_double(const std::string& key, const std::string& text) {
+    std::size_t used = 0;
+    try {
+        const double value = std::stod(text, &used);
+        if (used == text.size()) return value;
+    } catch (const std::exception&) {
+    }
+    throw std::invalid_argument("--" + key + " expects a number, got '" + text + "'");
+}
+
+std::vector<std::string> split_commas(const std::string& s) {
+    std::vector<std::string> out;
+    std::stringstream ss(s);
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+        if (!item.empty()) out.push_back(item);
+    }
+    return out;
+}
+
+}  // namespace
 
 Args::Args(int argc, const char* const* argv) {
     if (argc > 0) program_ = argv[0];
@@ -58,22 +93,22 @@ std::string Args::get_string(const std::string& key, std::string def) const {
 
 std::int64_t Args::get_int(const std::string& key, std::int64_t def) const {
     const auto v = find(key);
+    return v ? parse_int(key, *v) : def;
+}
+
+std::size_t Args::get_size(const std::string& key, std::size_t def) const {
+    const auto v = find(key);
     if (!v) return def;
-    try {
-        return std::stoll(*v);
-    } catch (const std::exception&) {
-        throw std::invalid_argument("--" + key + " expects an integer, got '" + *v + "'");
-    }
+    const std::int64_t value = parse_int(key, *v);
+    if (value < 0)
+        throw std::invalid_argument("--" + key + " expects a non-negative integer, got '" + *v +
+                                    "'");
+    return static_cast<std::size_t>(value);
 }
 
 double Args::get_double(const std::string& key, double def) const {
     const auto v = find(key);
-    if (!v) return def;
-    try {
-        return std::stod(*v);
-    } catch (const std::exception&) {
-        throw std::invalid_argument("--" + key + " expects a number, got '" + *v + "'");
-    }
+    return v ? parse_double(key, *v) : def;
 }
 
 bool Args::get_bool(const std::string& key, bool def) const {
@@ -84,24 +119,12 @@ bool Args::get_bool(const std::string& key, bool def) const {
     throw std::invalid_argument("--" + key + " expects a boolean, got '" + *v + "'");
 }
 
-namespace {
-std::vector<std::string> split_commas(const std::string& s) {
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty()) out.push_back(item);
-    }
-    return out;
-}
-}  // namespace
-
 std::vector<std::int64_t> Args::get_int_list(const std::string& key,
                                              std::vector<std::int64_t> def) const {
     const auto v = find(key);
     if (!v) return def;
     std::vector<std::int64_t> out;
-    for (const auto& item : split_commas(*v)) out.push_back(std::stoll(item));
+    for (const auto& item : split_commas(*v)) out.push_back(parse_int(key, item));
     return out;
 }
 
@@ -109,7 +132,7 @@ std::vector<double> Args::get_double_list(const std::string& key, std::vector<do
     const auto v = find(key);
     if (!v) return def;
     std::vector<double> out;
-    for (const auto& item : split_commas(*v)) out.push_back(std::stod(item));
+    for (const auto& item : split_commas(*v)) out.push_back(parse_double(key, item));
     return out;
 }
 

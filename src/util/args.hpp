@@ -1,11 +1,15 @@
 // Minimal command-line argument parser for the bench/example executables.
 //
 // Accepted syntax:  --key=value  |  --key value  |  --flag
-// Unknown keys are rejected only when the caller asks (strict mode), so every
+// A number must fill its whole token ("7abc" is an error, not 7), and every
+// parse error throws std::invalid_argument naming the flag.  Unknown keys are
+// rejected only when the caller asks (strict mode), so every
 // bench binary can run with zero arguments under the repo-wide
 // `for b in build/bench/*; do $b; done` driver.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <optional>
@@ -24,6 +28,9 @@ public:
 
     [[nodiscard]] std::string get_string(const std::string& key, std::string def) const;
     [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t def) const;
+    /// A size or count: like get_int, but a negative value throws
+    /// std::invalid_argument naming the flag instead of wrapping around.
+    [[nodiscard]] std::size_t get_size(const std::string& key, std::size_t def) const;
     [[nodiscard]] double get_double(const std::string& key, double def) const;
     [[nodiscard]] bool get_bool(const std::string& key, bool def) const;
 

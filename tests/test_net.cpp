@@ -39,6 +39,7 @@
 #include "serve/request.hpp"
 #include "serve/request_trace.hpp"
 #include "serve/serve_engine.hpp"
+#include "trace/counters.hpp"
 #include "workload/instance.hpp"
 #include "util/fingerprint.hpp"
 #include "util/thread_pool.hpp"
@@ -73,6 +74,19 @@ std::vector<serve::TraceRequest> small_trace(std::size_t count) {
     for (std::size_t i = 0; i < count; ++i)
         trace.push_back(small_request(1 + i % (count / 2 + 1)));  // ~half repeats
     return trace;
+}
+
+/// The wire smokes' stream: 32 ils-d requests (layered n=60, P=8) with an
+/// exact 50% repeat fraction.
+std::vector<serve::TraceRequest> gate_trace() {
+    serve::TraceGenParams params;
+    params.requests = 32;
+    params.repeat_frac = 0.5;
+    params.algos = {"ils-d"};
+    params.size = 60;
+    params.procs = 8;
+    params.seed = 2007;
+    return serve::generate_trace(params);
 }
 
 net::ServerConfig loopback_config() {
@@ -609,30 +623,67 @@ TEST(NetServer, CallReturnsValidScheduleAndCacheHitFlag) {
 }
 
 TEST(NetServer, MultiClientReplayAccountingIdentity) {
-    ThreadPool pool(4);
+    const std::pair<std::vector<serve::TraceRequest>, std::size_t> inputs[] = {
+        {small_trace(16), 4}, {gate_trace(), 16}};  // (trace, window)
+    for (const auto& [trace, window] : inputs) {
+        SCOPED_TRACE(trace.front().algo);
+        ThreadPool pool(4);
+        net::ServeServer server(loopback_config(), pool);
+        server.start();
+
+        net::NetReplayOptions options;
+        options.port = server.port();
+        options.conns = 8;
+        options.window = window;
+        options.epochs = 2;
+        const auto report = net::replay_net(trace, options);
+        EXPECT_TRUE(report.accounting_ok());
+        EXPECT_EQ(report.requests, trace.size() * 2u);
+        EXPECT_EQ(report.replies, report.requests);
+        EXPECT_EQ(report.ok, report.requests);
+        EXPECT_EQ(report.failed, 0u);
+        EXPECT_TRUE(report.payload_consistent);
+        EXPECT_NE(report.schedule_digest, 0u);
+
+        // stop() joins the loop thread, after which the counters are final
+        // (the response counter ticks after the write syscall, so reading it
+        // while the client races ahead would be off by the in-flight tail).
+        server.stop();
+        const auto stats = server.stats();
+        EXPECT_EQ(stats.requests, report.requests);
+        EXPECT_EQ(stats.responses, report.requests);
+    }
+}
+
+// The wire hit path is work-free: replayed a second time, a 50%-repeat
+// stream is answered entirely from the descriptor index and the cache, with
+// no problem hashed (so none materialized) and nothing computed beyond the
+// first epoch's distinct requests.  Counted, not timed.
+TEST(NetServer, SecondEpochIsAllHitsWithNoRehashOrRecompute) {
+    const auto trace = gate_trace();
+    std::set<std::uint64_t> distinct;
+    for (const auto& tr : trace) distinct.insert(serve::fingerprint_request(serve::materialize(tr)));
+    const trace::Counter& hashes = trace::registry().counter("problem_content_hashes");
+
+    ThreadPool pool(2);
     net::ServeServer server(loopback_config(), pool);
     server.start();
-
     net::NetReplayOptions options;
     options.port = server.port();
-    options.conns = 8;
-    options.window = 4;
-    options.epochs = 2;
-    const auto report = net::replay_net(small_trace(16), options);
-    EXPECT_TRUE(report.accounting_ok());
-    EXPECT_EQ(report.requests, 16u * 2u);
-    EXPECT_EQ(report.ok, report.requests);
-    EXPECT_EQ(report.failed, 0u);
-    EXPECT_TRUE(report.payload_consistent);
-    EXPECT_NE(report.schedule_digest, 0u);
+    options.conns = 4;
+    options.window = 8;
+    const auto first = net::replay_net(trace, options);
+    ASSERT_EQ(first.ok, trace.size());
+    EXPECT_EQ(server.engine_stats().computed, distinct.size());
 
-    // stop() joins the loop thread, after which the counters are final (the
-    // response counter ticks after the write syscall, so reading it while
-    // the client races ahead would be off by the in-flight tail).
+    const std::uint64_t hashes_before = hashes.value();
+    const auto second = net::replay_net(trace, options);
+    EXPECT_EQ(hashes.value() - hashes_before, 0u) << "a repeated descriptor was re-hashed";
+    EXPECT_EQ(second.ok, trace.size());
+    EXPECT_EQ(second.cache_hits, trace.size());
+    EXPECT_EQ(second.schedule_digest, first.schedule_digest);  // hits carry the cold bytes
+    EXPECT_EQ(server.engine_stats().computed, distinct.size());
     server.stop();
-    const auto stats = server.stats();
-    EXPECT_EQ(stats.requests, report.requests);
-    EXPECT_EQ(stats.responses, report.requests);
 }
 
 // One trace, one ServeConfig, replayed in-process and over the wire with one
@@ -795,24 +846,27 @@ TEST(NetServer, LeftoverFramesAreServedWithoutWaitingForNewBytes) {
 // Response payloads are pure functions of content: same trace, different
 // pool widths and connection counts, identical digests.
 TEST(NetServer, DigestStableAcrossPoolWidthsAndConns) {
-    const auto trace = small_trace(12);
-    std::set<std::uint64_t> digests;
-    for (const std::size_t threads : {2u, 8u}) {
-        for (const std::size_t conns : {2u, 6u}) {
-            ThreadPool pool(threads);
-            net::ServeServer server(loopback_config(), pool);
-            server.start();
-            net::NetReplayOptions options;
-            options.port = server.port();
-            options.conns = conns;
-            const auto report = net::replay_net(trace, options);
-            EXPECT_TRUE(report.accounting_ok());
-            EXPECT_TRUE(report.payload_consistent);
-            digests.insert(report.schedule_digest);
-            server.stop();
+    for (const auto& trace : {small_trace(12), gate_trace()}) {
+        SCOPED_TRACE(trace.front().algo);
+        std::set<std::uint64_t> digests;
+        for (const std::size_t threads : {2u, 8u}) {
+            for (const std::size_t conns : {2u, 6u}) {
+                ThreadPool pool(threads);
+                net::ServeServer server(loopback_config(), pool);
+                server.start();
+                net::NetReplayOptions options;
+                options.port = server.port();
+                options.conns = conns;
+                const auto report = net::replay_net(trace, options);
+                EXPECT_TRUE(report.accounting_ok());
+                EXPECT_TRUE(report.payload_consistent);
+                EXPECT_NE(report.schedule_digest, 0u);
+                digests.insert(report.schedule_digest);
+                server.stop();
+            }
         }
+        EXPECT_EQ(digests.size(), 1u);
     }
-    EXPECT_EQ(digests.size(), 1u);
 }
 
 TEST(NetServer, MalformedFrameGetsTypedErrorAndServerStaysUp) {
@@ -1081,6 +1135,38 @@ TEST(NetServer, TwoServersOnePoolIndependentDrain) {
 
     const auto alpha_report = alpha.stop();
     EXPECT_TRUE(alpha_report.clean);
+}
+
+// Stopping a server mid-replay still accounts for every request (delivered,
+// typed kDraining, or counted failed by the client) and drains the engine
+// cleanly.  The stop follows the first request the server reads, so the
+// race lands differently every run, and the identity must hold wherever it
+// lands.
+TEST(NetServer, DrainUnderClientFireKeepsTheAccountingIdentity) {
+    const auto trace = gate_trace();
+    for (const std::size_t threads : {2u, 8u}) {
+        SCOPED_TRACE("pool width " + std::to_string(threads));
+        ThreadPool pool(threads);
+        net::ServeServer server(loopback_config(), pool);
+        server.start();
+        net::NetReplayOptions options;
+        options.port = server.port();
+        options.conns = 4;
+        options.window = 16;
+        options.epochs = 8;  // enough traffic to straddle the stop
+        auto replay = std::async(std::launch::async,
+                                 [&] { return net::replay_net(trace, options); });
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (server.stats().requests == 0 && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        EXPECT_GT(server.stats().requests, 0u) << "no request arrived before the stop";
+        server.request_stop();
+        const net::NetDrainReport drain = server.stop();
+        const auto report = replay.get();
+        EXPECT_TRUE(report.accounting_ok());
+        EXPECT_EQ(report.requests, trace.size() * options.epochs);
+        EXPECT_TRUE(drain.engine.clean);
+    }
 }
 
 // ---------------------------------------------------------------------------

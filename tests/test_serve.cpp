@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/registry.hpp"
 #include "obs/obs.hpp"
 #include "platform/problem.hpp"
 #include "sched/schedule_io.hpp"
@@ -32,7 +33,9 @@
 #include "serve/request_trace.hpp"
 #include "serve/schedule_cache.hpp"
 #include "serve/serve_engine.hpp"
+#include "trace/counters.hpp"
 #include "util/fingerprint.hpp"
+#include "util/stats.hpp"
 
 namespace tsched {
 namespace {
@@ -71,6 +74,33 @@ std::shared_ptr<const Schedule> make_dummy_schedule(double finish) {
     ScheduleDraft draft(1, 1);
     draft.add(0, 0, 0.0, finish);
     return std::make_shared<const Schedule>(std::move(draft).build());
+}
+
+/// The serving smokes' stream: `requests` generated requests for `algo`
+/// (layered n=60, P=8) with an exact `repeat_frac` of repeats, each line
+/// materialized into its own Problem object.
+std::vector<serve::ScheduleRequest> stream(const std::string& algo, std::size_t requests = 48,
+                                           double repeat_frac = 0.5, std::uint64_t seed = 2007) {
+    serve::TraceGenParams params;
+    params.requests = requests;
+    params.repeat_frac = repeat_frac;
+    params.algos = {algo};
+    params.size = 60;
+    params.procs = 8;
+    params.seed = seed;
+    std::vector<serve::ScheduleRequest> out;
+    for (const serve::TraceRequest& tr : serve::generate_trace(params))
+        out.push_back(serve::materialize(tr));
+    return out;
+}
+
+/// The cheap list scheduler and the duplicating one the paper improves.
+const std::vector<std::string> kStreamAlgos = {"heft", "ils-d"};
+
+std::size_t distinct_count(const std::vector<serve::ScheduleRequest>& requests) {
+    std::set<std::uint64_t> fps;
+    for (const auto& request : requests) fps.insert(serve::fingerprint_request(request));
+    return fps.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -328,24 +358,105 @@ TEST(ServeEngine, CacheOffStillDeduplicatesNothingAndMatchesCacheOn) {
     params.repeat_frac = 0.5;
     params.size = 24;
     params.procs = 4;
-    const auto trace = serve::generate_trace(params);
-    std::vector<serve::ScheduleRequest> requests;
-    for (const auto& tr : trace) requests.push_back(serve::materialize(tr));
+    std::vector<std::vector<serve::ScheduleRequest>> inputs(1);
+    for (const auto& tr : serve::generate_trace(params))
+        inputs[0].push_back(serve::materialize(tr));
+    for (const std::string& algo : kStreamAlgos) inputs.push_back(stream(algo));
 
-    serve::ServeConfig off;
-    off.enable_cache = false;
-    serve::ServeEngine engine_on(serve::ServeConfig{}, pool);
-    serve::ServeEngine engine_off(off, pool);
-    const auto results_on = engine_on.run_batch(requests);
-    const auto results_off = engine_off.run_batch(requests);
-    ASSERT_EQ(results_on.size(), results_off.size());
-    for (std::size_t i = 0; i < results_on.size(); ++i)
-        EXPECT_EQ(to_tss(*results_on[i].schedule), to_tss(*results_off[i].schedule)) << i;
+    for (const auto& requests : inputs) {
+        SCOPED_TRACE(requests.front().algo + " x" + std::to_string(requests.size()));
+        serve::ServeConfig off;
+        off.enable_cache = false;
+        serve::ServeEngine engine_on(serve::ServeConfig{}, pool);
+        serve::ServeEngine engine_off(off, pool);
+        const auto results_on = engine_on.run_batch(requests);
+        const auto results_off = engine_off.run_batch(requests);
+        ASSERT_EQ(results_on.size(), results_off.size());
+        for (std::size_t i = 0; i < results_on.size(); ++i)
+            EXPECT_EQ(to_tss(*results_on[i].schedule), to_tss(*results_off[i].schedule)) << i;
 
-    const auto stats_off = engine_off.stats();
-    EXPECT_EQ(stats_off.computed, requests.size());
-    EXPECT_EQ(stats_off.cache_hits, 0u);
-    EXPECT_EQ(stats_off.coalesced, 0u);
+        const auto stats_off = engine_off.stats();
+        EXPECT_EQ(stats_off.computed, requests.size());
+        EXPECT_EQ(stats_off.cache_hits, 0u);
+        EXPECT_EQ(stats_off.coalesced, 0u);
+    }
+}
+
+// A hit is the cold answer itself, and that answer is byte for byte what
+// the scheduler computes with no engine in the way.
+TEST(ServeEngine, CacheHitsMatchAnEngineFreeColdRunByteForByte) {
+    ThreadPool pool(4);
+    for (const std::string& algo : kStreamAlgos) {
+        SCOPED_TRACE(algo);
+        serve::ServeEngine engine(serve::ServeConfig{}, pool);
+        const auto scheduler = make_scheduler(algo);
+        std::set<std::uint64_t> seen;
+        for (const serve::ScheduleRequest& request : stream(algo)) {
+            if (!seen.insert(serve::fingerprint_request(request)).second) continue;
+            const std::string cold = to_tss(scheduler->schedule(*request.problem));
+            const auto first = engine.serve(request);
+            const auto second = engine.serve(request);
+            EXPECT_FALSE(first.cache_hit);
+            EXPECT_TRUE(second.cache_hit);
+            EXPECT_EQ(first.schedule.get(), second.schedule.get());
+            EXPECT_EQ(to_tss(*second.schedule), cold);
+        }
+        EXPECT_EQ(seen.size(), 24u);
+    }
+}
+
+// Resubmitting cached problems is work-free: a second epoch of the same
+// materialized stream is all hits, hashes no problem again (the
+// Problem::content_fingerprint memo) and computes nothing.  Counted, not
+// timed, so a loaded machine cannot fail it.
+TEST(ServeEngine, ResubmittedProblemsHitWithoutRehashOrRecompute) {
+    ThreadPool pool(4);
+    const trace::Counter& hashes = trace::registry().counter("problem_content_hashes");
+    for (const std::string& algo : kStreamAlgos) {
+        SCOPED_TRACE(algo);
+        const auto requests = stream(algo);
+        const std::size_t distinct = distinct_count(requests);
+        serve::ServeEngine engine(serve::ServeConfig{}, pool);
+        (void)engine.run_batch(requests);
+        const std::uint64_t hashes_before = hashes.value();
+        const std::uint64_t hits_before = engine.stats().cache_hits;
+        for (const auto& result : engine.run_batch(requests)) EXPECT_TRUE(result.cache_hit);
+        EXPECT_EQ(hashes.value() - hashes_before, 0u);
+        const auto stats = engine.stats();
+        EXPECT_EQ(stats.cache_hits - hits_before, requests.size());
+        EXPECT_EQ(stats.computed, distinct);
+        EXPECT_EQ(stats.computed + stats.coalesced + stats.cache_hits, 2 * requests.size());
+    }
+}
+
+// The obs histogram's error bound, checked on live serving latencies: each
+// percentile sits within kMaxRelativeError of the exact nearest-rank value
+// of the same samples (one rank rule on both sides, util/stats.hpp).
+TEST(ServeEngine, LatencyHistogramTracksNearestRankOnLiveLatencies) {
+    ThreadPool pool(4);
+    for (const std::string& algo : kStreamAlgos) {
+        SCOPED_TRACE(algo);
+        serve::ServeEngine engine(serve::ServeConfig{}, pool);
+        const auto requests = stream(algo);
+        obs::LatencyHistogram hist;
+        std::vector<double> latencies;
+        for (int epoch = 0; epoch < 2; ++epoch) {
+            for (const serve::ServeResult& result : engine.run_batch(requests)) {
+                latencies.push_back(result.latency_ms);
+                hist.record(result.latency_ms);
+            }
+        }
+        std::sort(latencies.begin(), latencies.end());
+        const obs::HistogramSnapshot snap = hist.snapshot();
+        EXPECT_EQ(snap.count, latencies.size());
+        EXPECT_EQ(snap.min, latencies.front());
+        EXPECT_EQ(snap.max, latencies.back());
+        const double tol = obs::LatencyHistogram::kMaxRelativeError;
+        for (const double q : {0.50, 0.95, 0.99, 0.999}) {
+            const double exact = quantile_nearest_rank(latencies, q);
+            EXPECT_LE(std::abs(snap.quantile(q) - exact), tol * exact) << "q" << q;
+        }
+    }
 }
 
 TEST(ServeEngine, BatchResultsComeBackInRequestOrder) {
@@ -800,86 +911,114 @@ TEST(ServeEngineOverload, OutcomeNamesAndShedPolicyNamesRoundTrip) {
     EXPECT_FALSE(serve::shed_policy_from_name("bogus").has_value());
 }
 
-TEST(ServeEngineOverload, RejectNewShedsBeyondBudgetAndQueue) {
-    // Freeze the world at the gate, saturate {inflight=2, pending=2} with 8
-    // distinct requests: 0-1 run, 2-3 queue, 4-7 shed.  After release the
-    // queued pair is promoted and completes ok.
-    ThreadPool pool(2);
+struct FrozenBurst {
+    std::vector<serve::ServeOutcome> outcomes;  ///< in submission order
+    std::vector<char> has_schedule;             ///< per request, 1 = carried a schedule
+    serve::EngineStats stats;                   ///< read after every future resolved
+};
+
+/// Freeze every computation at the chaos gate, submit `count` distinct
+/// requests serially, release, gather.  Nothing can complete while the gate
+/// is closed, so who runs, queues, sheds or degrades is a pure function of
+/// submission order: the same on every run and at every pool width.
+FrozenBurst run_frozen_burst(std::size_t pool_width, serve::ShedPolicy policy,
+                             std::size_t max_inflight, std::size_t max_pending,
+                             std::size_t count) {
+    ThreadPool pool(pool_width);
     auto gate = make_gate();
-    serve::ServeEngine engine(
-        overload_config(serve::ShedPolicy::kRejectNew, 2, 2, gate), pool);
-    auto requests = unique_burst(8);
+    serve::ServeEngine engine(overload_config(policy, max_inflight, max_pending, gate), pool);
     std::vector<std::future<serve::ServeResult>> futures;
-    for (auto& request : requests) futures.push_back(engine.submit(std::move(request)));
+    for (auto& request : unique_burst(count)) futures.push_back(engine.submit(std::move(request)));
     gate->release_stalls();
-    std::vector<serve::ServeOutcome> outcomes;
+    FrozenBurst out;
     for (auto& future : futures) {
         const auto result = future.get();
-        outcomes.push_back(result.outcome);
-        if (result.outcome == serve::ServeOutcome::kOk) {
-            EXPECT_NE(result.schedule, nullptr);
-        } else {
-            EXPECT_EQ(result.schedule, nullptr);  // shed answers carry no schedule
-        }
+        out.outcomes.push_back(result.outcome);
+        out.has_schedule.push_back(result.schedule != nullptr ? 1 : 0);
     }
-    for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(outcomes[i], serve::ServeOutcome::kOk) << i;
-    for (std::size_t i = 4; i < 8; ++i) EXPECT_EQ(outcomes[i], serve::ServeOutcome::kShed) << i;
-    const auto stats = engine.stats();
-    EXPECT_EQ(stats.ok, 4u);
-    EXPECT_EQ(stats.shed, 4u);
-    EXPECT_EQ(outcome_total(stats), stats.requests);
-    EXPECT_LE(stats.admission.inflight_peak, 2u);
-    EXPECT_EQ(stats.admission.queued, 2u);
-    EXPECT_EQ(stats.admission.promoted, 2u);
+    out.stats = engine.stats();
+    return out;
+}
+
+/// `n` copies of `outcome` appended to `out` (expected-sequence builder).
+void append(std::vector<serve::ServeOutcome>& out, serve::ServeOutcome outcome, std::size_t n) {
+    out.insert(out.end(), n, outcome);
+}
+
+struct BurstShape {
+    std::size_t max_inflight;
+    std::size_t max_pending;
+    std::size_t count;
+};
+
+/// Run `shape` twice on a 2-wide pool, then on 4- and 8-wide ones; every
+/// run must retire `expect` exactly, balance its outcome accounting and
+/// keep to the inflight budget.  Returns the first run for policy-specific
+/// checks.
+FrozenBurst expect_frozen_burst(serve::ShedPolicy policy, const BurstShape& shape,
+                                const std::vector<serve::ServeOutcome>& expect) {
+    FrozenBurst first;
+    for (const std::size_t width : {2u, 2u, 4u, 8u}) {
+        SCOPED_TRACE("pool width " + std::to_string(width));
+        FrozenBurst run = run_frozen_burst(width, policy, shape.max_inflight, shape.max_pending,
+                                           shape.count);
+        EXPECT_EQ(run.outcomes, expect);
+        EXPECT_EQ(outcome_total(run.stats), run.stats.requests);
+        EXPECT_EQ(run.stats.requests, shape.count);
+        EXPECT_LE(run.stats.admission.inflight_peak, shape.max_inflight);
+        if (first.outcomes.empty()) first = std::move(run);
+    }
+    return first;
+}
+
+TEST(ServeEngineOverload, RejectNewShedsBeyondBudgetAndQueue) {
+    // {2,2} x8: 0-1 run, 2-3 queue, 4-7 shed; {4,4} x16 likewise.  After
+    // release the queued requests are promoted and complete ok.
+    for (const BurstShape shape : {BurstShape{2, 2, 8}, BurstShape{4, 4, 16}}) {
+        const std::size_t admitted = shape.max_inflight + shape.max_pending;
+        std::vector<serve::ServeOutcome> expect;
+        append(expect, serve::ServeOutcome::kOk, admitted);
+        append(expect, serve::ServeOutcome::kShed, shape.count - admitted);
+        const FrozenBurst burst =
+            expect_frozen_burst(serve::ShedPolicy::kRejectNew, shape, expect);
+        for (std::size_t i = 0; i < shape.count; ++i)  // shed answers carry no schedule
+            EXPECT_EQ(burst.has_schedule[i], i < admitted ? 1 : 0) << i;
+        EXPECT_EQ(burst.stats.ok, admitted);
+        EXPECT_EQ(burst.stats.shed, shape.count - admitted);
+        EXPECT_EQ(burst.stats.admission.queued, shape.max_pending);
+        EXPECT_EQ(burst.stats.admission.promoted, shape.max_pending);
+    }
 }
 
 TEST(ServeEngineOverload, DropOldestEvictsTheOldestPendingRequest) {
-    ThreadPool pool(2);
-    auto gate = make_gate();
-    serve::ServeEngine engine(
-        overload_config(serve::ShedPolicy::kDropOldest, 2, 2, gate), pool);
-    auto requests = unique_burst(8);
-    std::vector<std::future<serve::ServeResult>> futures;
-    for (auto& request : requests) futures.push_back(engine.submit(std::move(request)));
-    gate->release_stalls();
-    std::vector<serve::ServeOutcome> outcomes;
-    for (auto& future : futures) outcomes.push_back(future.get().outcome);
-    // 0-1 run; 2-3 queue; 4 evicts 2, 5 evicts 3, 6 evicts 4, 7 evicts 5 —
-    // the queue ends holding the *newest* arrivals {6, 7}.
-    const std::vector<serve::ServeOutcome> expect = {
-        serve::ServeOutcome::kOk,   serve::ServeOutcome::kOk,
-        serve::ServeOutcome::kShed, serve::ServeOutcome::kShed,
-        serve::ServeOutcome::kShed, serve::ServeOutcome::kShed,
-        serve::ServeOutcome::kOk,   serve::ServeOutcome::kOk};
-    EXPECT_EQ(outcomes, expect);
-    const auto stats = engine.stats();
-    EXPECT_EQ(outcome_total(stats), stats.requests);
+    // {2,2} x8: 0-1 run; 2-3 queue; 4 evicts 2, 5 evicts 3, 6 evicts 4,
+    // 7 evicts 5, so the queue ends holding the *newest* arrivals {6, 7}.
+    // {4,4} x16 likewise: 4-11 shed, 12-15 survive the queue.
+    for (const BurstShape shape : {BurstShape{2, 2, 8}, BurstShape{4, 4, 16}}) {
+        std::vector<serve::ServeOutcome> expect;
+        append(expect, serve::ServeOutcome::kOk, shape.max_inflight);
+        append(expect, serve::ServeOutcome::kShed,
+               shape.count - shape.max_inflight - shape.max_pending);
+        append(expect, serve::ServeOutcome::kOk, shape.max_pending);
+        const FrozenBurst burst =
+            expect_frozen_burst(serve::ShedPolicy::kDropOldest, shape, expect);
+        EXPECT_EQ(burst.stats.shed, shape.count - shape.max_inflight - shape.max_pending);
+    }
 }
 
 TEST(ServeEngineOverload, DegradeAnswersInlineWithTheSubstituteAlgorithm) {
-    ThreadPool pool(2);
-    auto gate = make_gate();
-    auto config = overload_config(serve::ShedPolicy::kDegrade, 2, 0, gate);
-    config.degrade_algo = "heft";
-    serve::ServeEngine engine(config, pool);
-    auto requests = unique_burst(6);
-    std::vector<std::future<serve::ServeResult>> futures;
-    for (auto& request : requests) futures.push_back(engine.submit(std::move(request)));
-    gate->release_stalls();
-    std::vector<serve::ServeOutcome> outcomes;
-    for (auto& future : futures) {
-        const auto result = future.get();
-        outcomes.push_back(result.outcome);
+    // {2,0} x6 and {4,0} x8: the budget runs, the rest is answered inline
+    // by the substitute algorithm (ServeConfig::degrade_algo, heft by default).
+    for (const BurstShape shape : {BurstShape{2, 0, 6}, BurstShape{4, 0, 8}}) {
+        std::vector<serve::ServeOutcome> expect;
+        append(expect, serve::ServeOutcome::kOk, shape.max_inflight);
+        append(expect, serve::ServeOutcome::kDegraded, shape.count - shape.max_inflight);
+        const FrozenBurst burst = expect_frozen_burst(serve::ShedPolicy::kDegrade, shape, expect);
         // Degraded answers are real schedules, just from the cheap algorithm.
-        EXPECT_NE(result.schedule, nullptr);
+        for (std::size_t i = 0; i < shape.count; ++i) EXPECT_EQ(burst.has_schedule[i], 1) << i;
+        EXPECT_EQ(burst.stats.ok, shape.max_inflight);
+        EXPECT_EQ(burst.stats.degraded, shape.count - shape.max_inflight);
     }
-    for (std::size_t i = 0; i < 2; ++i) EXPECT_EQ(outcomes[i], serve::ServeOutcome::kOk) << i;
-    for (std::size_t i = 2; i < 6; ++i)
-        EXPECT_EQ(outcomes[i], serve::ServeOutcome::kDegraded) << i;
-    const auto stats = engine.stats();
-    EXPECT_EQ(stats.ok, 2u);
-    EXPECT_EQ(stats.degraded, 4u);
-    EXPECT_EQ(outcome_total(stats), stats.requests);
 }
 
 TEST(ServeEngineDeadline, ExpiredPendingRequestIsNeverStarted) {
@@ -902,6 +1041,26 @@ TEST(ServeEngineDeadline, ExpiredPendingRequestIsNeverStarted) {
     EXPECT_EQ(stats.computed, 1u);  // only the runner ever reached a scheduler
     EXPECT_EQ(stats.timed_out, 1u);
     EXPECT_EQ(outcome_total(stats), stats.requests);
+
+    // The cascade: every budget is blown before any dequeue, so the admitted
+    // runners skip at dequeue and promotion flushes the whole queue, all as
+    // timed_out with no schedule and no scheduler run.
+    serve::ServeEngine cascade(overload_config(serve::ShedPolicy::kRejectNew, 2, 6, nullptr),
+                               pool);
+    std::vector<std::future<serve::ServeResult>> futures;
+    for (auto& request : unique_burst(8)) {
+        request.deadline_ms = 1e-9;
+        futures.push_back(cascade.submit(std::move(request)));
+    }
+    for (auto& future : futures) {
+        const auto late = future.get();
+        EXPECT_EQ(late.outcome, serve::ServeOutcome::kTimedOut);
+        EXPECT_EQ(late.schedule, nullptr);
+    }
+    const auto cascaded = cascade.stats();
+    EXPECT_EQ(cascaded.timed_out, 8u);
+    EXPECT_EQ(cascaded.computed, 0u);
+    EXPECT_EQ(outcome_total(cascaded), cascaded.requests);
 }
 
 TEST(ServeEngineDeadline, LateCompletionResolvesTimedOutWithTheSchedule) {
@@ -956,31 +1115,39 @@ TEST(ServeEngine, WaitBudgetYieldsSyntheticTimeoutsInsteadOfHanging) {
 }
 
 TEST(ServeEngineDrain, FlushesPendingRefusesNewAndForcesStuckWaiters) {
-    ThreadPool pool(2);
-    auto gate = make_gate();
-    serve::ServeEngine engine(
-        overload_config(serve::ShedPolicy::kRejectNew, 1, 2, gate), pool);
-    auto requests = unique_burst(4);
-    std::vector<std::future<serve::ServeResult>> futures;
-    for (auto& request : requests) futures.push_back(engine.submit(std::move(request)));
-    // 0 runs (parked at the gate), 1-2 queue, 3 shed.
-    const auto report = engine.drain(/*timeout_ms=*/40.0);
-    EXPECT_FALSE(report.clean);
-    EXPECT_EQ(report.flushed_pending, 2u);  // 1-2 flushed as draining
-    EXPECT_EQ(report.forced_waiters, 1u);   // 0 expropriated on timeout
-    // Admission is closed: new submits resolve kDraining immediately.
-    auto late = make_request();
-    late.problem = make_problem(123.0);
-    EXPECT_EQ(engine.serve(std::move(late)).outcome, serve::ServeOutcome::kDraining);
-    EXPECT_EQ(futures[0].get().outcome, serve::ServeOutcome::kDraining);
-    EXPECT_EQ(futures[1].get().outcome, serve::ServeOutcome::kDraining);
-    EXPECT_EQ(futures[2].get().outcome, serve::ServeOutcome::kDraining);
-    EXPECT_EQ(futures[3].get().outcome, serve::ServeOutcome::kShed);
-    gate->release_stalls();  // let the parked closure exit before ~ServeEngine
-    const auto stats = engine.stats();
-    EXPECT_EQ(stats.draining, 4u);
-    EXPECT_EQ(stats.shed, 1u);
-    EXPECT_EQ(outcome_total(stats), stats.requests);
+    // {1,2} x4: 0 runs (parked at the gate), 1-2 queue, 3 shed.  {2,2} x8:
+    // 0-1 parked, 2-3 queued, 4-7 shed.  drain() flushes the queue as
+    // draining, times out on the parked work and expropriates its waiters.
+    for (const BurstShape shape : {BurstShape{1, 2, 4}, BurstShape{2, 2, 8}}) {
+        SCOPED_TRACE("inflight " + std::to_string(shape.max_inflight));
+        ThreadPool pool(2);
+        auto gate = make_gate();
+        serve::ServeEngine engine(overload_config(serve::ShedPolicy::kRejectNew,
+                                                  shape.max_inflight, shape.max_pending, gate),
+                                  pool);
+        std::vector<std::future<serve::ServeResult>> futures;
+        for (auto& request : unique_burst(shape.count))
+            futures.push_back(engine.submit(std::move(request)));
+        const auto report = engine.drain(/*timeout_ms=*/40.0);
+        EXPECT_FALSE(report.clean);
+        EXPECT_EQ(report.flushed_pending, shape.max_pending);
+        EXPECT_EQ(report.forced_waiters, shape.max_inflight);
+        // Admission is closed: new submits resolve kDraining immediately.
+        auto late = make_request();
+        late.problem = make_problem(123.0);
+        EXPECT_EQ(engine.serve(std::move(late)).outcome, serve::ServeOutcome::kDraining);
+        const std::size_t admitted = shape.max_inflight + shape.max_pending;
+        for (std::size_t i = 0; i < shape.count; ++i) {
+            EXPECT_EQ(futures[i].get().outcome,
+                      i < admitted ? serve::ServeOutcome::kDraining : serve::ServeOutcome::kShed)
+                << i;
+        }
+        gate->release_stalls();  // let the parked closures exit before ~ServeEngine
+        const auto stats = engine.stats();
+        EXPECT_EQ(stats.draining, admitted + 1);
+        EXPECT_EQ(stats.shed, shape.count - admitted);
+        EXPECT_EQ(outcome_total(stats), stats.requests);
+    }
 }
 
 TEST(ServeEngineDrain, CleanDrainRetiresInflightWorkAndReportsClean) {
@@ -1118,6 +1285,117 @@ TEST(ServeEngineChaos, FaultPredicatesArePureFunctionsOfSeedAndFingerprint) {
     EXPECT_TRUE(any_differs);  // the seed actually keys the decisions
     const auto stats = a.stats();
     EXPECT_EQ(stats.stalls + stats.throws + stats.submit_failures, 0u);  // predicates don't count
+}
+
+serve::ChaosOptions storm_options(std::uint64_t seed) {
+    return serve::ChaosOptions{.seed = seed,
+                               .stall_prob = 0.2,
+                               .stall_ms = 2.0,
+                               .throw_prob = 0.25,
+                               .submit_fail_prob = 0.15};
+}
+
+struct StormTally {
+    std::size_t served = 0;
+    std::size_t failed = 0;  ///< thrown by submit() or by the future
+    serve::EngineStats stats;
+    serve::ChaosStats injected;
+};
+
+StormTally run_storm(std::size_t pool_width, std::uint64_t seed,
+                     const std::vector<serve::ScheduleRequest>& requests) {
+    ThreadPool pool(pool_width);
+    auto chaos = std::make_shared<serve::DeterministicChaos>(storm_options(seed));
+    serve::ServeConfig config;
+    config.chaos = chaos;
+    serve::ServeEngine engine(config, pool);
+    StormTally tally;
+    std::vector<std::future<serve::ServeResult>> futures;
+    for (const serve::ScheduleRequest& request : requests) {
+        try {
+            futures.push_back(engine.submit(request));
+        } catch (const serve::ChaosError&) {
+            ++tally.failed;  // submit-time pool failure: no future left submit()
+        }
+    }
+    for (auto& future : futures) {
+        try {
+            (void)future.get();
+            ++tally.served;
+        } catch (const serve::ChaosError&) {
+            ++tally.failed;
+        }
+    }
+    tally.stats = engine.stats();
+    tally.injected = chaos->stats();
+    return tally;
+}
+
+// Faults are fingerprint-keyed (serve/chaos.hpp), so a storm's damage is
+// predictable request by request: exactly the requests cursed with a
+// scheduler throw or a pool hand-off failure fail, whether they computed,
+// recomputed or coalesced onto a cursed computation, and the outcome
+// accounting still balances.  Over distinct requests every injection count
+// is exact (a submit-cursed request never reaches compute, so its other
+// curses never fire).  Predictions do not depend on the pool width.
+TEST(ServeEngineChaos, FaultStormFailsExactlyTheFingerprintKeyedPrediction) {
+    for (const std::string& algo : kStreamAlgos) {
+        const auto repeats = stream(algo);
+        std::vector<serve::ScheduleRequest> uniques;
+        std::set<std::uint64_t> seen;
+        for (auto& request : stream(algo, 32, 0.0))
+            if (uniques.size() < 24 && seen.insert(serve::fingerprint_request(request)).second)
+                uniques.push_back(std::move(request));
+        ASSERT_EQ(uniques.size(), 24u);
+
+        std::set<std::vector<std::uint64_t>> cursed_sets;
+        for (const std::uint64_t seed : {std::uint64_t{2007}, std::uint64_t{9001}}) {
+            SCOPED_TRACE(algo + " seed " + std::to_string(seed));
+            const serve::DeterministicChaos oracle(storm_options(seed));
+            std::size_t expect_failed = 0;
+            for (const auto& request : repeats) {
+                const auto fp = serve::fingerprint_request(request);
+                if (oracle.will_fail_submit(fp) || oracle.will_throw(fp)) ++expect_failed;
+            }
+            std::uint64_t expect_stalls = 0;
+            std::uint64_t expect_throws = 0;
+            std::uint64_t expect_submit_failures = 0;
+            std::vector<std::uint64_t> cursed;
+            for (const auto& request : uniques) {
+                const auto fp = serve::fingerprint_request(request);
+                if (oracle.will_fail_submit(fp)) {
+                    ++expect_submit_failures;
+                    cursed.push_back(fp);
+                    continue;
+                }
+                if (oracle.will_stall(fp)) ++expect_stalls;
+                if (oracle.will_throw(fp)) {
+                    ++expect_throws;
+                    cursed.push_back(fp);
+                }
+            }
+            cursed_sets.insert(cursed);
+            EXPECT_GT(expect_throws + expect_submit_failures, 0u);
+
+            for (const std::size_t width : {2u, 4u, 8u}) {
+                SCOPED_TRACE("pool width " + std::to_string(width));
+                const StormTally mixed = run_storm(width, seed, repeats);
+                EXPECT_EQ(mixed.failed, expect_failed);
+                EXPECT_EQ(mixed.served + mixed.failed, repeats.size());
+                EXPECT_EQ(mixed.stats.requests, repeats.size());
+                EXPECT_EQ(outcome_total(mixed.stats), mixed.stats.requests);
+
+                const StormTally unique = run_storm(width, seed, uniques);
+                EXPECT_EQ(unique.failed, expect_throws + expect_submit_failures);
+                EXPECT_EQ(unique.served, uniques.size() - unique.failed);
+                EXPECT_EQ(unique.injected.stalls, expect_stalls);
+                EXPECT_EQ(unique.injected.throws, expect_throws);
+                EXPECT_EQ(unique.injected.submit_failures, expect_submit_failures);
+                EXPECT_EQ(outcome_total(unique.stats), unique.stats.requests);
+            }
+        }
+        EXPECT_EQ(cursed_sets.size(), 2u) << "the chaos seed does not reshuffle the storm";
+    }
 }
 
 TEST(Replay, DeadlineAndOutcomeTalliesRideAlongInTheReport) {

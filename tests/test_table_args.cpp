@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/args.hpp"
 #include "util/table.hpp"
@@ -108,6 +110,55 @@ TEST(Args, MalformedNumberThrows) {
     EXPECT_THROW((void)a.get_int("n", 0), std::invalid_argument);
     EXPECT_THROW((void)a.get_double("n", 0.0), std::invalid_argument);
     EXPECT_THROW((void)a.get_bool("n", false), std::invalid_argument);
+}
+
+/// The std::invalid_argument message `parse` throws, or "" if none.
+template <typename Parse>
+std::string invalid_argument_message(Parse parse) {
+    try {
+        parse();
+    } catch (const std::invalid_argument& err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(Args, TrailingJunkIsRejectedNotTruncated) {
+    const Args a = parse({"--max-conns=7abc", "--rate=1.5x", "--n= 12", "--x=-2.5e1"});
+    EXPECT_NE(invalid_argument_message([&] { (void)a.get_int("max-conns", 0); })
+                  .find("--max-conns"),
+              std::string::npos);
+    EXPECT_NE(invalid_argument_message([&] { (void)a.get_double("rate", 0.0); }).find("--rate"),
+              std::string::npos);
+    EXPECT_THROW((void)a.get_size("max-conns", 0), std::invalid_argument);
+    EXPECT_EQ(a.get_int("n", 0), 12);  // leading blanks are still skipped
+    EXPECT_EQ(a.get_double("x", 0.0), -25.0);
+}
+
+TEST(Args, SizesRejectNegativesNamingTheFlag) {
+    const Args a = parse({"--max-conns=-1", "--threads=4", "--zero=0"});
+    const std::string message =
+        invalid_argument_message([&] { (void)a.get_size("max-conns", 64); });
+    EXPECT_NE(message.find("--max-conns"), std::string::npos) << message;
+    EXPECT_NE(message.find("-1"), std::string::npos) << message;
+    EXPECT_EQ(a.get_int("max-conns", 0), -1);  // a plain integer may be negative
+    EXPECT_EQ(a.get_size("threads", 0), 4u);
+    EXPECT_EQ(a.get_size("zero", 9), 0u);
+    EXPECT_EQ(a.get_size("absent", 64), 64u);
+    EXPECT_THROW((void)parse({"--n=abc"}).get_size("n", 0), std::invalid_argument);
+}
+
+TEST(Args, ListErrorsNameTheFlag) {
+    const Args a = parse({"--batches=1,x", "--ccr=0.5,abc", "--sizes=10,20z"});
+    for (const auto& [flag, message] :
+         {std::pair{"--batches",
+                    invalid_argument_message([&] { (void)a.get_int_list("batches", {}); })},
+          std::pair{"--ccr",
+                    invalid_argument_message([&] { (void)a.get_double_list("ccr", {}); })},
+          std::pair{"--sizes",
+                    invalid_argument_message([&] { (void)a.get_int_list("sizes", {}); })}}) {
+        EXPECT_NE(message.find(flag), std::string::npos) << flag << ": '" << message << "'";
+    }
 }
 
 TEST(Args, BooleanSpellings) {

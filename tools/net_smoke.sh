@@ -22,6 +22,8 @@
 #      requests and outcomes.ok.
 #   7. A replay against a closed port (the drained server's) exits nonzero
 #      with a "no replies" message instead of reporting an empty success.
+#   8. A negative size (--max-conns=-1) is a usage error naming the flag,
+#      not a wrapped-around bound the daemon listens with.
 #
 # Every network step is wrapped in timeout(1) so a wedged server fails the
 # test instead of hanging CI (ctest TIMEOUT is the backstop).
@@ -83,6 +85,12 @@ stop_server_clean() {
     [ "$rc" -eq 0 ] || fail "server ($tag) exit code $rc after SIGTERM (want 0 = clean drain)"
     grep -q "drained (clean)" "$WORK/served.$tag.out" || fail "server ($tag) drain not clean"
 }
+
+# --- 8: a negative size is refused before the daemon listens --------------
+timeout 10 "$SERVED" --port=0 --max-conns=-1 > "$WORK/neg.out" 2>&1
+[ $? -eq 2 ] || fail "--max-conns=-1 did not exit 2: $(cat "$WORK/neg.out")"
+grep -q -- "--max-conns" "$WORK/neg.out" || fail "--max-conns=-1 error does not name the flag"
+grep -q "listening" "$WORK/neg.out" && fail "--max-conns=-1 started listening"
 
 # --- trace: a deterministic request mix (50% repeats => cache traffic) ----
 timeout 60 "$SERVE" --gen="$WORK/trace.tsr" --requests=48 --repeat-frac=0.5 \

@@ -102,7 +102,8 @@ PYEOF
 #    they are mutually consistent: histogram percentiles ordered, bounded by
 #    the exact max, and the embedded metrics agree with the replay totals.
 #    (The rigorous histogram-vs-exact error-bound check uses matched
-#    nearest-rank conventions and lives in `bench_serve --check`; the exact
+#    nearest-rank conventions and lives in test_serve's
+#    ServeEngine.LatencyHistogramTracksNearestRankOnLiveLatencies; the exact
 #    report percentiles here are interpolated, a different convention.)
 "$PYTHON" - "$WORK/report.json" <<'PYEOF' || fail "report percentile views inconsistent"
 import json, sys

@@ -4,25 +4,17 @@
 #
 # Usage: perf_check.sh CURRENT.json [BASELINE.json]
 #
-# Two kinds of measurement live in the same schema-1 document, each
-# optional, each compared only when both files carry it:
+# The schema-1 document carries the scheduling-time points from
+# bench_runtime --json ({algo, n, mean_ms}).  A point regresses when current
+# mean_ms > threshold * baseline mean_ms (default 4.0, override with
+# PERF_CHECK_THRESHOLD).
 #
-#   "points" — scheduling-time points from bench_runtime --json
-#              ({algo, n, mean_ms}).  A point regresses when current
-#              mean_ms > threshold * baseline mean_ms (default 4.0,
-#              override with PERF_CHECK_THRESHOLD).
-#   "serve"  — the steady-state network serving point from
-#              bench_serve --net --json ({qps, p50_ms, p99_ms, ...}).
-#              Regresses when current qps < baseline qps / serve_threshold
-#              or current p99_ms > serve_threshold * baseline p99_ms
-#              (default 4.0, override with PERF_CHECK_SERVE_THRESHOLD).
-#
-# Thresholds are deliberately generous because baseline and CI machines
+# The threshold is deliberately generous because baseline and CI machines
 # differ; the check exists to catch the order-of-magnitude regressions that
-# reintroducing clone-per-candidate trial evaluation (or an accidental
-# per-request syscall storm in the serve path) would cause, not 10% noise.
-# Points present in only one file are reported but never fatal, so adding an
-# algorithm, sweep size, or measurement family does not break the gate.
+# reintroducing clone-per-candidate trial evaluation would cause, not 10%
+# noise.  Points present in only one file are reported but never fatal, so
+# adding an algorithm or sweep size does not break the gate.  Serving
+# throughput is measured by perfbench (BENCHMARK.json), not here.
 #
 # The big-n points (n = 2000/10000/50000, rep-capped in bench_runtime) are
 # the noisiest: a single run is 3–12 reps on a possibly-contended host, and
@@ -41,27 +33,25 @@ fi
 CURRENT=$1
 BASELINE=${2:-"$(dirname "$0")/../BENCH_runtime.json"}
 THRESHOLD=${PERF_CHECK_THRESHOLD:-4.0}
-SERVE_THRESHOLD=${PERF_CHECK_SERVE_THRESHOLD:-4.0}
 
 [ -f "$CURRENT" ] || { echo "perf_check: missing $CURRENT" >&2; exit 2; }
 [ -f "$BASELINE" ] || { echo "perf_check: missing baseline $BASELINE" >&2; exit 2; }
 
-python3 - "$CURRENT" "$BASELINE" "$THRESHOLD" "$SERVE_THRESHOLD" <<'PYEOF'
+python3 - "$CURRENT" "$BASELINE" "$THRESHOLD" <<'PYEOF'
 import json
 import sys
 
 current_path, baseline_path = sys.argv[1], sys.argv[2]
-threshold, serve_threshold = float(sys.argv[3]), float(sys.argv[4])
+threshold = float(sys.argv[3])
 
 def load(path):
     with open(path) as f:
         doc = json.load(f)
     assert doc.get("schema") == 1, f"{path}: unknown schema {doc.get('schema')}"
-    points = {(p["algo"], p["n"]): p["mean_ms"] for p in doc.get("points", [])}
-    return points, doc.get("serve")
+    return {(p["algo"], p["n"]): p["mean_ms"] for p in doc.get("points", [])}
 
-current, current_serve = load(current_path)
-baseline, baseline_serve = load(baseline_path)
+current = load(current_path)
+baseline = load(baseline_path)
 
 failures = []
 
@@ -81,27 +71,7 @@ if current and baseline:
     for key in sorted(set(current) - set(baseline)):
         print(f"  [new ] {key[0]}/{key[1]}: {current[key]:.3f} ms (no baseline)")
 
-if current_serve and baseline_serve:
-    print(f"perf_check: serve threshold {serve_threshold:g}x against {baseline_path}")
-    cur_qps, base_qps = current_serve["qps"], baseline_serve["qps"]
-    qps_ratio = base_qps / cur_qps if cur_qps > 0 else float("inf")
-    status = "FAIL" if qps_ratio > serve_threshold else "ok"
-    print(f"  [{status:4}] serve/qps: {cur_qps:.1f} vs baseline {base_qps:.1f} "
-          f"({qps_ratio:.2f}x slower)")
-    if qps_ratio > serve_threshold:
-        failures.append("serve/qps")
-    cur_p99, base_p99 = current_serve["p99_ms"], baseline_serve["p99_ms"]
-    p99_ratio = cur_p99 / base_p99 if base_p99 > 0 else float("inf")
-    status = "FAIL" if p99_ratio > serve_threshold else "ok"
-    print(f"  [{status:4}] serve/p99_ms: {cur_p99:.3f} ms vs baseline {base_p99:.3f} ms "
-          f"({p99_ratio:.2f}x)")
-    if p99_ratio > serve_threshold:
-        failures.append("serve/p99_ms")
-elif current_serve or baseline_serve:
-    side = "current" if current_serve else "baseline"
-    print(f"perf_check: serve point only in {side} file — skipped")
-
-if not current and not baseline and not (current_serve and baseline_serve):
+if not current and not baseline:
     print("perf_check: nothing comparable between the two files", file=sys.stderr)
     sys.exit(2)
 

@@ -3,7 +3,9 @@
 # deterministic and seed-sensitive, a replay must produce a parseable JSON
 # report whose accounting adds up (computed == distinct requests, every
 # request answered exactly once), cache-off serving must compute everything,
-# and the --version/--help/unknown-flag contract must hold.
+# a bounded drop-oldest replay must shed with balanced outcome tallies, the
+# TS07xx config lints must fire on nonsense knobs and only there, and the
+# --version/--help/unknown-flag/bad-size contract must hold.
 #
 # usage: serve_smoke.sh path/to/tsched_serve [python3]
 set -u
@@ -34,6 +36,14 @@ grep -q "tsched_serve" "$WORK/version.out" || fail "--version output looks wrong
 "$SERVE" --frobnicate > "$WORK/unknown.out" 2>&1
 [ $? -eq 2 ] || fail "unknown flag did not exit 2"
 grep -q -- "--frobnicate" "$WORK/unknown.out" || fail "unknown flag not named"
+# A size must be a whole non-negative integer: -1 does not wrap around and
+# 7abc is not 7; either is a usage error naming the flag.
+for bad in -1 7abc; do
+    "$SERVE" --gen="$WORK/bad.tsr" --requests="$bad" > "$WORK/bad.out" 2>&1
+    [ $? -eq 2 ] || fail "--requests=$bad did not exit 2"
+    grep -q -- "--requests" "$WORK/bad.out" || fail "--requests=$bad error does not name the flag"
+done
+[ -e "$WORK/bad.tsr" ] && fail "a rejected --requests still wrote a trace"
 
 # 2. Generation is deterministic in the seed: same seed -> identical bytes,
 #    different seed -> different trace.  24 requests at repeat-frac 0.5 means
@@ -86,7 +96,46 @@ assert doc["hits"] == 0 and doc["coalesced"] == 0, doc
 assert doc["hit_rate"] == 0.0, doc
 PYEOF
 
-# 5. A missing trace file is a usage error (exit 2), not a crash.
+# 5. Overload replay: bounded admission with drop-oldest must shed, the JSON
+#    report's outcome tallies must balance against the request count, and a
+#    generous deadline must not time anything out.  One worker, cold cache,
+#    and a single 24-wide batch: the submit loop (a fingerprint hash per
+#    request) is several times faster than one n=400 HEFT computation, so the
+#    2+2 budget overflows regardless of machine speed.
+GEN="--requests=24 --repeat-frac=0.5 --n=400 --procs=4 --algos=heft"
+"$SERVE" --gen="$WORK/storm.tsr" $GEN --seed=7 > /dev/null || fail "storm --gen failed"
+"$SERVE" "$WORK/storm.tsr" --threads=1 --batch=24 --cache=off \
+    --max-inflight=2 --max-pending=2 \
+    --shed-policy=drop-oldest --deadline-ms=5000 --json="$WORK/overload.json" \
+    > "$WORK/overload.out" 2>&1 \
+    || fail "overload replay failed: $(cat "$WORK/overload.out")"
+grep -q "policy=drop-oldest" "$WORK/overload.out" || fail "overload line missing"
+"$PYTHON" - "$WORK/overload.json" <<'PYEOF' || fail "overload JSON report incoherent"
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+out = doc["outcomes"]
+total = out["ok"] + out["shed"] + out["degraded"] + out["timed_out"] + out["draining"]
+assert total == doc["requests"] == 24, doc
+assert out["shed"] > 0, out           # 2+2 budget under a cold 24-burst must shed
+assert out["timed_out"] == 0, out     # 5 s deadline is never blown here
+assert doc["shed_policy"] == "drop-oldest", doc
+# shed_rate is serialized with 6 decimals, so compare at that precision
+assert abs(doc["shed_rate"] - out["shed"] / doc["requests"]) < 1e-6, doc
+assert doc["deadline_hit_rate"] == 0.0, doc
+PYEOF
+
+# 6. The TS07xx config lints fire on nonsense knobs (warnings only: the
+#    replay itself still runs) and stay quiet on a sane bounded config.
+"$SERVE" "$WORK/storm.tsr" --max-pending=4 --drain-timeout-ms=-1 \
+    > /dev/null 2> "$WORK/lint.err" || fail "lint-warned replay exited nonzero"
+grep -q "TS0701" "$WORK/lint.err" || fail "TS0701 (unreachable pending queue) not raised"
+grep -q "TS0705" "$WORK/lint.err" || fail "TS0705 (bad drain timeout) not raised"
+"$SERVE" "$WORK/storm.tsr" --max-inflight=2 --max-pending=2 \
+    > /dev/null 2> "$WORK/clean.err" || fail "bounded replay exited nonzero"
+grep -q "TS07" "$WORK/clean.err" && fail "sane bounded config raised a TS07xx lint"
+
+# 7. A missing trace file is a usage error (exit 2), not a crash.
 "$SERVE" "$WORK/does_not_exist.tsr" > /dev/null 2>&1
 [ $? -eq 2 ] || fail "missing trace file did not exit 2"
 

@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
         json = args.get_bool("json", false);
         quiet = args.get_bool("quiet", false);
         werror = args.get_bool("werror", false);
-        max_diags = static_cast<std::size_t>(args.get_int("max-diags", 64));
+        max_diags = args.get_size("max-diags", 64);
     } catch (const std::exception& err) {
         usage(err.what());
     }

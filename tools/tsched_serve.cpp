@@ -125,11 +125,11 @@ bool parse_on_off(const Args& args, const std::string& key, bool def) {
 
 int generate(const Args& args) {
     serve::TraceGenParams params;
-    params.requests = static_cast<std::size_t>(args.get_int("requests", 128));
+    params.requests = args.get_size("requests", 128);
     params.repeat_frac = args.get_double("repeat-frac", 0.5);
     params.algos = args.get_string_list("algos", {"heft"});
-    params.size = static_cast<std::size_t>(args.get_int("n", 100));
-    params.procs = static_cast<std::size_t>(args.get_int("procs", 8));
+    params.size = args.get_size("n", 100);
+    params.procs = args.get_size("procs", 8);
     params.ccr = args.get_double("ccr", 1.0);
     params.beta = args.get_double("beta", 0.5);
     params.seed = static_cast<std::uint64_t>(args.get_int("seed", 2007));
@@ -238,9 +238,9 @@ int replay_over_wire(const Args& args, const std::string& trace_path) {
     const int port = std::stoi(endpoint.substr(colon + 1));
     if (port <= 0 || port > 65535) usage_error("--connect port must be in [1, 65535]");
     options.port = static_cast<std::uint16_t>(port);
-    options.conns = static_cast<std::size_t>(args.get_int("conns", 8));
-    options.window = static_cast<std::size_t>(args.get_int("window", 16));
-    options.epochs = static_cast<std::size_t>(args.get_int("epochs", 1));
+    options.conns = args.get_size("conns", 8);
+    options.window = args.get_size("window", 16);
+    options.epochs = args.get_size("epochs", 1);
     options.deadline_ms = args.get_double("deadline-ms", 0.0);
 
     const auto trace = serve::load_tsr(trace_path);
@@ -283,16 +283,16 @@ int replay_over_wire(const Args& args, const std::string& trace_path) {
 int replay(const Args& args, const std::string& trace_path) {
     serve::ReplayOptions options;
     options.config.enable_cache = parse_on_off(args, "cache", true);
-    options.config.cache_capacity = static_cast<std::size_t>(args.get_int("capacity", 1024));
-    options.config.cache_shards = static_cast<std::size_t>(args.get_int("shards", 8));
-    options.batch = static_cast<std::size_t>(args.get_int("batch", 16));
-    options.epochs = static_cast<std::size_t>(args.get_int("epochs", 1));
-    const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
+    options.config.cache_capacity = args.get_size("capacity", 1024);
+    options.config.cache_shards = args.get_size("shards", 8);
+    options.batch = args.get_size("batch", 16);
+    options.epochs = args.get_size("epochs", 1);
+    const auto threads = args.get_size("threads", 0);
 
     options.deadline_ms = args.get_double("deadline-ms", 0.0);
     options.wait_budget_ms = args.get_double("wait-budget-ms", 0.0);
-    options.config.max_inflight = static_cast<std::size_t>(args.get_int("max-inflight", 0));
-    options.config.max_pending = static_cast<std::size_t>(args.get_int("max-pending", 0));
+    options.config.max_inflight = args.get_size("max-inflight", 0);
+    options.config.max_pending = args.get_size("max-pending", 0);
     const std::string policy_name = args.get_string("shed-policy", "reject-new");
     if (const auto policy = serve::shed_policy_from_name(policy_name)) {
         options.config.shed_policy = *policy;

@@ -104,32 +104,36 @@ int main(int argc, char** argv) {
     }
 
     net::ServerConfig config;
-    config.host = args.get_string("host", "127.0.0.1");
-    const std::int64_t port = args.get_int("port", 0);
-    if (port < 0 || port > 65535) usage_error("--port must be in [0, 65535]");
-    config.port = static_cast<std::uint16_t>(port);
-    config.max_conns = static_cast<std::size_t>(args.get_int("max-conns", 64));
-    config.per_conn_queue = static_cast<std::size_t>(args.get_int("per-conn-queue", 64));
-    config.max_frame_bytes =
-        static_cast<std::size_t>(args.get_int("max-frame-bytes", 1 << 20));
-    config.max_requests_per_tick =
-        static_cast<std::size_t>(args.get_int("requests-per-tick", 8));
-    config.flush_timeout_ms = args.get_double("flush-timeout-ms", 5000.0);
+    std::size_t threads = 0;
+    try {
+        config.host = args.get_string("host", "127.0.0.1");
+        const std::int64_t port = args.get_int("port", 0);
+        if (port < 0 || port > 65535) usage_error("--port must be in [0, 65535]");
+        config.port = static_cast<std::uint16_t>(port);
+        config.max_conns = args.get_size("max-conns", 64);
+        config.per_conn_queue = args.get_size("per-conn-queue", 64);
+        config.max_frame_bytes = args.get_size("max-frame-bytes", 1 << 20);
+        config.max_requests_per_tick = args.get_size("requests-per-tick", 8);
+        config.flush_timeout_ms = args.get_double("flush-timeout-ms", 5000.0);
 
-    config.engine.enable_cache = parse_on_off(args, "cache", true);
-    config.engine.cache_capacity = static_cast<std::size_t>(args.get_int("capacity", 1024));
-    config.engine.cache_shards = static_cast<std::size_t>(args.get_int("shards", 8));
-    config.engine.max_inflight = static_cast<std::size_t>(args.get_int("max-inflight", 0));
-    config.engine.max_pending = static_cast<std::size_t>(args.get_int("max-pending", 0));
-    const std::string policy_name = args.get_string("shed-policy", "reject-new");
-    if (const auto policy = serve::shed_policy_from_name(policy_name)) {
-        config.engine.shed_policy = *policy;
-    } else {
-        usage_error("--shed-policy expects reject-new|drop-oldest|degrade, got '" + policy_name +
-                    "'");
+        config.engine.enable_cache = parse_on_off(args, "cache", true);
+        config.engine.cache_capacity = args.get_size("capacity", 1024);
+        config.engine.cache_shards = args.get_size("shards", 8);
+        config.engine.max_inflight = args.get_size("max-inflight", 0);
+        config.engine.max_pending = args.get_size("max-pending", 0);
+        const std::string policy_name = args.get_string("shed-policy", "reject-new");
+        if (const auto policy = serve::shed_policy_from_name(policy_name)) {
+            config.engine.shed_policy = *policy;
+        } else {
+            usage_error("--shed-policy expects reject-new|drop-oldest|degrade, got '" +
+                        policy_name + "'");
+        }
+        config.engine.degrade_algo = args.get_string("degrade-algo", "heft");
+        config.engine.drain_timeout_ms = args.get_double("drain-timeout-ms", 5000.0);
+        threads = args.get_size("threads", 0);
+    } catch (const std::exception& e) {
+        usage_error(e.what());
     }
-    config.engine.degrade_algo = args.get_string("degrade-algo", "heft");
-    config.engine.drain_timeout_ms = args.get_double("drain-timeout-ms", 5000.0);
 
     // Config sanity (TS07xx engine + TS08xx net): warnings run, errors do
     // not — a daemon that can never answer a request should fail fast.
@@ -146,7 +150,6 @@ int main(int argc, char** argv) {
         if (fatal) return 2;
     }
 
-    const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
     try {
         ThreadPool pool(threads);
         net::ServeServer server(config, pool);
